@@ -1,6 +1,13 @@
 """folharm: transversal tension fields, energy and heat flow for foliated maps
 between model foliated Riemannian manifolds, with identity-verification
-oracles."""
+oracles.
+
+The public names below load with their submodule on first access (PEP 562),
+so ``import folharm.cli`` leaves numpy unloaded until the CLI has applied
+its thread caps.
+"""
+
+from importlib import import_module as _import_module
 
 from .errors import (
     CompositionError,
@@ -13,64 +20,36 @@ from .errors import (
     StepTooLargeError,
     UnsupportedDomainError,
 )
-from .foliation import FoliatedStructure, build_foliated_structure, named_profile
-from .geometry import (
-    FlatTorus,
-    HyperbolicPatch,
-    LocalGeometry,
-    RoundSphere,
-    TransverseGeometry,
-    build_geometry,
-    exp_map,
-    geometry_at,
-)
-from .grid import (
-    GridChart,
-    build_grid,
-    check_divergence_theorem,
-    delta_B_scalar,
-    div_nabla,
-    grad_B,
-    integrate,
-    kappa_on_grid,
-)
-from .maps import (
-    AnalyticMap,
-    FoliatedMapField,
-    compose,
-    dT_norm_squared,
-    d_T,
-    delta_nabla_dT,
-    energy_density,
-    second_form_norm_squared,
-    second_fund_form,
-    tension,
-    tension_sup_norm,
-)
-from .flow import (
-    FlowConfig,
-    FlowTrace,
-    RigidityDiagnostics,
-    RigidityTolerances,
-    Verdict,
-    cfl_step,
-    flow_step,
-    rigidity_diagnostics,
-    run_flow,
-    transversal_energy,
-)
-from .verify import (
-    IdentityResidualReport,
-    VariationSpec,
-    bochner_parts,
-    bochner_term,
-    check_first_variation,
-    check_lemma_volume,
-    composition_residuals,
-    refinement_report,
-    weitzenbock_residual,
-    weitzenbock_terms,
-)
-from .families import make_family, variation_field
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "foliation": ("FoliatedStructure", "build_foliated_structure", "named_profile"),
+    "geometry": ("FlatTorus", "HyperbolicPatch", "RoundSphere",
+                 "TransverseGeometry", "build_geometry"),
+    "grid": ("GridChart", "build_grid", "check_divergence_theorem",
+             "delta_B_scalar", "div_nabla", "grad_B", "integrate", "kappa_on_grid"),
+    "maps": ("AnalyticMap", "FoliatedMapField", "compose", "dT_norm_squared",
+             "d_T", "delta_nabla_dT", "energy_density",
+             "second_form_norm_squared", "second_fund_form", "tension",
+             "tension_sup_norm"),
+    "flow": ("FlowConfig", "FlowTrace", "RigidityDiagnostics",
+             "RigidityTolerances", "Verdict", "cfl_step", "flow_step",
+             "rigidity_diagnostics", "run_flow", "transversal_energy"),
+    "verify": ("IdentityResidualReport", "VariationSpec", "bochner_parts",
+               "bochner_term", "check_first_variation", "check_lemma_volume",
+               "composition_residuals", "refinement_report",
+               "weitzenbock_residual", "weitzenbock_terms"),
+    "families": ("make_family", "variation_field"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

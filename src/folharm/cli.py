@@ -70,7 +70,6 @@ class Experiment:
         from . import (
             build_geometry,
             build_grid,
-            make_family,
             named_profile,
         )
 
@@ -88,7 +87,6 @@ class Experiment:
             )
         self.resolution = config["resolution"]
         self.grid = build_grid(self.source, self.resolution)
-        self._make_family = make_family
 
     def grid_at(self, n: int):
         from . import build_grid
@@ -96,7 +94,7 @@ class Experiment:
         return build_grid(self.source, n)
 
     def initial_map(self, grid=None):
-        from . import serialize
+        from . import make_family, serialize
         from .errors import ConfigurationError
 
         grid = self.grid if grid is None else grid
@@ -107,7 +105,7 @@ class Experiment:
             )
         if "csv" in spec:
             return serialize.map_from_csv(spec["csv"], grid, self.target)
-        fam = self._make_family(
+        fam = make_family(
             spec["family"], self.source, self.target, spec.get("params")
         )
         return fam.realize(grid)
@@ -206,39 +204,14 @@ def run_flow_cmd(exp: Experiment, out: Path) -> tuple[int, dict]:
     return (EXIT_OK if converged else EXIT_CHECK_FAILED), payload
 
 
-def _divergence_vector_field(grid, spec: dict):
-    import numpy as np
-
-    spec = dict(spec or {})
-    comp = int(spec.pop("component", 0))
-    amp = float(spec.pop("amplitude", 1.0))
-    kvec = np.asarray(spec.pop("kvec", [1] + [0] * (grid.dim - 1)), dtype=float)
-    phase = float(spec.pop("phase", 0.0))
-    omega = np.zeros(grid.dim)
-    for a in range(grid.dim):
-        lo, hi = grid.geometry.chart_bounds[a]
-        omega[a] = 2 * np.pi / (hi - lo)
-    s = np.einsum("a,...a->...", kvec * omega, grid.points) + phase
-    X = np.zeros(grid.shape + (grid.dim,))
-    X[..., comp] = amp * np.cos(s)
-    return X
-
-
 def _verify_reports(exp: Experiment) -> list[dict]:
-    """Run the checks selected under config['verify']; one report per check."""
-    from . import (
-        FoliatedStructure,
-        VariationSpec,
-        check_divergence_theorem,
-        check_first_variation,
-        check_lemma_volume,
-        composition_residuals,
-        make_family,
-        refinement_report,
-        variation_field,
-        weitzenbock_residual,
-    )
-    from .errors import ConfigurationError
+    """Run the checks selected under config['verify']; one report per check.
+
+    A check runs over ``resolutions`` when the config gives them, else once
+    at ``resolution``.  The first variation always runs once: its finite
+    differences are in the variation parameter, not in the grid spacing.
+    """
+    from . import refinement_report
     from .verify import IdentityResidualReport
 
     vcfg = exp.config["verify"]
@@ -247,120 +220,30 @@ def _verify_reports(exp: Experiment) -> list[dict]:
     resolutions = exp.config.get("resolutions")
     reports = []
     for check in vcfg["checks"]:
-        if check == "first_variation":
-            var = dict(exp.config.get("variation", {}))
-            fd_steps = tuple(var.pop("fd_steps", (1e-2, 5e-3, 2.5e-3)))
-            mapf = exp.initial_map()
-            V = variation_field(exp.grid, exp.target, var)
-            rep = check_first_variation(
-                mapf, exp.struct, VariationSpec(V, fd_steps),
-                tolerance=tolerances.get("first_variation", 1e-3),
+        bind, default_tol = _CHECKS[check]
+        residual = bind(exp)
+        if resolutions and check != "first_variation":
+            rep = refinement_report(
+                check, resolutions, residual, order_tol, tolerances.get(check)
             )
-        elif check == "weitzenbock":
-            mode = vcfg.get("weitzenbock_mode", "general")
-            tol = tolerances.get("weitzenbock")
-
-            def residual(n, mode=mode):
-                return weitzenbock_residual(
-                    exp.initial_map(exp.grid_at(n)), exp.struct, mode
-                )
-
-            if resolutions:
-                rep = refinement_report(
-                    "weitzenbock", resolutions, residual, order_tol, tol
-                )
-            else:
-                r = residual(exp.resolution)
-                rep = IdentityResidualReport(
-                    "weitzenbock", [list(exp.grid.shape)], [r],
-                    tolerance=tol, passed=(tol is None or r <= tol),
-                )
-        elif check == "lemma_volume":
-            if exp.struct is None:
-                raise ConfigurationError("lemma_volume check needs a foliation")
-            if resolutions:
-                # exercise the finite-difference route by withholding the
-                # closed-form derivative
-                discrete = FoliatedStructure(
-                    exp.struct.leaf_dimension, exp.struct.vol, None
-                )
-                rep = refinement_report(
-                    "lemma_volume", resolutions,
-                    lambda n: check_lemma_volume(exp.grid_at(n), discrete),
-                    order_tol, tolerances.get("lemma_volume"),
-                )
-            else:
-                tol = tolerances.get("lemma_volume", 1e-12)
-                r = check_lemma_volume(exp.grid, exp.struct)
-                rep = IdentityResidualReport(
-                    "lemma_volume", [list(exp.grid.shape)], [r],
-                    tolerance=tol, passed=r <= tol,
-                )
-        elif check == "divergence":
-            if exp.struct is None:
-                raise ConfigurationError("divergence check needs a foliation")
-            field_spec = vcfg.get("divergence_field", {})
-
-            def residual(n):
-                grid = exp.grid_at(n)
-                X = _divergence_vector_field(grid, field_spec)
-                return check_divergence_theorem(grid, X, exp.struct)
-
-            if resolutions:
-                rep = refinement_report(
-                    "divergence", resolutions, residual, order_tol,
-                    tolerances.get("divergence"),
-                )
-            else:
-                tol = tolerances.get("divergence", 1e-8)
-                r = residual(exp.resolution)
-                rep = IdentityResidualReport(
-                    "divergence", [list(exp.grid.shape)], [r],
-                    tolerance=tol, passed=r <= tol,
-                )
-        elif check == "composition":
-            comp_cfg = vcfg.get("compose_with")
-            if comp_cfg is None:
-                raise ConfigurationError(
-                    "composition check needs verify.compose_with"
-                )
-            from . import build_geometry
-
-            outer_target = build_geometry(comp_cfg["target"])
-            psi = make_family(
-                comp_cfg["family"], exp.target, outer_target,
-                comp_cfg.get("params"),
+        else:
+            tol = tolerances.get(check, default_tol)
+            r = residual(exp.resolution)
+            rep = IdentityResidualReport(
+                check, [list(exp.grid.shape)], [r],
+                tolerance=tol, passed=(tol is None or r <= tol),
             )
-
-            def residual(n):
-                res = composition_residuals(exp.initial_map(exp.grid_at(n)), psi)
-                return max(res.values())
-
-            if resolutions:
-                rep = refinement_report(
-                    "composition", resolutions, residual, order_tol,
-                    tolerances.get("composition"),
-                )
-            else:
-                tol = tolerances.get("composition", 1e-2)
-                r = residual(exp.resolution)
-                rep = IdentityResidualReport(
-                    "composition", [list(exp.grid.shape)], [r],
-                    tolerance=tol, passed=r <= tol,
-                )
-        else:  # unreachable behind the schema
-            raise ConfigurationError(f"unknown check {check!r}")
         reports.append(rep.to_dict())
     return reports
 
 
-def _write_verify_outputs(reports: list[dict], out: Path, name: str) -> bool:
+def _write_verify_outputs(reports: list[dict], out: Path) -> bool:
     import csv
 
     from . import serialize
 
-    serialize.dump_json(out / f"{name}.json", {"reports": reports})
-    with open(out / f"{name}_summary.csv", "w", newline="") as fh:
+    serialize.dump_json(out / "verify.json", {"reports": reports})
+    with open(out / "verify_summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["identity", "finest_residual", "min_order", "pass"])
         for rep in reports:
@@ -384,7 +267,7 @@ def _write_verify_outputs(reports: list[dict], out: Path, name: str) -> bool:
 
 def run_verify(exp: Experiment, out: Path) -> tuple[int, dict]:
     reports = _verify_reports(exp)
-    ok = _write_verify_outputs(reports, out, "verify")
+    ok = _write_verify_outputs(reports, out)
     return (EXIT_OK if ok else EXIT_CHECK_FAILED), {"reports": reports}
 
 
@@ -402,14 +285,104 @@ def run_report(exp: Experiment, out: Path) -> tuple[int, dict]:
         payload["flow"] = part
         codes.append(code)
     if "verify" in exp.config:
-        reports = _verify_reports(exp)
-        ok = _write_verify_outputs(reports, out, "verify")
-        payload["verify"] = {"reports": reports}
-        codes.append(EXIT_OK if ok else EXIT_CHECK_FAILED)
+        code, part = run_verify(exp, out)
+        payload["verify"] = part
+        codes.append(code)
     payload["pass"] = all(c == EXIT_OK for c in codes)
     serialize.dump_json(out / "report.json", payload)
     return (EXIT_OK if payload["pass"] else EXIT_CHECK_FAILED), payload
 
+
+# -- identity checks -------------------------------------------------------
+# Each binder turns an experiment into residual(n), the check's residual on
+# the grid of resolution n.  Binders import from the package when called, so
+# this module loads without numpy and sees the package's current functions.
+
+
+def _require_foliation(exp: Experiment, check: str):
+    from .errors import ConfigurationError
+
+    if exp.struct is None:
+        raise ConfigurationError(f"{check} check needs a foliation")
+    return exp.struct
+
+
+def _bind_first_variation(exp: Experiment):
+    from . import VariationSpec, check_first_variation, variation_field
+
+    var = dict(exp.config.get("variation", {}))
+    fd_steps = tuple(var.pop("fd_steps", (1e-2, 5e-3, 2.5e-3)))
+
+    def residual(n):
+        grid = exp.grid_at(n)
+        spec = VariationSpec(variation_field(grid, exp.target, var), fd_steps)
+        return check_first_variation(exp.initial_map(grid), exp.struct, spec).residuals[0]
+
+    return residual
+
+
+def _bind_weitzenbock(exp: Experiment):
+    from . import weitzenbock_residual
+
+    mode = exp.config["verify"].get("weitzenbock_mode", "general")
+    return lambda n: weitzenbock_residual(
+        exp.initial_map(exp.grid_at(n)), exp.struct, mode
+    )
+
+
+def _bind_lemma_volume(exp: Experiment):
+    from . import FoliatedStructure, check_lemma_volume
+
+    struct = _require_foliation(exp, "lemma_volume")
+    if exp.config.get("resolutions"):
+        # exercise the finite-difference route by withholding the closed-form
+        # derivative
+        struct = FoliatedStructure(struct.leaf_dimension, struct.vol, None)
+    return lambda n: check_lemma_volume(exp.grid_at(n), struct)
+
+
+def _bind_divergence(exp: Experiment):
+    import numpy as np
+
+    from . import check_divergence_theorem, variation_field
+
+    struct = _require_foliation(exp, "divergence")
+    field_spec = exp.config["verify"].get("divergence_field", {})
+
+    def residual(n):
+        grid = exp.grid_at(n)
+        X = variation_field(grid, grid.geometry, field_spec, wave=np.cos)
+        return check_divergence_theorem(grid, X, struct)
+
+    return residual
+
+
+def _bind_composition(exp: Experiment):
+    from . import build_geometry, composition_residuals, make_family
+    from .errors import ConfigurationError
+
+    comp_cfg = exp.config["verify"].get("compose_with")
+    if comp_cfg is None:
+        raise ConfigurationError("composition check needs verify.compose_with")
+    psi = make_family(
+        comp_cfg["family"], exp.target, build_geometry(comp_cfg["target"]),
+        comp_cfg.get("params"),
+    )
+
+    def residual(n):
+        return max(composition_residuals(exp.initial_map(exp.grid_at(n)), psi).values())
+
+    return residual
+
+
+# check name -> (binder, default tolerance of the single-grid report)
+_CHECKS = {
+    "first_variation": (_bind_first_variation, 1e-3),
+    "weitzenbock": (_bind_weitzenbock, None),
+    "lemma_volume": (_bind_lemma_volume, 1e-12),
+    "divergence": (_bind_divergence, 1e-8),
+    "composition": (_bind_composition, 1e-2),
+}
 
 _RUNNERS = {
     "tension": run_tension,

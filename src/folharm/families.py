@@ -35,16 +35,6 @@ FAMILY_NAMES = (
 )
 
 
-def _angular_frequencies(source: TransverseGeometry) -> np.ndarray:
-    """2 pi / period per source axis (periodic axes only)."""
-    out = np.zeros(source.dim)
-    for a in range(source.dim):
-        if source.periodic[a]:
-            lo, hi = source.chart_bounds[a]
-            out[a] = 2 * np.pi / (hi - lo)
-    return out
-
-
 def _identity(source, target, params):
     if params:
         raise ConfigurationError(f"identity: unknown params {params}")
@@ -125,7 +115,7 @@ def _sine_perturbation(source, target, params):
     modes = _parse_modes(params, q, default_amplitude=0.1)
     if params:
         raise ConfigurationError(f"sine_perturbation: unknown params {params}")
-    omega = _angular_frequencies(source)
+    omega = 2 * np.pi / source.axis_periods()
     winding = np.eye(q, dtype=int)
 
     def func(x):
@@ -198,7 +188,7 @@ def _band_wave(source, target, params):
         raise ConfigurationError("band_wave: source must be a 2-torus")
     if not isinstance(target, RoundSphere):
         raise ConfigurationError("band_wave: target must be a sphere")
-    omega = _angular_frequencies(source)
+    omega = 2 * np.pi / source.axis_periods()
     kw = kvec * omega
     phi_slope = omega[1]
     winding = np.array([[0, 0], [0, 1]], dtype=int)
@@ -237,7 +227,7 @@ def _sine_into_patch(source, target, params):
         raise ConfigurationError("sine_into_patch: source must be a 2-torus")
     if not isinstance(target, HyperbolicPatch):
         raise ConfigurationError("sine_into_patch: target must be a hyperbolic patch")
-    omega = _angular_frequencies(source)
+    omega = 2 * np.pi / source.axis_periods()
 
     def func(x):
         x = np.asarray(x, dtype=float)
@@ -314,8 +304,13 @@ def make_family(name: str, source: TransverseGeometry,
 
 
 def variation_field(grid: GridChart, target: TransverseGeometry,
-                    spec: dict | None = None) -> np.ndarray:
-    """Sinusoidal variation field V^comp = amp * sin(k . omega x + phase)."""
+                    spec: dict | None = None, wave=np.sin) -> np.ndarray:
+    """Single-mode field V^comp = amp * wave(k . omega x + phase).
+
+    V has ``target.dim`` components; omega is 2 pi / period on periodic
+    source axes and 0 on fixed ones.  ``wave`` is ``np.sin`` for variations
+    of a map and ``np.cos`` for the divergence check's vector field.
+    """
     spec = dict(spec or {})
     comp = int(spec.pop("component", 0))
     amp = float(spec.pop("amplitude", 1.0))
@@ -323,8 +318,9 @@ def variation_field(grid: GridChart, target: TransverseGeometry,
     phase = float(spec.pop("phase", 0.0))
     if spec:
         raise ConfigurationError(f"variation: unknown params {spec}")
-    omega = _angular_frequencies(grid.geometry)
+    periods = grid.geometry.axis_periods()
+    omega = np.divide(2 * np.pi, periods, out=np.zeros(grid.dim), where=periods > 0)
     s = np.einsum("a,...a->...", kvec * omega, grid.points) + phase
     V = np.zeros(grid.shape + (target.dim,))
-    V[..., comp] = amp * np.sin(s)
+    V[..., comp] = amp * wave(s)
     return V

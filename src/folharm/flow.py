@@ -119,24 +119,10 @@ def transversal_energy(mapf: FoliatedMapField,
         vol = struct.vol_at(mapf.grid.points)
         explicit = integrate(mapf.grid, e / vol, "manifold_volume", struct)
         if abs(explicit - value) > 1e-12 * max(1.0, abs(value)):
-            raise AssertionError(
+            raise PreconditionError(
                 f"measure cancellation violated: {value!r} vs {explicit!r}"
             )
     return value
-
-
-def _frozen_boundary_mask(grid: GridChart) -> np.ndarray | None:
-    """True on nodes whose values the flow must not move (fixed axes)."""
-    if grid.fully_periodic:
-        return None
-    mask = np.zeros(grid.shape, dtype=bool)
-    for a in range(grid.dim):
-        if not grid.periodic[a]:
-            idx = [slice(None)] * grid.dim
-            for end in (0, -1):
-                idx[a] = end
-                mask[tuple(idx)] = True
-    return mask
 
 
 def flow_step(mapf: FoliatedMapField, struct: FoliatedStructure | None,
@@ -145,7 +131,7 @@ def flow_step(mapf: FoliatedMapField, struct: FoliatedStructure | None,
     if tau is None:
         tau = tension(mapf)
     v = dt * tau
-    mask = _frozen_boundary_mask(mapf.grid)
+    mask = mapf.grid.boundary_mask
     if mask is not None:
         v = np.where(mask[..., None], 0.0, v)
     new_values = mapf.target.exp(mapf.values, v, reduce=False)
@@ -196,9 +182,10 @@ def run_flow(mapf: FoliatedMapField, struct: FoliatedStructure | None,
         step += 1
         mapf, tau, E = candidate, tau_c, E_c
         trace.record(step, E, tau_max_c, S_max_c, d2_max_c)
-        if E > config.divergence_factor * max(E0, 1e-14):
+        if not np.isfinite(E) or E > config.divergence_factor * max(E0, 1e-14):
             raise FlowDivergedError(
-                f"energy {E:.6g} exceeded {config.divergence_factor} x initial {E0:.6g}"
+                f"energy {E:.6g} is not finite or exceeds "
+                f"{config.divergence_factor} x initial {E0:.6g}"
             )
         if tau_max_c <= config.tension_tol:
             trace.termination = "tension_tol"

@@ -23,8 +23,7 @@ evaluate concurrently; geometry objects are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,24 +34,8 @@ __all__ = [
     "FlatTorus",
     "RoundSphere",
     "HyperbolicPatch",
-    "LocalGeometry",
     "build_geometry",
-    "geometry_at",
-    "exp_map",
 ]
-
-
-@dataclass(frozen=True)
-class LocalGeometry:
-    """All pointwise geometric data at one chart point (closed forms, no FD)."""
-
-    point: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    gamma: np.ndarray          # gamma[c, a, b] = Gamma^c_{ab}
-    riemann: np.ndarray        # covariant R_{abcd}
-    ricci: np.ndarray          # bilinear form Ric_{ab}
-    sectional: Callable[[np.ndarray, np.ndarray], float]
 
 
 class TransverseGeometry:
@@ -111,6 +94,15 @@ class TransverseGeometry:
         return num / den
 
     # -- chart bookkeeping -------------------------------------------------
+
+    def axis_periods(self) -> np.ndarray:
+        """Period of each chart axis; 0 on fixed axes."""
+        periods = np.zeros(self.dim)
+        for a in range(self.dim):
+            if self.periodic[a]:
+                lo, hi = self.chart_bounds[a]
+                periods[a] = hi - lo
+        return periods
 
     def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         """True where the point lies in the (closed) chart box.
@@ -377,6 +369,7 @@ class HyperbolicPatch(TransverseGeometry):
         # vertical, where the geodesic is w(t) = i e^{st}.
         points = np.asarray(points, dtype=float)
         v = np.asarray(v, dtype=float)
+        self.require_valid(points)
         self.check_cap(points, v)
         x, y = points[..., 0], points[..., 1]
         s = np.hypot(v[..., 0], v[..., 1]) / y     # hyperbolic speed
@@ -416,23 +409,3 @@ def build_geometry(spec: dict) -> TransverseGeometry:
     except TypeError as exc:
         raise ConfigurationError(f"invalid parameters for {kind}: {exc}") from exc
 
-
-def geometry_at(geom: TransverseGeometry, point) -> LocalGeometry:
-    """All closed-form pointwise data at one interior chart point."""
-    point = np.asarray(point, dtype=float)
-    geom.require_valid(point)
-    return LocalGeometry(
-        point=point,
-        g=geom.metric(point),
-        g_inv=geom.metric_inv(point),
-        gamma=geom.christoffel(point),
-        riemann=geom.riemann(point),
-        ricci=geom.ricci(point),
-        sectional=lambda X, Y: geom.sectional(point, X, Y),
-    )
-
-
-def exp_map(geom: TransverseGeometry, point, v, reduce: bool = True) -> np.ndarray:
-    """Endpoint of the unit-time geodesic from ``point`` with velocity ``v``."""
-    return geom.exp(np.asarray(point, dtype=float), np.asarray(v, dtype=float),
-                    reduce=reduce)

@@ -96,6 +96,18 @@ class GridChart:
     def fully_periodic(self) -> bool:
         return all(self.periodic)
 
+    @cached_property
+    def boundary_mask(self) -> np.ndarray | None:
+        """True on the end nodes of fixed axes; None on a fully periodic grid."""
+        if self.fully_periodic:
+            return None
+        mask = np.zeros(self.shape, dtype=bool)
+        for a in range(self.dim):
+            if not self.periodic[a]:
+                mask[_sl(self.dim, a, 0)] = True
+                mask[_sl(self.dim, a, -1)] = True
+        return mask
+
 
 def build_grid(geometry: TransverseGeometry, resolution: int | Sequence[int]
                ) -> GridChart:

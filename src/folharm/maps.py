@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import CompositionError, InvalidMapError
 from .foliation import FoliatedStructure
@@ -39,16 +38,6 @@ __all__ = [
     "delta_nabla_dT",
     "pullback_derivative",
 ]
-
-
-def _target_periods(target: TransverseGeometry) -> np.ndarray:
-    """Per-coordinate period of the target chart (0 on fixed axes)."""
-    periods = np.zeros(target.dim)
-    for a in range(target.dim):
-        if target.periodic[a]:
-            lo, hi = target.chart_bounds[a]
-            periods[a] = hi - lo
-    return periods
 
 
 def same_chart(a: TransverseGeometry, b: TransverseGeometry) -> bool:
@@ -77,6 +66,8 @@ class FoliatedMapField:
                 f"values: expected shape {self.grid.shape + (qp,)}, "
                 f"got {self.values.shape}"
             )
+        if not np.all(np.isfinite(self.values)):
+            raise InvalidMapError("map values must be finite")
         if self.winding is None:
             self.winding = np.zeros((qp, q), dtype=int)
         self.winding = np.asarray(self.winding)
@@ -87,7 +78,7 @@ class FoliatedMapField:
         if not np.all(self.winding == np.round(self.winding)):
             raise InvalidMapError("winding: entries must be integers")
         self.winding = self.winding.astype(int)
-        tp = _target_periods(self.target)
+        tp = self.target.axis_periods()
         for alpha in range(qp):
             if tp[alpha] == 0 and np.any(self.winding[alpha] != 0):
                 raise InvalidMapError(
@@ -104,7 +95,7 @@ class FoliatedMapField:
     @cached_property
     def linear_slope(self) -> np.ndarray:
         """Slope (q', q) of the exact linear part of the lift."""
-        tp = _target_periods(self.target)
+        tp = self.target.axis_periods()
         slope = np.zeros((self.target.dim, self.grid.dim))
         for a in range(self.grid.dim):
             if self.grid.periodic[a]:
@@ -278,57 +269,12 @@ def delta_nabla_dT(mapf: FoliatedMapField, struct: FoliatedStructure | None = No
 # -- composition ----------------------------------------------------------
 
 
-def _interpolate_map(psi: FoliatedMapField, query: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a grid map's lift at arbitrary chart points."""
-    grid = psi.grid
-    r = psi.periodic_part
-    axes, values = [], r
-    pads = []
-    for a in range(grid.dim):
-        ax = grid.axes[a]
-        if grid.periodic[a]:
-            lo, hi = grid.geometry.chart_bounds[a]
-            axes.append(np.concatenate([ax, [ax[0] + (hi - lo)]]))
-            pads.append(True)
-        else:
-            axes.append(ax)
-            pads.append(False)
-    for a, pad in enumerate(pads):
-        if pad:
-            first = np.take(values, [0], axis=a)
-            values = np.concatenate([values, first], axis=a)
-    interp = RegularGridInterpolator(axes, values, method="linear",
-                                     bounds_error=False, fill_value=None)
-    q = grid.dim
-    query = np.asarray(query, dtype=float)
-    wrapped = query.copy()
-    for a in range(q):
-        if grid.periodic[a]:
-            lo, hi = grid.geometry.chart_bounds[a]
-            wrapped[..., a] = lo + (query[..., a] - lo) % (hi - lo)
-    flat = wrapped.reshape(-1, q)
-    r_at = interp(flat).reshape(query.shape[:-1] + (psi.target.dim,))
-    linear = np.einsum("ca,...a->...c", psi.linear_slope, query)
-    return r_at + linear
-
-
-def compose(phi: FoliatedMapField, psi) -> FoliatedMapField:
-    """Node-wise composition psi o phi.
-
-    ``psi`` is either an :class:`AnalyticMap` (preferred; exact evaluation) or
-    a :class:`FoliatedMapField` on a grid over phi's target chart, evaluated
-    off-node by bilinear interpolation.
-    """
-    if isinstance(psi, AnalyticMap):
-        if not same_chart(phi.target, psi.source):
-            raise CompositionError("phi's target chart does not match psi's source")
-        values = psi.func(phi.values)
-        winding = psi.winding @ phi.winding
-        return FoliatedMapField(phi.grid, psi.target, values, winding)
-    if isinstance(psi, FoliatedMapField):
-        if not same_chart(phi.target, psi.grid.geometry):
-            raise CompositionError("phi's target chart does not match psi's source")
-        values = _interpolate_map(psi, phi.values)
-        winding = psi.winding @ phi.winding
-        return FoliatedMapField(phi.grid, psi.target, values, winding)
-    raise CompositionError(f"cannot compose with object of type {type(psi)!r}")
+def compose(phi: FoliatedMapField, psi: AnalyticMap) -> FoliatedMapField:
+    """Node-wise composition psi o phi with a closed-form outer map."""
+    if not isinstance(psi, AnalyticMap):
+        raise CompositionError(f"cannot compose with object of type {type(psi)!r}")
+    if not same_chart(phi.target, psi.source):
+        raise CompositionError("phi's target chart does not match psi's source")
+    values = psi.func(phi.values)
+    winding = psi.winding @ phi.winding
+    return FoliatedMapField(phi.grid, psi.target, values, winding)

@@ -89,32 +89,71 @@ def map_to_csv(path, mapf: FoliatedMapField) -> None:
             )
 
 
+def _parse(path, line: int, cells, kind=float) -> list:
+    try:
+        return [kind(v) for v in cells]
+    except ValueError as exc:
+        raise InvalidMapError(f"{path}:{line}: {exc}") from exc
+
+
 def map_from_csv(path, grid: GridChart, target: TransverseGeometry
                  ) -> FoliatedMapField:
-    winding_rows = []
-    q = grid.dim
+    """Load a map written by ``map_to_csv`` onto ``grid``.
+
+    Raises InvalidMapError unless the columns are the i*, b* and phi* columns
+    of this grid and target and every node appears exactly once, at its
+    chart coordinates.
+    """
+    q, qp = grid.dim, target.dim
+    columns = (
+        [f"i{a}" for a in range(q)]
+        + [f"b{a}" for a in range(q)]
+        + [f"phi{c}" for c in range(qp)]
+    )
+    n_nodes = int(np.prod(grid.shape))
+    table = np.empty((n_nodes, len(columns)))
+    winding_rows, header, count = [], None, 0
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        values = None
-        for row in reader:
+        for line, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
             if row[0] == "# winding":
-                winding_rows.append([int(v) for v in row[1:]])
-                continue
-            if header is None:
+                if len(row) != q + 1:
+                    raise InvalidMapError(f"{path}:{line}: winding row needs {q} entries")
+                winding_rows.append(_parse(path, line, row[1:], int))
+            elif header is None:
                 header = row
-                qp = sum(1 for name in header if name.startswith("phi"))
-                values = np.empty(grid.shape + (qp,))
-                continue
-            idx = tuple(int(row[a]) for a in range(q))
-            for c in range(values.shape[-1]):
-                values[idx + (c,)] = float(row[2 * q + c])
+                if header != columns:
+                    raise InvalidMapError(
+                        f"{path}: columns {header} do not match {columns} "
+                        "of this grid and target"
+                    )
+            elif count == n_nodes or len(row) != len(columns):
+                raise InvalidMapError(
+                    f"{path}:{line}: expected {n_nodes} node rows of "
+                    f"{len(columns)} cells"
+                )
+            else:
+                table[count] = _parse(path, line, row)
+                count += 1
     if header is None:
         raise InvalidMapError(f"{path}: no header row found")
+    if count != n_nodes:
+        raise InvalidMapError(f"{path}: {count} node rows, the grid has {n_nodes}")
+    index = table[:, :q]
+    if not (np.all(index == np.round(index)) and np.all(index >= 0)
+            and np.all(index < grid.shape)):
+        raise InvalidMapError(f"{path}: node indices outside the {grid.shape} grid")
+    flat = np.ravel_multi_index(index.astype(int).T, grid.shape)
+    if np.bincount(flat, minlength=n_nodes).max() > 1:
+        raise InvalidMapError(f"{path}: a node appears more than once")
+    if not np.allclose(table[:, q:2 * q], grid.points.reshape(-1, q)[flat],
+                       rtol=0.0, atol=1e-9):
+        raise InvalidMapError(f"{path}: chart coordinates do not match the grid")
+    values = np.empty((n_nodes, qp))
+    values[flat] = table[:, 2 * q:]
     winding = np.array(winding_rows, dtype=int) if winding_rows else None
-    return FoliatedMapField(grid, target, values, winding)
+    return FoliatedMapField(grid, target, values.reshape(grid.shape + (qp,)), winding)
 
 
 def trace_to_csv(path, trace) -> None:

@@ -115,18 +115,11 @@ def check_first_variation(mapf: FoliatedMapField,
         raise PreconditionError(
             f"variation field: expected shape {mapf.values.shape}, got {V.shape}"
         )
-    if not grid.fully_periodic:
-        mask = np.zeros(grid.shape, dtype=bool)
-        for a in range(grid.dim):
-            if not grid.periodic[a]:
-                idx = [slice(None)] * grid.dim
-                for end in (0, -1):
-                    idx[a] = end
-                    mask[tuple(idx)] = True
-        if np.any(np.abs(V[mask]) > 0):
-            raise PreconditionError(
-                "variation field must vanish on fixed chart boundaries"
-            )
+    mask = grid.boundary_mask
+    if mask is not None and np.any(np.abs(V[mask]) > 0):
+        raise PreconditionError(
+            "variation field must vanish on fixed chart boundaries"
+        )
 
     def energy_at(t: float) -> float:
         values = mapf.target.exp(mapf.values, t * V, reduce=False)

@@ -1,6 +1,8 @@
 """Command-line runner: config validation, subcommands, exit codes, outputs."""
 
 import json
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -234,3 +236,39 @@ def test_map_csv_round_trip_through_cli(tmp_path):
     assert cli.main(["tension", "--config", cfg2, "--out", str(out2)]) == 0
     doc = json.loads((out2 / "tension.json").read_text())
     assert doc["max_tension"] <= 1e-5
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """--threads can only cap BLAS threads if numpy loads after main() runs."""
+    probe = "import sys, folharm.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "False"
+
+
+def _truncate(lines):
+    return lines[:len(lines) // 2]
+
+
+def _duplicate_node(lines):
+    return lines[:-1] + [lines[-2]]
+
+
+def _drop_phi_column(lines):
+    return [line if line.startswith("# winding") else line.rsplit(",", 1)[0]
+            for line in lines]
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _duplicate_node, _drop_phi_column])
+def test_malformed_map_csv_exits_three(tmp_path, corrupt):
+    base = _base_config(map={"family": "sine_perturbation"})
+    out = tmp_path / "out"
+    assert cli.main(["flow", "--config", _write_config(tmp_path, base),
+                     "--out", str(out)]) == 0
+    lines = (out / "flow_final_map.csv").read_text().splitlines()
+    broken = tmp_path / "broken.csv"
+    broken.write_text("\n".join(corrupt(lines)) + "\n")
+    cfg = _write_config(tmp_path, _base_config(map={"csv": str(broken)}),
+                        name="config2.json")
+    assert cli.main(["energy", "--config", cfg,
+                     "--out", str(tmp_path / "out2")]) == 3

@@ -88,6 +88,30 @@ def test_transversal_energy_measure_cancellation(torus1):
     assert E > 0
 
 
+def test_measure_cancellation_failure_is_a_folharm_error(torus1):
+    grid = fh.build_grid(torus1, 16)
+    mapf = fh.make_family("identity", torus1, torus1).realize(grid)
+    calls = []
+
+    def drifting_vol(b):     # a profile whose value changes between calls
+        calls.append(None)
+        return np.full(np.asarray(b).shape[:-1], float(len(calls)))
+
+    struct = fh.FoliatedStructure(1, drifting_vol)
+    with pytest.raises(fh.PreconditionError):
+        fh.transversal_energy(mapf, struct, check_cancellation=True)
+
+
+def test_non_finite_energy_stops_the_flow(monkeypatch):
+    import folharm.flow as flow
+
+    energies = iter([1.0])
+    monkeypatch.setattr(flow, "transversal_energy",
+                        lambda m, s: next(energies, float("nan")))
+    with pytest.raises(fh.FlowDivergedError):
+        _circle_flow(n=32, tension_tol=1e-14, max_steps=50)
+
+
 # -- rigidity diagnostics --------------------------------------------------
 
 

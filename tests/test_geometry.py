@@ -201,8 +201,16 @@ def test_domain_validation(sphere, patch):
         patch.require_valid(np.array([0.0, 10.0]))
 
 
+def test_exp_validates_basepoints(sphere, patch):
+    with pytest.raises(fh.DomainError):
+        sphere.exp(np.array([0.01, 0.0]), np.zeros(2))
+    with pytest.raises(fh.DomainError):
+        patch.exp(np.array([0.0, 10.0]), np.zeros(2))
+
+
 def test_local_geometry_at_sphere_equator(sphere):
-    loc = fh.geometry_at(sphere, [np.pi / 2, 0.3])
-    assert np.allclose(loc.g, np.eye(2), atol=1e-14)
-    assert np.allclose(loc.ricci, np.eye(2), atol=1e-12)
-    assert abs(loc.sectional([1.0, 0.0], [0.0, 1.0]) - 1.0) <= 1e-12
+    point = np.array([np.pi / 2, 0.3])
+    assert np.allclose(sphere.metric(point), np.eye(2), atol=1e-14)
+    assert np.allclose(sphere.ricci(point), np.eye(2), atol=1e-12)
+    K = sphere.sectional(point, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert abs(K - 1.0) <= 1e-12

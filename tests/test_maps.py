@@ -150,6 +150,13 @@ def test_composition_rejects_chart_mismatch(sphere, patch):
         fh.compose(phi, psi)
 
 
+def test_compose_takes_analytic_outer_maps_only():
+    grid = _torus_grid(16)
+    phi, _ = _sine_map(grid)
+    with pytest.raises(fh.CompositionError):
+        fh.compose(phi, phi)
+
+
 # -- validation ------------------------------------------------------------
 
 
@@ -166,6 +173,14 @@ def test_map_field_validation(sphere):
     with pytest.raises(fh.InvalidMapError):
         fh.FoliatedMapField(grid, sphere, good,
                             np.array([[0.5, 0.0], [0.0, 0.0]]))  # non-integer
+
+
+def test_map_values_must_be_finite(sphere):
+    grid = _torus_grid(16)
+    values = np.full(grid.shape + (2,), np.pi / 2)
+    values[3, 4, 1] = np.nan     # on the periodic axis, which contains() skips
+    with pytest.raises(fh.InvalidMapError):
+        fh.FoliatedMapField(grid, sphere, values, None)
 
 
 def test_winding_must_vanish_on_fixed_axes(patch):

@@ -129,15 +129,15 @@ def _resolve_out(args, config: dict) -> Path:
 def run_tension(exp: Experiment, out: Path) -> tuple[int, dict]:
     import numpy as np
 
-    from . import serialize, tension, tension_sup_norm
+    from . import serialize, tension_sup_norm
 
     mapf = exp.initial_map()
-    tau = tension(mapf)
+    tau = mapf.tau
     serialize.scalar_field_to_csv(out / "tension.csv", exp.grid, {"tau": tau})
     payload = {
         "subcommand": "tension",
         "resolution": list(exp.grid.shape),
-        "max_tension": tension_sup_norm(mapf, tau),
+        "max_tension": tension_sup_norm(mapf),
         "mean_abs_tension": float(np.mean(np.abs(tau))),
         "seed": exp.seed,
         "pass": True,

@@ -19,12 +19,8 @@ from .foliation import FoliatedStructure
 from .grid import GridChart, integrate
 from .maps import (
     FoliatedMapField,
-    dT_norm_squared,
-    d_T,
     energy_density,
     second_form_norm_squared,
-    second_fund_form,
-    tension,
     tension_sup_norm,
 )
 
@@ -126,11 +122,9 @@ def transversal_energy(mapf: FoliatedMapField,
 
 
 def flow_step(mapf: FoliatedMapField, struct: FoliatedStructure | None,
-              dt: float, tau: np.ndarray | None = None) -> FoliatedMapField:
+              dt: float) -> FoliatedMapField:
     """One explicit Euler step phi -> exp_phi(dt * tau_b(phi))."""
-    if tau is None:
-        tau = tension(mapf)
-    v = dt * tau
+    v = dt * mapf.tau
     mask = mapf.grid.boundary_mask
     if mask is not None:
         v = np.where(mask[..., None], 0.0, v)
@@ -146,16 +140,14 @@ def run_flow(mapf: FoliatedMapField, struct: FoliatedStructure | None,
     trace = FlowTrace()
 
     def stats(m):
-        S = second_fund_form(m)
-        tau = tension(m, S)
-        D = d_T(m)
+        # every derivative below is computed once and cached on m
         E = transversal_energy(m, struct)
-        tau_max = tension_sup_norm(m, tau)
-        S_max = float(np.sqrt(max(np.max(second_form_norm_squared(m, S)), 0.0)))
-        d2_max = float(np.max(dT_norm_squared(m, D)))
-        return S, tau, E, tau_max, S_max, d2_max
+        tau_max = tension_sup_norm(m)
+        S_max = float(np.sqrt(max(np.max(second_form_norm_squared(m)), 0.0)))
+        d2_max = float(np.max(m.dT_norm_sq))
+        return E, tau_max, S_max, d2_max
 
-    _, tau, E, tau_max, S_max, d2_max = stats(mapf)
+    E, tau_max, S_max, d2_max = stats(mapf)
     trace.record(0, E, tau_max, S_max, d2_max)
     E0 = E
     if tau_max <= config.tension_tol:
@@ -165,14 +157,14 @@ def run_flow(mapf: FoliatedMapField, struct: FoliatedStructure | None,
     step = 0
     while step < config.max_steps:
         try:
-            candidate = flow_step(mapf, struct, dt, tau)
+            candidate = flow_step(mapf, struct, dt)
         except StepTooLargeError:
             dt *= 0.5
             if dt < config.dt_min:
                 trace.termination = "dt_underflow"
                 return mapf, trace
             continue
-        _, tau_c, E_c, tau_max_c, S_max_c, d2_max_c = stats(candidate)
+        E_c, tau_max_c, S_max_c, d2_max_c = stats(candidate)
         if config.energy_backtrack and E_c > E:
             dt *= 0.5
             if dt < config.dt_min:
@@ -180,7 +172,7 @@ def run_flow(mapf: FoliatedMapField, struct: FoliatedStructure | None,
                 return mapf, trace
             continue
         step += 1
-        mapf, tau, E = candidate, tau_c, E_c
+        mapf, E = candidate, E_c
         trace.record(step, E, tau_max_c, S_max_c, d2_max_c)
         if not np.isfinite(E) or E > config.divergence_factor * max(E0, 1e-14):
             raise FlowDivergedError(
@@ -278,14 +270,13 @@ def rigidity_diagnostics(mapf: FoliatedMapField, struct: FoliatedStructure | Non
                 K = mapf.target.sectional(mapf.values, eye[a], eye[b])
                 mu = max(mu, float(np.max(K)))
     # metric singular values of d_T phi
-    D = d_T(mapf)
     Lt = np.linalg.cholesky(mapf.target_metric)
-    A = Lt.swapaxes(-1, -2) @ D
+    A = Lt.swapaxes(-1, -2) @ mapf.D
     A = np.linalg.solve(L, A.swapaxes(-1, -2)).swapaxes(-1, -2)
     sv = np.linalg.svd(A, compute_uv=False)
     rank_tol = tolerances.rank_tol_rel * max(float(np.max(sv)), 1e-300)
     rank_T = int(np.max(np.sum(sv > rank_tol, axis=-1)))
-    max_d2 = float(np.max(dT_norm_squared(mapf, D)))
+    max_d2 = float(np.max(mapf.dT_norm_sq))
     max_S = float(np.sqrt(max(np.max(second_form_norm_squared(mapf)), 0.0)))
     bound = lam * rank_cap / (mu * (rank_cap - 1)) if mu > 0 else np.inf
     if max_d2 <= tolerances.constant_tol:

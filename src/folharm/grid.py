@@ -147,43 +147,41 @@ def _sl(ndim: int, axis: int, s) -> tuple:
 
 def diff1(grid: GridChart, f: np.ndarray, axis: int) -> np.ndarray:
     """First partial derivative along a grid axis, second order."""
-    h = grid.spacing[axis]
-    if grid.periodic[axis]:
-        return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2 * h)
     nd = f.ndim
+
+    def at(i):
+        return f[_sl(nd, axis, i)]
+
     out = np.empty_like(f, dtype=float)
-    out[_sl(nd, axis, slice(1, -1))] = (
-        f[_sl(nd, axis, slice(2, None))] - f[_sl(nd, axis, slice(None, -2))]
-    ) / (2 * h)
-    out[_sl(nd, axis, 0)] = (
-        -3 * f[_sl(nd, axis, 0)] + 4 * f[_sl(nd, axis, 1)] - f[_sl(nd, axis, 2)]
-    ) / (2 * h)
-    out[_sl(nd, axis, -1)] = (
-        3 * f[_sl(nd, axis, -1)] - 4 * f[_sl(nd, axis, -2)] + f[_sl(nd, axis, -3)]
-    ) / (2 * h)
+    out[_sl(nd, axis, slice(1, -1))] = at(slice(2, None)) - at(slice(None, -2))
+    if grid.periodic[axis]:        # the two seam layers wrap around
+        out[_sl(nd, axis, 0)] = at(1) - at(-1)
+        out[_sl(nd, axis, -1)] = at(0) - at(-2)
+    else:                          # one-sided stencils on the boundary layers
+        out[_sl(nd, axis, 0)] = -3 * at(0) + 4 * at(1) - at(2)
+        out[_sl(nd, axis, -1)] = 3 * at(-1) - 4 * at(-2) + at(-3)
+    out /= 2 * grid.spacing[axis]
     return out
 
 
 def diff2(grid: GridChart, f: np.ndarray, axis: int) -> np.ndarray:
     """Second partial derivative along one axis, second order."""
-    h = grid.spacing[axis]
-    if grid.periodic[axis]:
-        return (np.roll(f, -1, axis) - 2 * f + np.roll(f, 1, axis)) / h**2
     nd = f.ndim
+
+    def at(i):
+        return f[_sl(nd, axis, i)]
+
     out = np.empty_like(f, dtype=float)
     out[_sl(nd, axis, slice(1, -1))] = (
-        f[_sl(nd, axis, slice(2, None))]
-        - 2 * f[_sl(nd, axis, slice(1, -1))]
-        + f[_sl(nd, axis, slice(None, -2))]
-    ) / h**2
-    out[_sl(nd, axis, 0)] = (
-        2 * f[_sl(nd, axis, 0)] - 5 * f[_sl(nd, axis, 1)]
-        + 4 * f[_sl(nd, axis, 2)] - f[_sl(nd, axis, 3)]
-    ) / h**2
-    out[_sl(nd, axis, -1)] = (
-        2 * f[_sl(nd, axis, -1)] - 5 * f[_sl(nd, axis, -2)]
-        + 4 * f[_sl(nd, axis, -3)] - f[_sl(nd, axis, -4)]
-    ) / h**2
+        at(slice(2, None)) - 2 * at(slice(1, -1)) + at(slice(None, -2))
+    )
+    if grid.periodic[axis]:        # the two seam layers wrap around
+        out[_sl(nd, axis, 0)] = at(1) - 2 * at(0) + at(-1)
+        out[_sl(nd, axis, -1)] = at(0) - 2 * at(-1) + at(-2)
+    else:                          # one-sided stencils on the boundary layers
+        out[_sl(nd, axis, 0)] = 2 * at(0) - 5 * at(1) + 4 * at(2) - at(3)
+        out[_sl(nd, axis, -1)] = 2 * at(-1) - 5 * at(-2) + 4 * at(-3) - at(-4)
+    out /= grid.spacing[axis] ** 2
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -49,65 +49,98 @@ def same_chart(a: TransverseGeometry, b: TransverseGeometry) -> bool:
     )
 
 
-@dataclass(eq=False)
+class _Lift:
+    """Exact linear part of a lift, fixed by grid, target and winding.
+
+    Every field of one flow shares the same instance, so the target periods,
+    the slope and the linear values are computed once per flow.
+    """
+
+    def __init__(self, grid: GridChart, target: TransverseGeometry,
+                 winding: np.ndarray):
+        self.grid = grid
+        self.periods = target.axis_periods()
+        self.slope = np.zeros((target.dim, grid.dim))     # (q', q)
+        for a in range(grid.dim):
+            if grid.periodic[a]:
+                lo, hi = grid.geometry.chart_bounds[a]
+                self.slope[:, a] = winding[:, a] * self.periods / (hi - lo)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return np.einsum("ca,...a->...c", self.slope, self.grid.points)
+
+
+@dataclass(frozen=True, eq=False)
 class FoliatedMapField:
-    """Grid of target-chart coordinates of (the transverse part of) a map."""
+    """Grid of target-chart coordinates of (the transverse part of) a map.
+
+    The field is immutable: ``values`` is a read-only copy, so the
+    derivatives cached on first use (``D``, ``S``, ``tau``, ``dT_norm_sq``)
+    cannot go stale.  ``replace_values`` builds a new field on the same
+    lift.
+    """
 
     grid: GridChart
     target: TransverseGeometry
     values: np.ndarray                      # grid.shape + (q',)
     winding: np.ndarray | None = None       # (q', q) integers
+    _lift: _Lift | None = field(default=None, repr=False)
 
     def __post_init__(self):
         q, qp = self.grid.dim, self.target.dim
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape + (qp,):
+        values = np.array(self.values, dtype=float)
+        if values.shape != self.grid.shape + (qp,):
             raise InvalidMapError(
                 f"values: expected shape {self.grid.shape + (qp,)}, "
-                f"got {self.values.shape}"
+                f"got {values.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        # array methods, not np.all/np.any: this runs once per flow candidate
+        if not np.isfinite(values).all():
             raise InvalidMapError("map values must be finite")
-        if self.winding is None:
-            self.winding = np.zeros((qp, q), dtype=int)
-        self.winding = np.asarray(self.winding)
-        if self.winding.shape != (qp, q):
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        winding = self.winding
+        if winding is None:
+            winding = np.zeros((qp, q), dtype=int)
+        winding = np.asarray(winding)
+        if winding.shape != (qp, q):
             raise InvalidMapError(
-                f"winding: expected shape {(qp, q)}, got {self.winding.shape}"
+                f"winding: expected shape {(qp, q)}, got {winding.shape}"
             )
-        if not np.all(self.winding == np.round(self.winding)):
+        if not (winding == np.round(winding)).all():
             raise InvalidMapError("winding: entries must be integers")
-        self.winding = self.winding.astype(int)
-        tp = self.target.axis_periods()
+        winding = winding.astype(int)
+        winding.flags.writeable = False
+        object.__setattr__(self, "winding", winding)
+        if self._lift is None:
+            object.__setattr__(self, "_lift", _Lift(self.grid, self.target, winding))
+        tp = self._lift.periods
         for alpha in range(qp):
-            if tp[alpha] == 0 and np.any(self.winding[alpha] != 0):
+            if tp[alpha] == 0 and winding[alpha].any():
                 raise InvalidMapError(
                     f"winding: target coordinate {alpha} is not periodic"
                 )
         for a in range(q):
-            if not self.grid.periodic[a] and np.any(self.winding[:, a] != 0):
+            if not self.grid.periodic[a] and winding[:, a].any():
                 raise InvalidMapError(f"winding: source axis {a} is not periodic")
-        if not np.all(self.target.contains(self.values)):
+        if not self.target.contains(values).all():
             raise InvalidMapError("map values leave the target chart interior")
 
     # -- lift bookkeeping --------------------------------------------------
 
-    @cached_property
+    @property
     def linear_slope(self) -> np.ndarray:
         """Slope (q', q) of the exact linear part of the lift."""
-        tp = self.target.axis_periods()
-        slope = np.zeros((self.target.dim, self.grid.dim))
-        for a in range(self.grid.dim):
-            if self.grid.periodic[a]:
-                lo, hi = self.grid.geometry.chart_bounds[a]
-                slope[:, a] = self.winding[:, a] * tp / (hi - lo)
-        return slope
+        return self._lift.slope
 
-    @cached_property
+    @property
     def periodic_part(self) -> np.ndarray:
-        return self.values - np.einsum(
-            "ca,...a->...c", self.linear_slope, self.grid.points
-        )
+        """Values minus the linear part of the lift (the values themselves
+        when the winding is zero); recomputed on use, not kept."""
+        if not self._lift.slope.any():
+            return self.values
+        return self.values - self._lift.values
 
     @cached_property
     def target_metric(self) -> np.ndarray:
@@ -118,7 +151,30 @@ class FoliatedMapField:
         return self.target.christoffel(self.values)
 
     def replace_values(self, values: np.ndarray) -> "FoliatedMapField":
-        return FoliatedMapField(self.grid, self.target, values, self.winding)
+        return FoliatedMapField(self.grid, self.target, values, self.winding,
+                                self._lift)
+
+    # -- derivatives, each computed once per field ---------------------------
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        """Transversal differential d_T phi, (..., q', q)."""
+        return d_T(self)
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        """Second fundamental form, (..., q', q, q)."""
+        return second_fund_form(self)
+
+    @cached_property
+    def tau(self) -> np.ndarray:
+        """Transversal tension field, (..., q')."""
+        return tension(self)
+
+    @cached_property
+    def dT_norm_sq(self) -> np.ndarray:
+        """|d_T phi|^2 at every node."""
+        return dT_norm_squared(self)
 
 
 @dataclass(frozen=True)
@@ -151,16 +207,46 @@ class AnalyticMap:
         H = self.hess(points)
         gamma_src = self.source.christoffel(points)
         gamma_tgt = self.target.christoffel(y)
-        return (
-            H
-            - np.einsum("...gc,...cab->...gab", J, gamma_src)
-            + np.einsum("...gst,...sa,...tb->...gab", gamma_tgt, J, J)
-        )
+        return H - lower_first(J, gamma_src) + pull_back(gamma_tgt, J)
 
     def realize(self, grid: GridChart) -> FoliatedMapField:
         if not same_chart(grid.geometry, self.source):
             raise CompositionError("grid chart does not match the map's source chart")
         return FoliatedMapField(grid, self.target, self.func(grid.points), self.winding)
+
+
+# -- small-matrix contractions ---------------------------------------------
+# Index ranges are at most 2, so the contractions below are stacked products
+# of tiny matrices; ``@`` runs them in one compiled loop, where multi-operand
+# einsum without a contraction plan iterates over every index combination.
+
+
+def pull_back(T: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """D^T T D: T_{st} D^s_a D^t_b, for T (..., q', q') or a stack
+    (..., k, q', q') of such forms (e.g. Gamma'^g_{st})."""
+    if T.ndim > D.ndim:
+        D = D[..., None, :, :]
+    return np.swapaxes(D, -1, -2) @ T @ D
+
+
+def metric_trace(gi: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """g^{ab} S^g_{ab} of a stack (..., k, q, q) of forms, shape (..., k)."""
+    q = gi.shape[-1]
+    flat = S.reshape(S.shape[:-2] + (q * q,))
+    return (flat @ gi.reshape(gi.shape[:-2] + (q * q, 1)))[..., 0]
+
+
+def pairing(gt: np.ndarray, gi: np.ndarray, X: np.ndarray,
+            Y: np.ndarray) -> np.ndarray:
+    """<X, Y> = g^{ab} g'_{st} X^s_a Y^t_b of two (..., q', q) fields."""
+    return np.sum((gt @ X) * (Y @ gi), axis=(-2, -1))
+
+
+def lower_first(J: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """J^g_c S^c_{ab} for J (..., k, m) and a stack S (..., m, q, q)."""
+    shape = S.shape
+    flat = S.reshape(shape[:-3] + (shape[-3], shape[-2] * shape[-1]))
+    return (J @ flat).reshape(J.shape[:-1] + shape[-2:])
 
 
 # -- differential operators on map fields ---------------------------------
@@ -185,62 +271,50 @@ def second_fund_form(mapf: FoliatedMapField) -> np.ndarray:
     grid = mapf.grid
     r = mapf.periodic_part
     q, qp = grid.dim, mapf.target.dim
-    D = d_T(mapf)
-    H = np.empty(grid.shape + (qp, q, q))
+    D = mapf.D
+    S = np.empty(grid.shape + (qp, q, q))
     for a in range(q):
         for b in range(a, q):
             d = mixed_diff(grid, r, a, b)
-            H[..., a, b] = d
-            H[..., b, a] = d
-    return (
-        H
-        - np.einsum("...gc,...cab->...gab", D, grid.gamma)
-        + np.einsum("...gst,...sa,...tb->...gab", mapf.target_gamma, D, D)
-    )
+            S[..., a, b] = d
+            S[..., b, a] = d
+    S -= lower_first(D, grid.gamma)
+    S += pull_back(mapf.target_gamma, D)
+    return S
 
 
-def tension(mapf: FoliatedMapField, S: np.ndarray | None = None) -> np.ndarray:
+def tension(mapf: FoliatedMapField) -> np.ndarray:
     """Transversal tension field, tau^g = g^{ab} S^g_{ab}."""
-    if S is None:
-        S = second_fund_form(mapf)
-    return np.einsum("...ab,...gab->...g", mapf.grid.metric_inv, S)
+    return metric_trace(mapf.grid.metric_inv, mapf.S)
 
 
-def tension_sup_norm(mapf: FoliatedMapField, tau: np.ndarray | None = None) -> float:
+def tension_sup_norm(mapf: FoliatedMapField) -> float:
     """Max over nodes of |tau|_{g'} (the transversal-harmonicity defect)."""
-    if tau is None:
-        tau = tension(mapf)
-    n2 = np.einsum("...ab,...a,...b->...", mapf.target_metric, tau, tau)
+    tau = mapf.tau
+    n2 = np.sum((mapf.target_metric @ tau[..., None])[..., 0] * tau, axis=-1)
     return float(np.sqrt(np.max(n2)))
 
 
-def energy_density(mapf: FoliatedMapField, D: np.ndarray | None = None) -> np.ndarray:
+def energy_density(mapf: FoliatedMapField) -> np.ndarray:
     """Transversal energy density e = |d_T phi|^2 / 2."""
-    return 0.5 * dT_norm_squared(mapf, D)
+    return 0.5 * mapf.dT_norm_sq
 
 
-def dT_norm_squared(mapf: FoliatedMapField, D: np.ndarray | None = None) -> np.ndarray:
+def dT_norm_squared(mapf: FoliatedMapField) -> np.ndarray:
     """|d_T phi|^2 = g^{ab} g'_{st}(phi) d_a phi^s d_b phi^t."""
-    if D is None:
-        D = d_T(mapf)
-    return np.einsum(
-        "...ab,...st,...sa,...tb->...", mapf.grid.metric_inv, mapf.target_metric, D, D
-    )
+    return pairing(mapf.target_metric, mapf.grid.metric_inv, mapf.D, mapf.D)
 
 
-def second_form_norm_squared(mapf: FoliatedMapField,
-                             S: np.ndarray | None = None) -> np.ndarray:
+def second_form_norm_squared(mapf: FoliatedMapField) -> np.ndarray:
     """|nabla_tr d_T phi|^2 = g^{aa'} g^{bb'} g'_{gd} S^g_{ab} S^d_{a'b'}."""
-    if S is None:
-        S = second_fund_form(mapf)
-    gi = mapf.grid.metric_inv
-    return np.einsum(
-        "...ax,...by,...gd,...gab,...dxy->...", gi, gi, mapf.target_metric, S, S
-    )
+    S = mapf.S
+    gi = mapf.grid.metric_inv[..., None, :, :]
+    raised = gi @ S @ gi                                 # g^{xa} S^d_{ab} g^{by}
+    lowered = lower_first(mapf.target_metric, S)         # g'_{dg} S^g_{ab}
+    return np.einsum("...gab,...gab->...", lowered, raised)
 
 
-def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray,
-                        D: np.ndarray | None = None) -> np.ndarray:
+def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray) -> np.ndarray:
     """Covariant derivative of a section of the pull-back bundle.
 
     For s with components s^g on the grid, returns
@@ -248,22 +322,18 @@ def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray,
     indexed (..., g, a).
     """
     grid = mapf.grid
-    if D is None:
-        D = d_T(mapf)
     ds = np.stack([diff1(grid, s, a) for a in range(grid.dim)], axis=-1)
-    return ds + np.einsum("...gst,...sa,...t->...ga", mapf.target_gamma, D, s)
+    gamma_s = (mapf.target_gamma @ s[..., None, :, None])[..., 0]   # (..., g, s)
+    return ds + gamma_s @ mapf.D
 
 
-def delta_nabla_dT(mapf: FoliatedMapField, struct: FoliatedStructure | None = None,
-                   tau: np.ndarray | None = None) -> np.ndarray:
+def delta_nabla_dT(mapf: FoliatedMapField,
+                   struct: FoliatedStructure | None = None) -> np.ndarray:
     """Codifferential of d_T phi as a pull-back section: -tau + i(kappa#) d_T phi."""
     grid = mapf.grid
-    if tau is None:
-        tau = tension(mapf)
     kappa = kappa_on_grid(grid, struct)
     kappa_up = np.einsum("...ab,...b->...a", grid.metric_inv, kappa)
-    D = d_T(mapf)
-    return -tau + np.einsum("...ga,...a->...g", D, kappa_up)
+    return -mapf.tau + np.einsum("...ga,...a->...g", mapf.D, kappa_up)
 
 
 # -- composition ----------------------------------------------------------

@@ -33,13 +33,13 @@ from .maps import (
     AnalyticMap,
     FoliatedMapField,
     compose,
-    dT_norm_squared,
-    d_T,
     delta_nabla_dT,
+    lower_first,
+    metric_trace,
+    pairing,
+    pull_back,
     pullback_derivative,
-    second_fund_form,
     second_form_norm_squared,
-    tension,
 )
 
 __all__ = [
@@ -130,9 +130,8 @@ def check_first_variation(mapf: FoliatedMapField,
     ]
     fd = _neville_to_zero([t**2 for t in spec.fd_steps], derivs)
 
-    tau = tension(mapf)
-    pairing = np.einsum("...ab,...a,...b->...", mapf.target_metric, V, tau)
-    rhs = -float(np.sum(pairing * grid.weights))
+    g_V_tau = np.einsum("...ab,...a,...b->...", mapf.target_metric, V, mapf.tau)
+    rhs = -float(np.sum(g_V_tau * grid.weights))
     residual = abs(fd - rhs) / max(abs(rhs), abs(fd), 1e-6)
     return IdentityResidualReport(
         identity="first_variation",
@@ -147,21 +146,21 @@ def bochner_parts(mapf: FoliatedMapField) -> tuple[np.ndarray, np.ndarray]:
     """Source-Ricci and target-curvature contractions, separately.
 
     Both are evaluated pointwise from the catalog closed forms; their
-    difference (Ricci minus curvature) is the Bochner term.
+    difference (Ricci minus curvature) is the Bochner term.  With the
+    pull-back metric A = D^T g' D and M = D g^{-1} D^T,
+
+        ric_term  = (g^{-1} Ric g^{-1})^{ab} A_{ab},
+        curv_term = R'_{stuv} M^{sv} M^{tu}.
     """
     grid = mapf.grid
-    D = d_T(mapf)
+    D = mapf.D
     gi = grid.metric_inv
-    gt = mapf.target_metric
+    A = pull_back(mapf.target_metric, D)
+    M = D @ gi @ np.swapaxes(D, -1, -2)
     ric = grid.geometry.ricci(grid.points)
-    ric_term = np.einsum(
-        "...ab,...cd,...da,...st,...sc,...tb->...", gi, gi, ric, gt, D, D
-    )
+    ric_term = np.sum((gi @ ric @ gi) * A, axis=(-2, -1))
     riem_t = mapf.target.riemann(mapf.values)       # covariant R'_{abcd}
-    curv_term = np.einsum(
-        "...ax,...by,...stuv,...sb,...ta,...ux,...vy->...",
-        gi, gi, riem_t, D, D, D, D,
-    )
+    curv_term = np.einsum("...stuv,...sv,...tu->...", riem_t, M, M)
     return ric_term, curv_term
 
 
@@ -184,13 +183,12 @@ def weitzenbock_terms(mapf: FoliatedMapField,
         1/2 Delta_B |d|^2 = -|S|^2 - <F d, d> + 1/2 kappa#(|d|^2).
     """
     grid = mapf.grid
-    D = d_T(mapf)
-    S = second_fund_form(mapf)
+    D = mapf.D
     gi = grid.metric_inv
     gt = mapf.target_metric
-    e2 = dT_norm_squared(mapf, D)
+    e2 = mapf.dT_norm_sq
     lhs = 0.5 * delta_B_scalar(grid, e2, struct)
-    S_sq = second_form_norm_squared(mapf, S)
+    S_sq = second_form_norm_squared(mapf)
     F = bochner_term(mapf)
     kappa = kappa_on_grid(grid, struct)
     kappa_up = np.einsum("...ab,...b->...a", gi, kappa)
@@ -204,14 +202,13 @@ def weitzenbock_terms(mapf: FoliatedMapField,
         return terms
     if mode != "general":
         raise PreconditionError(f"mode: expected 'general' or 'harmonic', got {mode!r}")
-    tau = tension(mapf, S)
-    codiff = delta_nabla_dT(mapf, struct, tau)      # -tau + i(kappa#) d
-    laplacian_d = pullback_derivative(mapf, codiff, D)   # (..., g, a)
-    inner_lap = np.einsum("...ab,...st,...sa,...tb->...", gi, gt, laplacian_d, D)
+    codiff = delta_nabla_dT(mapf, struct)           # -tau + i(kappa#) d
+    laplacian_d = pullback_derivative(mapf, codiff)      # (..., g, a)
+    inner_lap = pairing(gt, gi, laplacian_d, D)
     ikd = np.einsum("...ga,...a->...g", D, kappa_up)      # i(kappa#) d
-    a_form = -np.einsum("...a,...gab->...gb", kappa_up, S) \
-        + pullback_derivative(mapf, ikd, D)
-    inner_a = np.einsum("...ab,...st,...sa,...tb->...", gi, gt, a_form, D)
+    a_form = -np.einsum("...a,...gab->...gb", kappa_up, mapf.S) \
+        + pullback_derivative(mapf, ikd)
+    inner_a = pairing(gt, gi, a_form, D)
     terms["laplacian_pairing"] = inner_lap
     terms["kappa_operator_pairing"] = inner_a
     terms["rhs"] = inner_lap - S_sq - inner_a - F
@@ -246,24 +243,15 @@ def composition_residuals(phi: FoliatedMapField, psi: AnalyticMap
     Trace:        tau(psi o phi) = d_T psi(tau(phi)) + tr_Q phi* S(psi)
     """
     comp = compose(phi, psi)
-    S_comp = second_fund_form(comp)
-    S_phi = second_fund_form(phi)
     J_psi = psi.jac(phi.values)
-    S_psi = psi.second_form(phi.values)
-    D_phi = d_T(phi)
-    rhs_full = (
-        np.einsum("...gm,...mab->...gab", J_psi, S_phi)
-        + np.einsum("...gmn,...ma,...nb->...gab", S_psi, D_phi, D_phi)
-    )
-    full = float(np.max(np.abs(S_comp - rhs_full)))
-    tau_comp = tension(comp, S_comp)
-    tau_phi = tension(phi, S_phi)
+    pulled = pull_back(psi.second_form(phi.values), phi.D)     # phi* S(psi)
+    rhs_full = lower_first(J_psi, phi.S) + pulled
+    full = float(np.max(np.abs(comp.S - rhs_full)))
     rhs_trace = (
-        np.einsum("...gm,...m->...g", J_psi, tau_phi)
-        + np.einsum("...ab,...gmn,...ma,...nb->...g",
-                    phi.grid.metric_inv, S_psi, D_phi, D_phi)
+        (J_psi @ phi.tau[..., None])[..., 0]
+        + metric_trace(phi.grid.metric_inv, pulled)
     )
-    trace = float(np.max(np.abs(tau_comp - rhs_trace)))
+    trace = float(np.max(np.abs(comp.tau - rhs_trace)))
     return {"second_form": full, "tension": trace}
 
 

@@ -112,6 +112,45 @@ def test_non_finite_energy_stops_the_flow(monkeypatch):
         _circle_flow(n=32, tension_tol=1e-14, max_steps=50)
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(None)
+        return result
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_derivative_pass_per_flow_attempt(monkeypatch):
+    """Each candidate map computes d_T once, rejected (backtracked) ones too."""
+    import folharm.flow as flow
+    import folharm.maps as maps
+
+    d_T_calls = _count_calls(monkeypatch, maps, "d_T")
+    attempts = _count_calls(monkeypatch, flow, "flow_step")
+    _, trace = _circle_flow(n=32, amp=0.3, dt=0.2, tension_tol=1e-14, max_steps=20)
+    assert trace.steps[-1] == 20
+    assert len(attempts) > 20                   # some attempts were backtracked
+    assert len(d_T_calls) == len(attempts) + 1  # + the initial map
+
+
+def test_flow_outputs_and_diagnostics_share_derivatives(sphere, monkeypatch):
+    import folharm.maps as maps
+
+    grid = fh.build_grid(sphere, 16)
+    mapf = fh.make_family("identity", sphere, sphere).realize(grid)
+    d_T_calls = _count_calls(monkeypatch, maps, "d_T")
+    S_calls = _count_calls(monkeypatch, maps, "second_fund_form")
+    final, _ = fh.run_flow(mapf, None, fh.FlowConfig(tension_tol=1e-10))
+    fh.tension_sup_norm(final)
+    fh.rigidity_diagnostics(final, None, rank_cap=2)
+    assert (len(d_T_calls), len(S_calls)) == (1, 1)
+
+
 # -- rigidity diagnostics --------------------------------------------------
 
 

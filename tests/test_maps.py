@@ -63,7 +63,7 @@ def test_tension_is_metric_trace_of_second_form():
     grid = _torus_grid(32)
     mapf, _ = _sine_map(grid)
     S = fh.second_fund_form(mapf)
-    tau = fh.tension(mapf, S)
+    tau = fh.tension(mapf)
     want = np.einsum("...ab,...gab->...g", grid.metric_inv, S)
     assert np.max(np.abs(tau - want)) <= 1e-12
 
@@ -181,6 +181,35 @@ def test_map_values_must_be_finite(sphere):
     values[3, 4, 1] = np.nan     # on the periodic axis, which contains() skips
     with pytest.raises(fh.InvalidMapError):
         fh.FoliatedMapField(grid, sphere, values, None)
+
+
+def test_map_values_are_read_only():
+    """Cached derivatives cannot go stale: values is a read-only copy."""
+    import dataclasses
+
+    grid = _torus_grid(16)
+    values = np.full(grid.shape + (2,), 1.0)
+    mapf = fh.FoliatedMapField(grid, grid.geometry, values)
+    with pytest.raises(ValueError):
+        mapf.values[0, 0, 0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mapf.values = values
+    values[0, 0, 0] = 2.0          # the caller's array stays its own
+    assert mapf.values[0, 0, 0] == 1.0
+
+
+def test_replaced_field_shares_the_lift_and_keeps_its_checks(sphere):
+    grid = _torus_grid(16)
+    mapf = fh.make_family("band_wave", grid.geometry, sphere, {}).realize(grid)
+    moved = mapf.replace_values(mapf.values + 0.01)
+    assert moved.linear_slope is mapf.linear_slope
+    assert np.array_equal(moved.D, fh.d_T(moved))
+    bad = mapf.values.copy()
+    bad[0, 0, 0] = 0.01            # inside the excluded polar cap
+    with pytest.raises(fh.InvalidMapError):
+        mapf.replace_values(bad)
+    with pytest.raises(fh.InvalidMapError):
+        mapf.replace_values(np.where(bad > 0, np.nan, bad))
 
 
 def test_winding_must_vanish_on_fixed_axes(patch):

@@ -119,3 +119,70 @@ def test_mean_curvature_matches_volume_profile(offset, _shift):
     grid = fh.build_grid(torus, 32)
     struct = fh.named_profile("cosine_offset", 1, {"offset": offset})
     assert fh.check_lemma_volume(grid, struct) <= 1e-12
+
+
+_CATALOG = {
+    "circle": fh.FlatTorus([TWO_PI]),
+    "torus": fh.FlatTorus([TWO_PI, 3.0]),
+    "sphere": fh.RoundSphere(radius=1.3, cap_angle=0.5),
+    "patch": fh.HyperbolicPatch([-1.5, 1.5], [0.7, 2.5]),
+}
+
+
+def _matches(got, spec, *operands):
+    """got equals einsum(spec, *operands) to 1e-13 relative to the size of
+    the summands, which is the scale of the rounding error of either form
+    when terms cancel (a curvature term that vanishes identically, say)."""
+    want = np.einsum(spec, *operands)
+    scale = np.einsum(spec, *(np.abs(op) for op in operands))
+    return float(np.max(np.abs(got - want))) <= 1e-13 * max(float(np.max(scale)), 1e-300)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_CATALOG)), st.sampled_from(sorted(_CATALOG)),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_small_matrix_contractions_match_einsum_definitions(src, tgt, seed):
+    """The matmul contractions of maps and verify equal the einsum forms
+    they replace, on random map fields between catalog geometries."""
+    from folharm.maps import lower_first, metric_trace, pairing, pull_back
+
+    source, target = _CATALOG[src], _CATALOG[tgt]
+    grid = fh.build_grid(source, 8)
+    rng = np.random.default_rng(seed)
+    bounds = np.asarray(target.chart_bounds, dtype=float)
+    lo = bounds[:, 0] + 0.1 * (bounds[:, 1] - bounds[:, 0])
+    hi = bounds[:, 1] - 0.1 * (bounds[:, 1] - bounds[:, 0])
+    mapf = fh.FoliatedMapField(
+        grid, target, rng.uniform(lo, hi, grid.shape + (target.dim,)))
+    D, S = mapf.D, mapf.S
+    gi, gt, gam_t = grid.metric_inv, mapf.target_metric, mapf.target_gamma
+    X = rng.standard_normal(D.shape)
+    s = rng.standard_normal(mapf.values.shape)
+
+    assert _matches(pull_back(gam_t, D), "...gst,...sa,...tb->...gab", gam_t, D, D)
+    assert _matches(lower_first(D, grid.gamma), "...gc,...cab->...gab", D, grid.gamma)
+    assert _matches(metric_trace(gi, S), "...ab,...gab->...g", gi, S)
+    assert _matches(mapf.tau, "...ab,...gab->...g", gi, S)
+    assert _matches(pairing(gt, gi, X, D), "...ab,...st,...sa,...tb->...", gi, gt, X, D)
+    assert _matches(mapf.dT_norm_sq, "...ab,...st,...sa,...tb->...", gi, gt, D, D)
+    assert _matches(fh.second_form_norm_squared(mapf),
+                    "...ax,...by,...gd,...gab,...dxy->...", gi, gi, gt, S, S)
+    ds = np.stack([fh.grid.diff1(grid, s, a) for a in range(grid.dim)], axis=-1)
+    assert _matches(fh.maps.pullback_derivative(mapf, s) - ds,
+                    "...gst,...sa,...t->...ga", gam_t, D, s)
+    ric_term, curv_term = fh.bochner_parts(mapf)
+    ric = source.ricci(grid.points)
+    riem = target.riemann(mapf.values)
+    assert _matches(ric_term, "...ab,...cd,...da,...st,...sc,...tb->...",
+                    gi, gi, ric, gt, D, D)
+    assert _matches(curv_term, "...ax,...by,...stuv,...sb,...ta,...ux,...vy->...",
+                    gi, gi, riem, D, D, D, D)
+    # the second form against its definition, Hessians by the grid stencils
+    r = mapf.periodic_part
+    H = np.stack([fh.grid.hessian_scalar(grid, r[..., g])
+                  for g in range(target.dim)], axis=-3)
+    want = (H - np.einsum("...gc,...cab->...gab", D, grid.gamma)
+            + np.einsum("...gst,...sa,...tb->...gab", gam_t, D, D))
+    scale = (np.abs(H) + np.einsum("...gc,...cab->...gab", abs(D), abs(grid.gamma))
+             + np.einsum("...gst,...sa,...tb->...gab", abs(gam_t), abs(D), abs(D)))
+    assert np.max(np.abs(S - want)) <= 1e-13 * np.max(scale)

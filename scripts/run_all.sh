@@ -12,5 +12,6 @@ folharm verify --config "$here/configs/verify_composition_chain.json" --out "$ou
 folharm flow   --config "$here/configs/flow_rigidity_flat.json" --out "$out/flow_rigidity_flat"
 folharm flow   --config "$here/configs/flow_rigidity_hyperbolic.json" --out "$out/flow_rigidity_hyperbolic"
 folharm report --config "$here/configs/report_sphere_identity.json" --out "$out/report_sphere_identity"
+folharm tension --config "$here/configs/flow_rigidity_flat.json" --out "$out/tension_rigidity_flat"
 
 echo "all experiment configs passed; outputs under $out"

@@ -238,22 +238,17 @@ def _verify_reports(exp: Experiment) -> list[dict]:
 
 
 def _write_verify_outputs(reports: list[dict], out: Path) -> bool:
-    import csv
-
     from . import serialize
 
     serialize.dump_json(out / "verify.json", {"reports": reports})
-    with open(out / "verify_summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["identity", "finest_residual", "min_order", "pass"])
-        for rep in reports:
-            min_order = min(rep["orders"]) if rep["orders"] else ""
-            writer.writerow([
-                rep["identity"],
-                serialize.fmt(rep["residuals"][-1]),
-                serialize.fmt(min_order) if min_order != "" else "",
-                str(rep["pass"]).lower(),
-            ])
+    serialize.write_csv(
+        out / "verify_summary.csv",
+        ["identity", "finest_residual", "min_order", "pass"],
+        [[rep["identity"],
+          serialize.fmt(rep["residuals"][-1]),
+          serialize.fmt(min(rep["orders"])) if rep["orders"] else "",
+          str(rep["pass"]).lower()] for rep in reports],
+    )
     ok = True
     for rep in reports:
         status = "PASS" if rep["pass"] else "FAIL"

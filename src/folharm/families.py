@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import FlatTorus, HyperbolicPatch, RoundSphere, TransverseGeometry
 from .grid import GridChart
-from .maps import AnalyticMap, FoliatedMapField, same_chart
+from .maps import AnalyticMap, same_chart
 
 __all__ = ["make_family", "variation_field", "FAMILY_NAMES"]
 

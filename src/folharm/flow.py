@@ -135,37 +135,31 @@ def flow_step(mapf: FoliatedMapField, struct: FoliatedStructure | None,
 def run_flow(mapf: FoliatedMapField, struct: FoliatedStructure | None,
              config: FlowConfig) -> tuple[FoliatedMapField, FlowTrace]:
     """Iterate the heat flow until the tension tolerance, step or dt budget."""
-    grid = mapf.grid
-    dt = config.resolve_dt(grid)
+    dt = config.resolve_dt(mapf.grid)
     trace = FlowTrace()
 
-    def stats(m):
-        # every derivative below is computed once and cached on m
-        E = transversal_energy(m, struct)
+    def record(step, m, E):
+        # trace-only statistics, evaluated for accepted maps alone
         tau_max = tension_sup_norm(m)
         S_max = float(np.sqrt(max(np.max(second_form_norm_squared(m)), 0.0)))
-        d2_max = float(np.max(m.dT_norm_sq))
-        return E, tau_max, S_max, d2_max
+        trace.record(step, E, tau_max, S_max, float(np.max(m.dT_norm_sq)))
+        return tau_max
 
-    E, tau_max, S_max, d2_max = stats(mapf)
-    trace.record(0, E, tau_max, S_max, d2_max)
-    E0 = E
-    if tau_max <= config.tension_tol:
-        trace.termination = "tension_tol"
-        return mapf, trace
-
+    E0 = E = transversal_energy(mapf, struct)
+    tau_max = record(0, mapf, E)
     step = 0
-    while step < config.max_steps:
+    while tau_max > config.tension_tol:
+        if step == config.max_steps:
+            trace.termination = "max_steps"
+            return mapf, trace
         try:
             candidate = flow_step(mapf, struct, dt)
-        except StepTooLargeError:
-            dt *= 0.5
-            if dt < config.dt_min:
-                trace.termination = "dt_underflow"
-                return mapf, trace
-            continue
-        E_c, tau_max_c, S_max_c, d2_max_c = stats(candidate)
-        if config.energy_backtrack and E_c > E:
+        except StepTooLargeError:       # exp refused a step beyond its cap
+            rejected = True
+        else:
+            E_c = transversal_energy(candidate, struct)
+            rejected = config.energy_backtrack and E_c > E
+        if rejected:
             dt *= 0.5
             if dt < config.dt_min:
                 trace.termination = "dt_underflow"
@@ -173,16 +167,13 @@ def run_flow(mapf: FoliatedMapField, struct: FoliatedStructure | None,
             continue
         step += 1
         mapf, E = candidate, E_c
-        trace.record(step, E, tau_max_c, S_max_c, d2_max_c)
+        tau_max = record(step, mapf, E)
         if not np.isfinite(E) or E > config.divergence_factor * max(E0, 1e-14):
             raise FlowDivergedError(
                 f"energy {E:.6g} is not finite or exceeds "
                 f"{config.divergence_factor} x initial {E0:.6g}"
             )
-        if tau_max_c <= config.tension_tol:
-            trace.termination = "tension_tol"
-            return mapf, trace
-    trace.termination = "max_steps"
+    trace.termination = "tension_tol"
     return mapf, trace
 
 

@@ -78,10 +78,9 @@ class TransverseGeometry:
         )
 
     def ricci(self, points: np.ndarray) -> np.ndarray:
-        """Ricci as a bilinear form, Ric_{bc} = g^{ad} R_{abcd}."""
-        return np.einsum(
-            "...ad,...abcd->...bc", self.metric_inv(points), self.riemann(points)
-        )
+        """Ricci as a bilinear form, Ric_{bc} = g^{ad} R_{abcd}; for constant
+        curvature K this contraction is (q - 1) K g."""
+        return (self.dim - 1) * self.curvature_constant * self.metric(points)
 
     def sectional(self, point: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
         g = self.metric(point)

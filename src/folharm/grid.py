@@ -35,6 +35,7 @@ __all__ = [
     "div_nabla",
     "delta_B_scalar",
     "kappa_on_grid",
+    "kappa_sharp",
     "integrate",
     "check_divergence_theorem",
 ]
@@ -193,12 +194,14 @@ def mixed_diff(grid: GridChart, f: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 def grad_B(grid: GridChart, f: np.ndarray) -> np.ndarray:
-    """Basic gradient of a scalar field as a covector field (..., q)."""
+    """First partials d_a f of a scalar or vector field, stacked last:
+    f.shape + (q,); for a scalar field this is its basic gradient."""
     return np.stack([diff1(grid, f, a) for a in range(grid.dim)], axis=-1)
 
 
 def hessian_scalar(grid: GridChart, f: np.ndarray) -> np.ndarray:
-    """Matrix of second partials of a scalar field, (..., q, q)."""
+    """Second partials d_a d_b f of a scalar or vector field, stacked last:
+    f.shape + (q, q)."""
     q = grid.dim
     out = np.empty(f.shape + (q, q))
     for a in range(q):
@@ -236,6 +239,11 @@ def kappa_on_grid(grid: GridChart, struct: FoliatedStructure | None) -> np.ndarr
     return -grad_B(grid, np.log(struct.vol_at(grid.points)))
 
 
+def kappa_sharp(grid: GridChart, struct: FoliatedStructure | None) -> np.ndarray:
+    """Mean-curvature vector kappa^a = g^{ab} kappa_b at the grid nodes."""
+    return np.einsum("...ab,...b->...a", grid.metric_inv, kappa_on_grid(grid, struct))
+
+
 def delta_B_scalar(grid: GridChart, f: np.ndarray,
                    struct: FoliatedStructure | None = None) -> np.ndarray:
     """Basic Laplacian on functions (geometer's positive sign).
@@ -248,9 +256,7 @@ def delta_B_scalar(grid: GridChart, f: np.ndarray,
     hess = hessian_scalar(grid, f)
     cov_hess = hess - np.einsum("...cab,...c->...ab", grid.gamma, grad)
     out = -np.einsum("...ab,...ab->...", grid.metric_inv, cov_hess)
-    kappa = kappa_on_grid(grid, struct)
-    kappa_up = np.einsum("...ab,...b->...a", grid.metric_inv, kappa)
-    out += np.einsum("...a,...a->...", kappa_up, grad)
+    out += np.einsum("...a,...a->...", kappa_sharp(grid, struct), grad)
     return out
 
 

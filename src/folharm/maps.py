@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CompositionError, InvalidMapError
 from .foliation import FoliatedStructure
 from .geometry import TransverseGeometry
-from .grid import GridChart, diff1, diff2, kappa_on_grid, mixed_diff
+from .grid import GridChart, grad_B, hessian_scalar, kappa_sharp
 
 __all__ = [
     "FoliatedMapField",
@@ -254,12 +254,7 @@ def lower_first(J: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 def d_T(mapf: FoliatedMapField) -> np.ndarray:
     """Transversal differential, components D[..., alpha, a] = d_a phi^alpha."""
-    r = mapf.periodic_part
-    grid = mapf.grid
-    D = np.stack(
-        [diff1(grid, r, a) for a in range(grid.dim)], axis=-1
-    )  # (..., q', q)
-    return D + mapf.linear_slope
+    return grad_B(mapf.grid, mapf.periodic_part) + mapf.linear_slope
 
 
 def second_fund_form(mapf: FoliatedMapField) -> np.ndarray:
@@ -268,17 +263,9 @@ def second_fund_form(mapf: FoliatedMapField) -> np.ndarray:
     S^g_{ab} = d_a d_b phi^g - Gamma^c_{ab} d_c phi^g
              + Gamma'^g_{st}(phi) d_a phi^s d_b phi^t.
     """
-    grid = mapf.grid
-    r = mapf.periodic_part
-    q, qp = grid.dim, mapf.target.dim
     D = mapf.D
-    S = np.empty(grid.shape + (qp, q, q))
-    for a in range(q):
-        for b in range(a, q):
-            d = mixed_diff(grid, r, a, b)
-            S[..., a, b] = d
-            S[..., b, a] = d
-    S -= lower_first(D, grid.gamma)
+    S = hessian_scalar(mapf.grid, mapf.periodic_part)
+    S -= lower_first(D, mapf.grid.gamma)
     S += pull_back(mapf.target_gamma, D)
     return S
 
@@ -321,8 +308,7 @@ def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray) -> np.ndarray:
     (nabla^phi_a s)^g = d_a s^g + Gamma'^g_{st}(phi) d_a phi^s s^t,
     indexed (..., g, a).
     """
-    grid = mapf.grid
-    ds = np.stack([diff1(grid, s, a) for a in range(grid.dim)], axis=-1)
+    ds = grad_B(mapf.grid, s)
     gamma_s = (mapf.target_gamma @ s[..., None, :, None])[..., 0]   # (..., g, s)
     return ds + gamma_s @ mapf.D
 
@@ -330,9 +316,7 @@ def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray) -> np.ndarray:
 def delta_nabla_dT(mapf: FoliatedMapField,
                    struct: FoliatedStructure | None = None) -> np.ndarray:
     """Codifferential of d_T phi as a pull-back section: -tau + i(kappa#) d_T phi."""
-    grid = mapf.grid
-    kappa = kappa_on_grid(grid, struct)
-    kappa_up = np.einsum("...ab,...b->...a", grid.metric_inv, kappa)
+    kappa_up = kappa_sharp(mapf.grid, struct)
     return -mapf.tau + np.einsum("...ga,...a->...g", mapf.D, kappa_up)
 
 

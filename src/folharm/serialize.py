@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from .maps import FoliatedMapField
 
 __all__ = [
     "fmt",
+    "write_csv",
     "scalar_field_to_csv",
     "map_to_csv",
     "map_from_csv",
@@ -27,15 +29,58 @@ __all__ = [
     "dump_json",
 ]
 
+# Node rows become Python lists this many at a time, so a large grid never
+# holds all of its rows as Python objects at once.
+_CHUNK_ROWS = 4096
+_MAP_FIELD = "phi"
+
 
 def fmt(x) -> str:
     """Shortest decimal representation that round-trips float64."""
     return repr(float(x))
 
 
-def _node_rows(grid: GridChart):
-    for idx in np.ndindex(*grid.shape):
-        yield idx, grid.points[idx]
+def write_csv(path, header, rows, preamble=()) -> None:
+    """Write the preamble rows, the header row, then ``rows``.
+
+    ``csv`` writes a Python float as its repr, the same text as ``fmt``, and
+    an int as its str.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerows(preamble)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _node_columns(q: int, widths: dict) -> list[str]:
+    """Node-table header: i* and b* for the q grid axes, then a scalar
+    field's name, or name0, name1, ... for each component of a vector field
+    (width None for a scalar field)."""
+    header = [f"i{a}" for a in range(q)] + [f"b{a}" for a in range(q)]
+    for name, width in widths.items():
+        header += [name] if width is None else [f"{name}{c}" for c in range(width)]
+    return header
+
+
+def _write_node_table(path, grid: GridChart, fields: dict, preamble=()) -> None:
+    """One row per node in C order: index coordinates, chart coordinates,
+    then the values of ``fields``."""
+    n_nodes, q = int(np.prod(grid.shape)), grid.dim
+    widths, columns = {}, [grid.points.reshape(n_nodes, q)]
+    for name, arr in fields.items():
+        arr = np.asarray(arr, dtype=float)
+        widths[name] = None if arr.shape == grid.shape else arr.shape[-1]
+        columns.append(arr.reshape(n_nodes, -1))
+    index = np.indices(grid.shape).reshape(q, n_nodes).T
+    values = np.concatenate(columns, axis=1)
+
+    def rows():
+        for lo in range(0, n_nodes, _CHUNK_ROWS):
+            hi = lo + _CHUNK_ROWS
+            yield from map(operator.add, index[lo:hi].tolist(), values[lo:hi].tolist())
+
+    write_csv(path, _node_columns(q, widths), rows(), preamble)
 
 
 def scalar_field_to_csv(path, grid: GridChart, fields: dict[str, np.ndarray]) -> None:
@@ -43,50 +88,13 @@ def scalar_field_to_csv(path, grid: GridChart, fields: dict[str, np.ndarray]) ->
 
     Vector-valued entries in ``fields`` get one column per component.
     """
-    q = grid.dim
-    header = [f"i{a}" for a in range(q)] + [f"b{a}" for a in range(q)]
-    columns = []
-    for name, arr in fields.items():
-        arr = np.asarray(arr)
-        if arr.shape == grid.shape:
-            header.append(name)
-            columns.append((arr, None))
-        else:
-            ncomp = arr.shape[-1]
-            header.extend(f"{name}{c}" for c in range(ncomp))
-            columns.append((arr, ncomp))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for idx, b in _node_rows(grid):
-            row = [str(i) for i in idx] + [fmt(x) for x in b]
-            for arr, ncomp in columns:
-                if ncomp is None:
-                    row.append(fmt(arr[idx]))
-                else:
-                    row.extend(fmt(arr[idx + (c,)]) for c in range(ncomp))
-            writer.writerow(row)
+    _write_node_table(path, grid, fields)
 
 
 def map_to_csv(path, mapf: FoliatedMapField) -> None:
     """Serialize a map field; the winding matrix rides along in '# winding' rows."""
-    grid = mapf.grid
-    q, qp = grid.dim, mapf.target.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.asarray(mapf.winding):
-            writer.writerow(["# winding"] + [str(int(v)) for v in row])
-        writer.writerow(
-            [f"i{a}" for a in range(q)]
-            + [f"b{a}" for a in range(q)]
-            + [f"phi{c}" for c in range(qp)]
-        )
-        for idx, b in _node_rows(grid):
-            writer.writerow(
-                [str(i) for i in idx]
-                + [fmt(x) for x in b]
-                + [fmt(mapf.values[idx + (c,)]) for c in range(qp)]
-            )
+    winding = [["# winding", *row] for row in mapf.winding.tolist()]
+    _write_node_table(path, mapf.grid, {_MAP_FIELD: mapf.values}, winding)
 
 
 def _parse(path, line: int, cells, kind=float) -> list:
@@ -105,11 +113,7 @@ def map_from_csv(path, grid: GridChart, target: TransverseGeometry
     chart coordinates.
     """
     q, qp = grid.dim, target.dim
-    columns = (
-        [f"i{a}" for a in range(q)]
-        + [f"b{a}" for a in range(q)]
-        + [f"phi{c}" for c in range(qp)]
-    )
+    columns = _node_columns(q, {_MAP_FIELD: qp})
     n_nodes = int(np.prod(grid.shape))
     table = np.empty((n_nodes, len(columns)))
     winding_rows, header, count = [], None, 0
@@ -157,12 +161,7 @@ def map_from_csv(path, grid: GridChart, target: TransverseGeometry
 
 
 def trace_to_csv(path, trace) -> None:
-    header, body = trace.rows()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in body:
-            writer.writerow([str(row[0])] + [fmt(v) for v in row[1:]])
+    write_csv(path, *trace.rows())
 
 
 def sanitize_json(obj):

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import PreconditionError
 from .flow import transversal_energy
 from .foliation import FoliatedStructure
-from .grid import GridChart, delta_B_scalar, grad_B, kappa_on_grid
+from .grid import GridChart, delta_B_scalar, grad_B, kappa_on_grid, kappa_sharp
 from .maps import (
     AnalyticMap,
     FoliatedMapField,
@@ -190,8 +190,7 @@ def weitzenbock_terms(mapf: FoliatedMapField,
     lhs = 0.5 * delta_B_scalar(grid, e2, struct)
     S_sq = second_form_norm_squared(mapf)
     F = bochner_term(mapf)
-    kappa = kappa_on_grid(grid, struct)
-    kappa_up = np.einsum("...ab,...b->...a", gi, kappa)
+    kappa_up = kappa_sharp(grid, struct)
     terms = {"lhs": lhs, "second_form_sq": S_sq, "bochner": F}
     if mode == "harmonic":
         kappa_drift = 0.5 * np.einsum(

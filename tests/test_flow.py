@@ -57,6 +57,39 @@ def test_oversized_step_without_backtracking_rejected():
                     fh.FlowConfig(dt=1.0, energy_backtrack=False))
 
 
+def test_steps_beyond_the_injectivity_cap_are_halved():
+    """exp refuses the CFL step on a circle with a tiny injectivity cap; the
+    flow halves dt once and converges at half the step size."""
+    def flow(cap):
+        circle = fh.FlatTorus([TWO_PI], injectivity_cap=cap)
+        grid = fh.build_grid(circle, 32)
+        fam = fh.make_family("sine_perturbation", circle, circle,
+                             {"modes": [[0, [1], 0.5, 0.0]]})
+        mapf = fam.realize(grid)
+        return grid, mapf, fh.run_flow(mapf, None, fh.FlowConfig(tension_tol=1e-5))
+
+    grid, mapf, (_, capped) = flow(0.005)
+    with pytest.raises(fh.StepTooLargeError):
+        fh.flow_step(mapf, None, fh.cfl_step(grid, safety=0.9))
+    _, _, (_, free) = flow(None)
+    assert capped.termination == free.termination == "tension_tol"
+    assert 1.9 * free.steps[-1] <= capped.steps[-1] <= 2.1 * free.steps[-1]
+
+
+def test_rejections_below_dt_min_end_in_dt_underflow():
+    """dt = 2.5 scales the sine mode by about -1.5, so the energy rises; one
+    halving lands below dt_min and the flow stops on its initial map."""
+    grid = fh.build_grid(fh.FlatTorus([TWO_PI]), 32)
+    fam = fh.make_family("sine_perturbation", grid.geometry, grid.geometry,
+                         {"modes": [[0, [1], 0.3, 0.0]]})
+    mapf = fam.realize(grid)
+    final, trace = fh.run_flow(mapf, None, fh.FlowConfig(
+        dt=2.5, dt_min=2.0, tension_tol=1e-5))
+    assert trace.termination == "dt_underflow"
+    assert trace.steps == [0]
+    assert final is mapf
+
+
 def test_backtracking_recovers_from_large_dt():
     """An unstable step size halves until the energy decreases again."""
     final, trace = _circle_flow(n=32, amp=0.3, dt=0.05, tension_tol=1e-5)
@@ -189,7 +222,7 @@ def test_diagnostics_rank_cap_validation(sphere):
         fh.rigidity_diagnostics(mapf, None, rank_cap=1)
 
 
-def test_positive_curvature_bound_violation(sphere):
+def test_flat_target_gives_an_infinite_bound(sphere):
     """A sphere identity scaled question: the flat-torus identity violates no
     bound (mu = 0 gives an infinite bound), and the report says so."""
     grid = fh.build_grid(fh.FlatTorus([TWO_PI, TWO_PI]), 16)
@@ -198,3 +231,29 @@ def test_positive_curvature_bound_violation(sphere):
     assert diag.bound_value == np.inf
     assert diag.verdict in (fh.Verdict.totally_geodesic,
                             fh.Verdict.transversally_constant)
+
+
+def _torus_map_diagnostics(family, target):
+    grid = fh.build_grid(fh.FlatTorus([TWO_PI, TWO_PI]), 32)
+    mapf = fh.make_family(family, grid.geometry, target).realize(grid)
+    return fh.rigidity_diagnostics(mapf, None, rank_cap=2,
+                                   tolerances=fh.RigidityTolerances(tension_tol=10.0))
+
+
+def test_positive_target_curvature_gives_bound_violation(sphere):
+    """Flat source (lambda = 0) into the unit sphere (mu = 1): the bound is 0,
+    and a non-constant, non-geodesic map exceeds it."""
+    diag = _torus_map_diagnostics("band_wave", sphere)
+    assert diag.lam == 0.0
+    assert abs(diag.mu - 1.0) <= 1e-12
+    assert diag.bound_value == 0.0
+    assert diag.max_dT_norm_sq > 0.1
+    assert diag.verdict == fh.Verdict.bound_violated
+
+
+def test_negative_target_curvature_is_inconclusive(patch):
+    """mu = -1 gives an infinite bound, which no map can exceed."""
+    diag = _torus_map_diagnostics("sine_into_patch", patch)
+    assert abs(diag.mu + 1.0) <= 1e-12
+    assert diag.bound_value == np.inf
+    assert diag.verdict == fh.Verdict.inconclusive

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import folharm as fh
+from conftest import interior_points
+from folharm.families import FAMILY_NAMES
 from oracles import loop_second_form, loop_tension
 
 TWO_PI = 2 * np.pi
@@ -229,3 +231,36 @@ def test_family_registry_errors(torus2, sphere):
         fh.make_family("linear", torus2, torus2, {"matrix": [[0.5, 0], [0, 1]]})
     with pytest.raises(fh.ConfigurationError):
         fh.make_family("identity", torus2, torus2, {"stray": 1})
+
+
+# family -> (source, target, params); the tori have periods other than 2 pi,
+# so a missing angular frequency shows
+_TORUS, _CIRCLE = fh.FlatTorus([3.0, 5.0]), fh.FlatTorus([4.0])
+_SPHERE = fh.RoundSphere(radius=1.5, cap_angle=0.4)
+_PATCH = fh.HyperbolicPatch(x_bounds=(-2.0, 2.0), y_bounds=(0.5, 3.0))
+_FAMILY_PAIRS = {
+    "identity": (_SPHERE, _SPHERE, None),
+    "linear": (_TORUS, _TORUS, {"matrix": [[2, 1], [0, 1]], "offset": [0.3, -0.2]}),
+    "sine_perturbation": (_TORUS, _TORUS,
+                          {"modes": [[0, [1, 2], 0.1, 0.4], [1, [2, -1], 0.05]]}),
+    "latitude_circle": (_CIRCLE, _SPHERE, {"theta": 1.0}),
+    "band_wave": (_TORUS, _SPHERE, None),
+    "sine_into_patch": (_TORUS, _PATCH, None),
+    "constant": (_SPHERE, _PATCH, None),
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_family_derivatives_match_central_differences(family):
+    """jac is the central difference of func, hess that of jac."""
+    source, target, params = _FAMILY_PAIRS[family]
+    fam = fh.make_family(family, source, target, params)
+    x = interior_points(source, np.random.default_rng(17), 25)
+    h = 1e-5
+    steps = h * np.eye(source.dim)
+    fd_jac = np.stack([(fam.func(x + e) - fam.func(x - e)) / (2 * h)
+                       for e in steps], axis=-1)
+    fd_hess = np.stack([(fam.jac(x + e) - fam.jac(x - e)) / (2 * h)
+                        for e in steps], axis=-1)
+    assert np.max(np.abs(fam.jac(x) - fd_jac)) <= 1e-8
+    assert np.max(np.abs(fam.hess(x) - fd_hess)) <= 1e-8

@@ -4,6 +4,9 @@ set -euo pipefail
 here="$(cd "$(dirname "$0")" && pwd)"
 out="${FOLHARM_OUT:-$here/../folharm_out}"
 
+# run this checkout's package, not an installed one
+folharm() { PYTHONPATH="$here/../src" python3 -m folharm.cli "$@"; }
+
 folharm energy --config "$here/configs/energy_identity_torus.json" --out "$out/energy_identity_torus"
 folharm flow   --config "$here/configs/flow_circle_sine.json" --out "$out/flow_circle_sine"
 folharm verify --config "$here/configs/verify_core_identities.json" --out "$out/verify_core_identities"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -148,9 +149,12 @@ def run_tension(exp: Experiment, out: Path) -> tuple[int, dict]:
 
 def run_energy(exp: Experiment, out: Path) -> tuple[int, dict]:
     from . import serialize, transversal_energy
+    from .errors import InvalidMapError
 
     mapf = exp.initial_map()
     E = transversal_energy(mapf, exp.struct, check_cancellation=exp.struct is not None)
+    if not math.isfinite(E):
+        raise InvalidMapError(f"transversal energy E_B = {E!r} is not finite")
     payload = {
         "subcommand": "energy",
         "resolution": list(exp.grid.shape),
@@ -337,8 +341,6 @@ def _bind_lemma_volume(exp: Experiment):
 
 
 def _bind_divergence(exp: Experiment):
-    import numpy as np
-
     from . import check_divergence_theorem, variation_field
 
     struct = _require_foliation(exp, "divergence")
@@ -346,7 +348,7 @@ def _bind_divergence(exp: Experiment):
 
     def residual(n):
         grid = exp.grid_at(n)
-        X = variation_field(grid, grid.geometry, field_spec, wave=np.cos)
+        X = variation_field(grid, grid.geometry, field_spec, wave="cos")
         return check_divergence_theorem(grid, X, struct)
 
     return residual

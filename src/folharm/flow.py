@@ -121,8 +121,7 @@ def transversal_energy(mapf: FoliatedMapField,
     return value
 
 
-def flow_step(mapf: FoliatedMapField, struct: FoliatedStructure | None,
-              dt: float) -> FoliatedMapField:
+def flow_step(mapf: FoliatedMapField, dt: float) -> FoliatedMapField:
     """One explicit Euler step phi -> exp_phi(dt * tau_b(phi))."""
     v = dt * mapf.tau
     mask = mapf.grid.boundary_mask
@@ -153,7 +152,7 @@ def run_flow(mapf: FoliatedMapField, struct: FoliatedStructure | None,
             trace.termination = "max_steps"
             return mapf, trace
         try:
-            candidate = flow_step(mapf, struct, dt)
+            candidate = flow_step(mapf, dt)
         except StepTooLargeError:       # exp refused a step beyond its cap
             rejected = True
         else:
@@ -197,7 +196,7 @@ class RigidityDiagnostics:
     """Rank/curvature diagnostics of a (near-)harmonic map."""
 
     lam: float            # lower bound on source transverse Ricci eigenvalues
-    mu: float             # upper bound on target sectional curvature (sampled)
+    mu: float             # target sectional curvature (constant; 0 when q' < 2)
     rank_cap: int         # configured cap C
     rank_T: int           # max numerical rank of d_T phi over the grid
     bound_value: float    # lam * C / (mu * (C - 1)), inf when mu <= 0
@@ -231,10 +230,11 @@ def rigidity_diagnostics(mapf: FoliatedMapField, struct: FoliatedStructure | Non
     """Curvature/rank diagnostics behind the rigidity statements.
 
     lam is the grid minimum of the smallest eigenvalue of Ric^Q with respect
-    to g; mu the maximum sectional curvature of the target over coordinate
-    2-planes at the image points (exact for the constant-curvature catalog);
-    rank_T counts singular values of the metrically whitened Jacobian above
-    rank_tol.  Requires a near-harmonic map.
+    to g; mu the target's sectional curvature, which is the constant
+    ``curvature_constant`` for every catalog geometry, or 0 for a
+    one-dimensional target (no 2-planes); rank_T counts singular values of
+    the metrically whitened Jacobian above rank_tol.  Requires a
+    near-harmonic map.
     """
     if rank_cap < 2:
         raise ConfigurationError(f"rank_cap: must be >= 2, got {rank_cap}")
@@ -249,17 +249,8 @@ def rigidity_diagnostics(mapf: FoliatedMapField, struct: FoliatedStructure | Non
     L = np.linalg.cholesky(grid.metric)
     ric = grid.geometry.ricci(grid.points)
     lam = float(np.min(np.linalg.eigvalsh(_whiten(L, ric))))
-    # target sectional upper bound over coordinate 2-planes at image points
-    qp = mapf.target.dim
-    if qp < 2:
-        mu = 0.0
-    else:
-        mu = -np.inf
-        eye = np.eye(qp)
-        for a in range(qp):
-            for b in range(a + 1, qp):
-                K = mapf.target.sectional(mapf.values, eye[a], eye[b])
-                mu = max(mu, float(np.max(K)))
+    # target sectional upper bound: the catalog's curvature is constant
+    mu = float(mapf.target.curvature_constant) if mapf.target.dim >= 2 else 0.0
     # metric singular values of d_T phi
     Lt = np.linalg.cholesky(mapf.target_metric)
     A = Lt.swapaxes(-1, -2) @ mapf.D

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CompositionError, InvalidMapError
+from .errors import CompositionError, ConfigurationError, InvalidMapError
 from .foliation import FoliatedStructure
 from .geometry import TransverseGeometry
 from .grid import GridChart, grad_B, hessian_scalar, kappa_sharp
@@ -27,6 +27,7 @@ from .grid import GridChart, grad_B, hessian_scalar, kappa_sharp
 __all__ = [
     "FoliatedMapField",
     "AnalyticMap",
+    "Mode",
     "d_T",
     "second_fund_form",
     "tension",
@@ -177,9 +178,36 @@ class FoliatedMapField:
         return dT_norm_squared(self)
 
 
-@dataclass(frozen=True)
+# d/ds runs sin -> cos -> -sin -> -cos; a wave's derivatives start at its index
+_WAVE_CYCLE = (np.sin, np.cos, lambda s: -np.sin(s), lambda s: -np.cos(s))
+_WAVE_START = {"sin": 0, "cos": 1}
+
+
+class Mode(NamedTuple):
+    """One sinusoidal term amp * wave(k . x + phase) of component ``comp``.
+
+    ``k`` is the angular wavevector (q,) and ``wave`` is ``"sin"`` or
+    ``"cos"``.
+    """
+
+    comp: int
+    k: np.ndarray
+    amp: float
+    phase: float = 0.0
+    wave: str = "sin"
+
+    def term(self, x: np.ndarray, order: int = 0) -> np.ndarray:
+        """amp * wave^(order)(k . x + phase): the term's ``order``-th
+        derivative along k, without its ``order`` factors of k."""
+        s = np.einsum("a,...a->...", self.k, x) + self.phase
+        return self.amp * _WAVE_CYCLE[_WAVE_START[self.wave] + order](s)
+
+
+@dataclass(frozen=True, eq=False)
 class AnalyticMap:
-    """Closed-form foliated map with exact Jacobian and Hessian.
+    """Closed-form foliated map, affine plus sinusoidal modes:
+
+        x |-> offset + slope x + sum_m amp_m wave_m(k_m . x + phase_m) e_{comp_m}
 
     ``func`` maps points (..., q) to targets (..., q'); ``jac`` returns
     (..., q', q); ``hess`` returns (..., q', q, q).  The map must act on
@@ -188,16 +216,54 @@ class AnalyticMap:
 
     source: TransverseGeometry
     target: TransverseGeometry
-    func: Callable[[np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
-    winding: np.ndarray = None
+    offset: np.ndarray                      # (q',)
+    slope: np.ndarray                       # (q', q)
+    modes: tuple[Mode, ...] = ()
+    winding: np.ndarray | None = None       # (q', q) integers
 
     def __post_init__(self):
-        w = self.winding
-        if w is None:
-            w = np.zeros((self.target.dim, self.source.dim), dtype=int)
-        object.__setattr__(self, "winding", np.asarray(w, dtype=int))
+        q, qp = self.source.dim, self.target.dim
+        offset = np.asarray(self.offset, dtype=float)
+        slope = np.asarray(self.slope, dtype=float)
+        if offset.shape != (qp,) or slope.shape != (qp, q):
+            raise ConfigurationError(
+                f"offset and slope: expected shapes {(qp,)} and {(qp, q)}, "
+                f"got {offset.shape} and {slope.shape}"
+            )
+        for m in self.modes:
+            if not 0 <= m.comp < qp or np.shape(m.k) != (q,) or m.wave not in _WAVE_START:
+                raise ConfigurationError(
+                    f"mode needs a component below {qp}, a wavevector of {q} "
+                    f"entries and a wave in {sorted(_WAVE_START)}, got {m}"
+                )
+        winding = np.zeros((qp, q)) if self.winding is None else self.winding
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "modes", tuple(self.modes))
+        object.__setattr__(self, "winding", np.asarray(winding, dtype=int))
+
+    def func(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        y = np.einsum("ca,...a->...c", self.slope, x)
+        y += self.offset
+        for m in self.modes:
+            y[..., m.comp] += m.term(x)
+        return y
+
+    def jac(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        J = np.broadcast_to(self.slope, x.shape[:-1] + self.slope.shape).copy()
+        for m in self.modes:
+            J[..., m.comp, :] += m.term(x, 1)[..., None] * m.k
+        return J
+
+    def hess(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        q = self.source.dim
+        H = np.zeros(x.shape[:-1] + (self.target.dim, q, q))
+        for m in self.modes:
+            H[..., m.comp, :, :] += m.term(x, 2)[..., None, None] * np.outer(m.k, m.k)
+        return H
 
     def second_form(self, points: np.ndarray) -> np.ndarray:
         """Closed-form second fundamental form at arbitrary source points."""

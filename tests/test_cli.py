@@ -151,6 +151,16 @@ def test_runtime_error_exits_three(tmp_path):
                      "--out", str(tmp_path / "out")]) == 3
 
 
+def test_non_finite_energy_exits_three(tmp_path):
+    cfg = _write_config(tmp_path, _base_config(
+        source={"kind": "flat_torus", "periods": [1e308, 1e308]}))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        code = cli.main(["energy", "--config", cfg, "--out", str(out)])
+    assert code == 3
+    assert not (out / "energy.json").exists()
+
+
 def test_out_dir_resolution_env_var(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, _base_config())
     env_dir = tmp_path / "from_env"

@@ -70,7 +70,7 @@ def test_steps_beyond_the_injectivity_cap_are_halved():
 
     grid, mapf, (_, capped) = flow(0.005)
     with pytest.raises(fh.StepTooLargeError):
-        fh.flow_step(mapf, None, fh.cfl_step(grid, safety=0.9))
+        fh.flow_step(mapf, fh.cfl_step(grid, safety=0.9))
     _, _, (_, free) = flow(None)
     assert capped.termination == free.termination == "tension_tol"
     assert 1.9 * free.steps[-1] <= capped.steps[-1] <= 2.1 * free.steps[-1]
@@ -105,7 +105,7 @@ def test_fixed_boundary_nodes_do_not_move(patch):
         1.5 + 0.2 * rng.standard_normal(grid.shape),
     ], axis=-1)
     mapf = fh.FoliatedMapField(grid, patch, values)
-    stepped = fh.flow_step(mapf, None, 1e-3)
+    stepped = fh.flow_step(mapf, 1e-3)
     for a, end in ((0, 0), (0, -1), (1, 0), (1, -1)):
         idx = [slice(None)] * 2
         idx[a] = end

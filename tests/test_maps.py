@@ -231,6 +231,17 @@ def test_family_registry_errors(torus2, sphere):
         fh.make_family("linear", torus2, torus2, {"matrix": [[0.5, 0], [0, 1]]})
     with pytest.raises(fh.ConfigurationError):
         fh.make_family("identity", torus2, torus2, {"stray": 1})
+    # malformed offsets, wavevectors and mode components
+    with pytest.raises(fh.ConfigurationError):
+        fh.make_family("linear", torus2, torus2, {"offset": [0.1, 0.2, 0.3]})
+    with pytest.raises(fh.ConfigurationError):
+        fh.make_family("band_wave", torus2, sphere, {"kvec": [1, 1, 1]})
+    with pytest.raises(fh.ConfigurationError):
+        fh.make_family("sine_perturbation", torus2, torus2, {"modes": [[2, [1, 0]]]})
+    with pytest.raises(fh.ConfigurationError):
+        fh.variation_field(fh.build_grid(torus2, 8), torus2, {"kvec": [1]})
+    with pytest.raises(fh.ConfigurationError):
+        fh.variation_field(fh.build_grid(torus2, 8), torus2, {"component": 2})
 
 
 # family -> (source, target, params); the tori have periods other than 2 pi,
@@ -264,3 +275,13 @@ def test_family_derivatives_match_central_differences(family):
                         for e in steps], axis=-1)
     assert np.max(np.abs(fam.jac(x) - fd_jac)) <= 1e-8
     assert np.max(np.abs(fam.hess(x) - fd_hess)) <= 1e-8
+
+
+def test_variation_field_is_constant_along_fixed_axes(sphere):
+    """omega is 2 pi / period on periodic axes and 0 on fixed ones."""
+    grid = fh.build_grid(sphere, 16)      # theta fixed, phi periodic
+    V = fh.variation_field(grid, sphere, {"component": 1, "kvec": [3, 2],
+                                          "amplitude": 0.5, "phase": 0.1})
+    phi = grid.points[..., 1]
+    assert np.allclose(V[..., 1], 0.5 * np.sin(2 * phi + 0.1), atol=1e-14)
+    assert not V[..., 0].any()

@@ -186,3 +186,47 @@ def test_small_matrix_contractions_match_einsum_definitions(src, tgt, seed):
     scale = (np.abs(H) + np.einsum("...gc,...cab->...gab", abs(D), abs(grid.gamma))
              + np.einsum("...gst,...sa,...tb->...gab", abs(gam_t), abs(D), abs(D)))
     assert np.max(np.abs(S - want)) <= 1e-13 * np.max(scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=2),
+       st.data())
+def test_analytic_map_derivatives_match_central_differences(q, qp, data):
+    """For any slope, offset and mix of sin and cos modes with phases,
+    func is the closed form, jac the central difference of func and hess
+    that of jac."""
+    from folharm.maps import AnalyticMap, Mode
+
+    coef = st.floats(min_value=-2.0, max_value=2.0)
+    periods = data.draw(st.lists(st.floats(min_value=2.0, max_value=7.0),
+                                 min_size=q, max_size=q))
+    offset = data.draw(st.lists(coef, min_size=qp, max_size=qp))
+    slope = data.draw(st.lists(st.lists(coef, min_size=q, max_size=q),
+                               min_size=qp, max_size=qp))
+    mode = st.tuples(st.integers(min_value=0, max_value=qp - 1),
+                     st.lists(st.integers(min_value=-2, max_value=2),
+                              min_size=q, max_size=q),
+                     st.floats(min_value=-1.0, max_value=1.0),
+                     st.floats(min_value=-np.pi, max_value=np.pi),
+                     st.sampled_from(["sin", "cos"]))
+    drawn = data.draw(st.lists(mode, max_size=3))
+    omega = TWO_PI / np.asarray(periods)
+    modes = [Mode(c, np.asarray(k) * omega, amp, phase, wave)
+             for c, k, amp, phase, wave in drawn]
+    fam = AnalyticMap(fh.FlatTorus(periods), fh.FlatTorus([TWO_PI] * qp),
+                      offset, slope, modes)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(0.0, periods, (7, q))
+
+    want = np.asarray(offset) + x @ np.asarray(slope).T
+    for c, k, amp, phase, wave in modes:
+        want[:, c] += amp * {"sin": np.sin, "cos": np.cos}[wave](x @ k + phase)
+    assert np.max(np.abs(fam.func(x) - want)) <= 1e-12
+    h = 1e-5
+    steps = h * np.eye(q)
+    fd_jac = np.stack([(fam.func(x + e) - fam.func(x - e)) / (2 * h)
+                       for e in steps], axis=-1)
+    fd_hess = np.stack([(fam.jac(x + e) - fam.jac(x - e)) / (2 * h)
+                        for e in steps], axis=-1)
+    assert np.max(np.abs(fam.jac(x) - fd_jac)) <= 1e-6
+    assert np.max(np.abs(fam.hess(x) - fd_hess)) <= 1e-6

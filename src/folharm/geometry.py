@@ -52,6 +52,9 @@ class TransverseGeometry:
     chart_bounds: np.ndarray      # (q, 2)
     periodic: tuple[bool, ...]    # per-axis boundary tag
     injectivity_cap: float
+    # True when the chart's Christoffel symbols vanish identically, so the
+    # connection terms of the map derivatives can be skipped
+    christoffel_vanishes: bool = False
 
     # -- pointwise closed forms -------------------------------------------
 
@@ -122,8 +125,13 @@ class TransverseGeometry:
             raise DomainError(f"point outside {self.kind} chart domain")
 
     def norm(self, points: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """|v|_g at each point: g_ab v^a v^b summed term by term, one ufunc
+        call per (a, b) over all points (q <= 2, so no per-point einsum)."""
         g = self.metric(points)
-        return np.sqrt(np.einsum("...ab,...a,...b->...", g, v, v))
+        v = np.asarray(v, dtype=float)
+        n2 = sum(g[..., a, b] * v[..., a] * v[..., b]
+                 for a in range(self.dim) for b in range(self.dim))
+        return np.sqrt(n2)
 
     # -- exponential map ---------------------------------------------------
 
@@ -149,6 +157,7 @@ class FlatTorus(TransverseGeometry):
     """Flat torus R^q / (P_1 Z x ... x P_q Z) with the Euclidean metric."""
 
     kind = "flat_torus"
+    christoffel_vanishes = True
 
     def __init__(self, periods: Sequence[float], injectivity_cap: float | None = None):
         periods = tuple(float(p) for p in periods)

@@ -1,7 +1,9 @@
 """Discrete transverse calculus on a structured grid over a chart.
 
-Second-order central differences everywhere; fixed (non-periodic) axes use
-one-sided second-order stencils on the two boundary layers.  All operators
+Second-order central differences everywhere; a periodic axis takes them from
+one copy of the field wrapped by a layer on each side, and fixed
+(non-periodic) axes use one-sided second-order stencils on the two boundary
+layers.  All operators
 are exact on fields that are polynomials of degree <= 1 in the chart
 coordinates of a flat chart.
 
@@ -16,7 +18,7 @@ measure).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -130,7 +132,12 @@ def build_grid(geometry: TransverseGeometry, resolution: int | Sequence[int]
         else:
             h = (hi - lo) / (n - 1)
             axes.append(np.linspace(lo, hi, n))
-        spacing.append(float(h))
+        h = float(h)
+        if not 0.0 < h * h < np.inf:      # diff2 divides by h^2, cfl_step scales with it
+            raise ConfigurationError(
+                f"chart axis {a}: grid spacing {h:g} has no finite nonzero square"
+            )
+        spacing.append(h)
     return GridChart(
         geometry=geometry,
         shape=resolution,
@@ -146,19 +153,33 @@ def _sl(ndim: int, axis: int, s) -> tuple:
     return tuple(idx)
 
 
+@lru_cache(maxsize=None)
+def _axis_slices(ndim: int, axis: int) -> tuple:
+    """Index tuples along ``axis``: [-1:], [:1], [2:], [1:-1] and [:-2]."""
+    return tuple(_sl(ndim, axis, slice(lo, hi))
+                 for lo, hi in ((-1, None), (None, 1), (2, None), (1, -1), (None, -2)))
+
+
+def _wrapped(f: np.ndarray, axis: int) -> np.ndarray:
+    """f with one wrapped layer on each side of a periodic axis:
+    fp[i + 1] = f[i mod n] for i = -1 .. n."""
+    last, first = _axis_slices(f.ndim, axis)[:2]
+    return np.concatenate((f[last], f, f[first]), axis=axis, dtype=float)
+
+
 def diff1(grid: GridChart, f: np.ndarray, axis: int) -> np.ndarray:
     """First partial derivative along a grid axis, second order."""
     nd = f.ndim
-
-    def at(i):
-        return f[_sl(nd, axis, i)]
-
-    out = np.empty_like(f, dtype=float)
-    out[_sl(nd, axis, slice(1, -1))] = at(slice(2, None)) - at(slice(None, -2))
-    if grid.periodic[axis]:        # the two seam layers wrap around
-        out[_sl(nd, axis, 0)] = at(1) - at(-1)
-        out[_sl(nd, axis, -1)] = at(0) - at(-2)
+    _, _, hi, mid, lo = _axis_slices(nd, axis)
+    if grid.periodic[axis]:
+        fp = _wrapped(f, axis)
+        out = fp[hi] - fp[lo]
     else:                          # one-sided stencils on the boundary layers
+        def at(i):
+            return f[_sl(nd, axis, i)]
+
+        out = np.empty_like(f, dtype=float)
+        out[mid] = f[hi] - f[lo]
         out[_sl(nd, axis, 0)] = -3 * at(0) + 4 * at(1) - at(2)
         out[_sl(nd, axis, -1)] = 3 * at(-1) - 4 * at(-2) + at(-3)
     out /= 2 * grid.spacing[axis]
@@ -168,18 +189,17 @@ def diff1(grid: GridChart, f: np.ndarray, axis: int) -> np.ndarray:
 def diff2(grid: GridChart, f: np.ndarray, axis: int) -> np.ndarray:
     """Second partial derivative along one axis, second order."""
     nd = f.ndim
-
-    def at(i):
-        return f[_sl(nd, axis, i)]
-
-    out = np.empty_like(f, dtype=float)
-    out[_sl(nd, axis, slice(1, -1))] = (
-        at(slice(2, None)) - 2 * at(slice(1, -1)) + at(slice(None, -2))
-    )
-    if grid.periodic[axis]:        # the two seam layers wrap around
-        out[_sl(nd, axis, 0)] = at(1) - 2 * at(0) + at(-1)
-        out[_sl(nd, axis, -1)] = at(0) - 2 * at(-1) + at(-2)
+    _, _, hi, mid, lo = _axis_slices(nd, axis)
+    if grid.periodic[axis]:
+        fp = _wrapped(f, axis)
+        out = fp[hi] - 2 * fp[mid]
+        out += fp[lo]
     else:                          # one-sided stencils on the boundary layers
+        def at(i):
+            return f[_sl(nd, axis, i)]
+
+        out = np.empty_like(f, dtype=float)
+        out[mid] = f[hi] - 2 * f[mid] + f[lo]
         out[_sl(nd, axis, 0)] = 2 * at(0) - 5 * at(1) + 4 * at(2) - at(3)
         out[_sl(nd, axis, -1)] = 2 * at(-1) - 5 * at(-2) + 4 * at(-3) - at(-4)
     out /= grid.spacing[axis] ** 2
@@ -196,7 +216,10 @@ def mixed_diff(grid: GridChart, f: np.ndarray, a: int, b: int) -> np.ndarray:
 def grad_B(grid: GridChart, f: np.ndarray) -> np.ndarray:
     """First partials d_a f of a scalar or vector field, stacked last:
     f.shape + (q,); for a scalar field this is its basic gradient."""
-    return np.stack([diff1(grid, f, a) for a in range(grid.dim)], axis=-1)
+    out = np.empty(f.shape + (grid.dim,))
+    for a in range(grid.dim):
+        out[..., a] = diff1(grid, f, a)
+    return out
 
 
 def hessian_scalar(grid: GridChart, f: np.ndarray) -> np.ndarray:

@@ -282,37 +282,101 @@ class AnalyticMap:
 
 
 # -- small-matrix contractions ---------------------------------------------
-# Index ranges are at most 2, so the contractions below are stacked products
-# of tiny matrices; ``@`` runs them in one compiled loop, where multi-operand
-# einsum without a contraction plan iterates over every index combination.
+# Index ranges are at most 2.  A stacked ``@`` runs one tiny product per node,
+# so each contraction below is an unrolled sum over component views
+# X[..., s, a] instead: one ufunc call per term, over all nodes at once.
+# Intermediate matrices are nested lists of such component fields.  Symmetric
+# results (pull-backs of g, g^{-1}, Gamma'^g, S^g; Gamma^c lowered) are
+# computed for a <= b and mirrored.
+
+
+def _dot(pairs) -> np.ndarray:
+    """Sum of x * y over the (x, y) pairs."""
+    (x, y), *rest = pairs
+    out = x * y
+    for x, y in rest:
+        out += x * y
+    return out
+
+
+def _comps(X: np.ndarray) -> list:
+    """Component views X[..., i, j] of a (..., m, n) field, as nested lists."""
+    return [[X[..., i, j] for j in range(X.shape[-1])] for i in range(X.shape[-2])]
+
+
+def _mm(A: list, B: list) -> list:
+    """Matrix product of two nested lists of component fields."""
+    return [[_dot([(A[i][k], B[k][j]) for k in range(len(B))])
+             for j in range(len(B[0]))] for i in range(len(A))]
+
+
+def _trace(A: list, B: list) -> np.ndarray:
+    """tr(A B) = A_{ab} B_{ba} of two nested lists of component fields."""
+    return _dot([(A[a][b], B[b][a]) for a in range(len(A)) for b in range(len(B))])
+
+
+def _symmetric(entry, q: int) -> list:
+    """q x q nested list of entry(a, b), evaluated for a <= b and mirrored."""
+    C = [[None] * q for _ in range(q)]
+    for a in range(q):
+        for b in range(a, q):
+            C[a][b] = C[b][a] = entry(a, b)
+    return C
+
+
+def _array(blocks: list) -> np.ndarray:
+    """Nested lists [k][i][j] of component fields as one (..., k, i, j) array."""
+    first = blocks[0][0][0]
+    out = np.empty(first.shape + (len(blocks), len(blocks[0]), len(blocks[0][0])))
+    for g, block in enumerate(blocks):
+        for i, row in enumerate(block):
+            for j, x in enumerate(row):
+                out[..., g, i, j] = x
+    return out
 
 
 def pull_back(T: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """D^T T D: T_{st} D^s_a D^t_b, for T (..., q', q') or a stack
+    """D^T T D: T_{st} D^s_a D^t_b, for symmetric T (..., q', q') or a stack
     (..., k, q', q') of such forms (e.g. Gamma'^g_{st})."""
-    if T.ndim > D.ndim:
-        D = D[..., None, :, :]
-    return np.swapaxes(D, -1, -2) @ T @ D
+    if T.ndim == D.ndim:
+        return pull_back(T[..., None, :, :], D)[..., 0, :, :]
+    qp, q = D.shape[-2:]
+    Dc = _comps(D)
+    blocks = []
+    for g in range(T.shape[-3]):
+        TD = _mm(_comps(T[..., g, :, :]), Dc)                # (T D)_{sb}
+        blocks.append(_symmetric(
+            lambda a, b: _dot([(Dc[s][a], TD[s][b]) for s in range(qp)]), q))
+    return _array(blocks)
 
 
 def metric_trace(gi: np.ndarray, S: np.ndarray) -> np.ndarray:
     """g^{ab} S^g_{ab} of a stack (..., k, q, q) of forms, shape (..., k)."""
-    q = gi.shape[-1]
-    flat = S.reshape(S.shape[:-2] + (q * q,))
-    return (flat @ gi.reshape(gi.shape[:-2] + (q * q, 1)))[..., 0]
+    gic = _comps(gi)
+    out = np.empty(S.shape[:-2])
+    for g in range(S.shape[-3]):
+        out[..., g] = _trace(gic, _comps(S[..., g, :, :]))
+    return out
 
 
 def pairing(gt: np.ndarray, gi: np.ndarray, X: np.ndarray,
             Y: np.ndarray) -> np.ndarray:
     """<X, Y> = g^{ab} g'_{st} X^s_a Y^t_b of two (..., q', q) fields."""
-    return np.sum((gt @ X) * (Y @ gi), axis=(-2, -1))
+    gX = _mm(_comps(gt), _comps(X))                         # g'_{ts} X^s_a
+    Yg = _mm(_comps(Y), _comps(gi))                         # Y^t_b g^{ba}
+    return _dot([(x, y) for gx, yg in zip(gX, Yg) for x, y in zip(gx, yg)])
 
 
 def lower_first(J: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """J^g_c S^c_{ab} for J (..., k, m) and a stack S (..., m, q, q)."""
-    shape = S.shape
-    flat = S.reshape(shape[:-3] + (shape[-3], shape[-2] * shape[-1]))
-    return (J @ flat).reshape(J.shape[:-1] + shape[-2:])
+    """J^g_c S^c_{ab} for J (..., k, m) and a stack S (..., m, q, q) of
+    symmetric forms."""
+    k, m = J.shape[-2:]
+    Jc = _comps(J)
+    Sc = [_comps(S[..., c, :, :]) for c in range(m)]
+    return _array([
+        _symmetric(lambda a, b: _dot([(Jc[g][c], Sc[c][a][b]) for c in range(m)]),
+                   S.shape[-1])
+        for g in range(k)])
 
 
 # -- differential operators on map fields ---------------------------------
@@ -320,7 +384,9 @@ def lower_first(J: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 def d_T(mapf: FoliatedMapField) -> np.ndarray:
     """Transversal differential, components D[..., alpha, a] = d_a phi^alpha."""
-    return grad_B(mapf.grid, mapf.periodic_part) + mapf.linear_slope
+    D = grad_B(mapf.grid, mapf.periodic_part)
+    D += mapf.linear_slope
+    return D
 
 
 def second_fund_form(mapf: FoliatedMapField) -> np.ndarray:
@@ -328,11 +394,15 @@ def second_fund_form(mapf: FoliatedMapField) -> np.ndarray:
 
     S^g_{ab} = d_a d_b phi^g - Gamma^c_{ab} d_c phi^g
              + Gamma'^g_{st}(phi) d_a phi^s d_b phi^t.
+
+    A Christoffel term is skipped where its geometry says the symbols vanish.
     """
     D = mapf.D
     S = hessian_scalar(mapf.grid, mapf.periodic_part)
-    S -= lower_first(D, mapf.grid.gamma)
-    S += pull_back(mapf.target_gamma, D)
+    if not mapf.grid.geometry.christoffel_vanishes:
+        S -= lower_first(D, mapf.grid.gamma)
+    if not mapf.target.christoffel_vanishes:
+        S += pull_back(mapf.target_gamma, D)
     return S
 
 
@@ -343,8 +413,10 @@ def tension(mapf: FoliatedMapField) -> np.ndarray:
 
 def tension_sup_norm(mapf: FoliatedMapField) -> float:
     """Max over nodes of |tau|_{g'} (the transversal-harmonicity defect)."""
-    tau = mapf.tau
-    n2 = np.sum((mapf.target_metric @ tau[..., None])[..., 0] * tau, axis=-1)
+    gt, tau = mapf.target_metric, mapf.tau
+    qp = tau.shape[-1]
+    n2 = _dot([(gt[..., s, t] * tau[..., s], tau[..., t])
+               for s in range(qp) for t in range(qp)])
     return float(np.sqrt(np.max(n2)))
 
 
@@ -359,12 +431,17 @@ def dT_norm_squared(mapf: FoliatedMapField) -> np.ndarray:
 
 
 def second_form_norm_squared(mapf: FoliatedMapField) -> np.ndarray:
-    """|nabla_tr d_T phi|^2 = g^{aa'} g^{bb'} g'_{gd} S^g_{ab} S^d_{a'b'}."""
-    S = mapf.S
-    gi = mapf.grid.metric_inv[..., None, :, :]
-    raised = gi @ S @ gi                                 # g^{xa} S^d_{ab} g^{by}
-    lowered = lower_first(mapf.target_metric, S)         # g'_{dg} S^g_{ab}
-    return np.einsum("...gab,...gab->...", lowered, raised)
+    """|nabla_tr d_T phi|^2 = g^{aa'} g^{bb'} g'_{gd} S^g_{ab} S^d_{a'b'}
+    = g'_{gd} tr(S^g g^{-1} S^d g^{-1})."""
+    S, gt = mapf.S, mapf.target_metric
+    gi = _comps(mapf.grid.metric_inv)
+    qp = S.shape[-3]
+    Sg = [_mm(_comps(S[..., g, :, :]), gi) for g in range(qp)]      # S^g g^{-1}
+    out = _dot([(gt[..., g, g], _trace(Sg[g], Sg[g])) for g in range(qp)])
+    for g in range(qp):
+        for d in range(g + 1, qp):
+            out += 2 * (gt[..., g, d] * _trace(Sg[g], Sg[d]))
+    return out
 
 
 def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray) -> np.ndarray:
@@ -372,11 +449,18 @@ def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray) -> np.ndarray:
 
     For s with components s^g on the grid, returns
     (nabla^phi_a s)^g = d_a s^g + Gamma'^g_{st}(phi) d_a phi^s s^t,
-    indexed (..., g, a).
+    indexed (..., g, a).  The Gamma' term is skipped where the target's
+    Christoffel symbols vanish.
     """
     ds = grad_B(mapf.grid, s)
-    gamma_s = (mapf.target_gamma @ s[..., None, :, None])[..., 0]   # (..., g, s)
-    return ds + gamma_s @ mapf.D
+    if mapf.target.christoffel_vanishes:
+        return ds
+    D = _comps(mapf.D)
+    for g in range(s.shape[-1]):
+        GD = _mm(_comps(mapf.target_gamma[..., g, :, :]), D)    # Gamma'^g_{ts} D^s_a
+        for a in range(len(D[0])):
+            ds[..., g, a] += _dot([(s[..., t], GD[t][a]) for t in range(len(GD))])
+    return ds
 
 
 def delta_nabla_dT(mapf: FoliatedMapField,

@@ -142,6 +142,11 @@ def check_first_variation(mapf: FoliatedMapField,
     )
 
 
+def _trace_of_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """tr(X Y) of two symmetric (..., q, q) fields."""
+    return metric_trace(X, Y[..., None, :, :])[..., 0]
+
+
 def bochner_parts(mapf: FoliatedMapField) -> tuple[np.ndarray, np.ndarray]:
     """Source-Ricci and target-curvature contractions, separately.
 
@@ -150,17 +155,21 @@ def bochner_parts(mapf: FoliatedMapField) -> tuple[np.ndarray, np.ndarray]:
     pull-back metric A = D^T g' D and M = D g^{-1} D^T,
 
         ric_term  = (g^{-1} Ric g^{-1})^{ab} A_{ab},
-        curv_term = R'_{stuv} M^{sv} M^{tu}.
+        curv_term = R'_{stuv} M^{sv} M^{tu} = K' [(tr g'M)^2 - tr(g'M g'M)],
+
+    the last form because the target has constant curvature K'.
     """
     grid = mapf.grid
     D = mapf.D
     gi = grid.metric_inv
-    A = pull_back(mapf.target_metric, D)
-    M = D @ gi @ np.swapaxes(D, -1, -2)
+    gt = mapf.target_metric
+    A = pull_back(gt, D)
+    M = pull_back(gi, np.swapaxes(D, -1, -2))
     ric = grid.geometry.ricci(grid.points)
-    ric_term = np.sum((gi @ ric @ gi) * A, axis=(-2, -1))
-    riem_t = mapf.target.riemann(mapf.values)       # covariant R'_{abcd}
-    curv_term = np.einsum("...stuv,...sv,...tu->...", riem_t, M, M)
+    ric_term = _trace_of_product(pull_back(ric, gi), A)
+    tr_gM = _trace_of_product(gt, M)
+    curv_term = mapf.target.curvature_constant * (
+        tr_gM * tr_gM - _trace_of_product(pull_back(M, gt), M))
     return ric_term, curv_term
 
 

@@ -107,6 +107,50 @@ def loop_bochner(source, target, point, jac, value):
     return ric_part - curv_part
 
 
+def _layer(f, axis, i):
+    idx = [slice(None)] * f.ndim
+    idx[axis] = i
+    return tuple(idx)
+
+
+def seam_diff1(grid, f, axis):
+    """First partial along one axis: interior central differences, then the
+    two seam layers of a periodic axis (or the one-sided boundary stencils of
+    a fixed axis) assigned one at a time."""
+    def at(i):
+        return f[_layer(f, axis, i)]
+
+    out = np.empty_like(f, dtype=float)
+    out[_layer(f, axis, slice(1, -1))] = at(slice(2, None)) - at(slice(None, -2))
+    if grid.periodic[axis]:
+        out[_layer(f, axis, 0)] = at(1) - at(-1)
+        out[_layer(f, axis, -1)] = at(0) - at(-2)
+    else:
+        out[_layer(f, axis, 0)] = -3 * at(0) + 4 * at(1) - at(2)
+        out[_layer(f, axis, -1)] = 3 * at(-1) - 4 * at(-2) + at(-3)
+    out /= 2 * grid.spacing[axis]
+    return out
+
+
+def seam_diff2(grid, f, axis):
+    """Second partial along one axis, seam layers assigned as in seam_diff1."""
+    def at(i):
+        return f[_layer(f, axis, i)]
+
+    out = np.empty_like(f, dtype=float)
+    out[_layer(f, axis, slice(1, -1))] = (
+        at(slice(2, None)) - 2 * at(slice(1, -1)) + at(slice(None, -2))
+    )
+    if grid.periodic[axis]:
+        out[_layer(f, axis, 0)] = at(1) - 2 * at(0) + at(-1)
+        out[_layer(f, axis, -1)] = at(0) - 2 * at(-1) + at(-2)
+    else:
+        out[_layer(f, axis, 0)] = 2 * at(0) - 5 * at(1) + 4 * at(2) - at(3)
+        out[_layer(f, axis, -1)] = 2 * at(-1) - 5 * at(-2) + 4 * at(-3) - at(-4)
+    out /= grid.spacing[axis] ** 2
+    return out
+
+
 def trapezoid_integral_1d(f, lo, hi, n=4096):
     """Plain trapezoid quadrature of a callable on [lo, hi]."""
     x = np.linspace(lo, hi, n + 1)

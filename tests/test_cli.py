@@ -152,13 +152,27 @@ def test_runtime_error_exits_three(tmp_path):
 
 
 def test_non_finite_energy_exits_three(tmp_path):
+    # h^2 = (1e155 / 16)^2 is finite, E_B = 1e310 is not
     cfg = _write_config(tmp_path, _base_config(
-        source={"kind": "flat_torus", "periods": [1e308, 1e308]}))
+        source={"kind": "flat_torus", "periods": [1e155, 1e155]}))
     out = tmp_path / "out"
     with np.errstate(over="ignore"):
         code = cli.main(["energy", "--config", cfg, "--out", str(out)])
     assert code == 3
     assert not (out / "energy.json").exists()
+
+
+@pytest.mark.parametrize("subcommand, extra", [
+    ("flow", {"flow": {}}),              # the CFL step squares h
+    ("flow", {"flow": {"dt": 0.1}}),     # diff2 divides by h^2
+    ("tension", {}),
+])
+def test_grid_spacing_whose_square_overflows_exits_two(tmp_path, subcommand, extra):
+    cfg = _write_config(tmp_path, _base_config(
+        source={"kind": "flat_torus", "periods": [1e308, 1e308]}, **extra))
+    out = tmp_path / "out"
+    assert cli.main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / f"{subcommand}.json").exists()
 
 
 def test_out_dir_resolution_env_var(tmp_path, monkeypatch):

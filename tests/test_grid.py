@@ -5,6 +5,7 @@ import pytest
 
 import folharm as fh
 from folharm.grid import diff1, diff2, hessian_scalar, mixed_diff
+from oracles import seam_diff1, seam_diff2
 
 TWO_PI = 2 * np.pi
 
@@ -139,6 +140,22 @@ def test_trapezoid_quadrature_on_fixed_axes(patch):
     assert abs(got - want) <= 1e-2
 
 
+@pytest.mark.parametrize("label, shape", [
+    ("torus1", (8,)), ("torus1", (33,)), ("torus2", (8, 12)), ("torus2", (17, 16)),
+    ("sphere", (9, 16)), ("sphere", (16, 11)),
+])
+def test_stencils_equal_the_seam_assignments_bit_for_bit(label, shape, request):
+    """The wrapped-copy stencils give the same bits as assigning the two seam
+    layers one at a time; fixed axes (the sphere's theta) are unchanged."""
+    geom = request.getfixturevalue(label)
+    grid = fh.build_grid(geom, shape)
+    rng = np.random.default_rng(sum(shape))
+    for f in (rng.standard_normal(shape), 1e3 * rng.standard_normal(shape + (2,))):
+        for axis in range(grid.dim):
+            assert np.array_equal(diff1(grid, f, axis), seam_diff1(grid, f, axis))
+            assert np.array_equal(diff2(grid, f, axis), seam_diff2(grid, f, axis))
+
+
 # -- construction ----------------------------------------------------------
 
 
@@ -155,3 +172,9 @@ def test_build_grid_shapes_and_spacing(torus2, patch):
 def test_build_grid_rejects_tiny_resolutions(torus1):
     with pytest.raises(fh.ConfigurationError):
         fh.build_grid(torus1, 4)
+
+
+@pytest.mark.parametrize("period", [1e308, 1e-170])
+def test_build_grid_rejects_spacings_without_a_finite_nonzero_square(period):
+    with pytest.raises(fh.ConfigurationError, match="square"):
+        fh.build_grid(fh.FlatTorus([period]), 16)

@@ -138,6 +138,20 @@ def _matches(got, spec, *operands):
     return float(np.max(np.abs(got - want))) <= 1e-13 * max(float(np.max(scale)), 1e-300)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_CATALOG)),
+       st.lists(st.lists(st.floats(min_value=0.05, max_value=0.95),
+                         min_size=2, max_size=2), min_size=1, max_size=5))
+def test_christoffel_vanishes_exactly_where_the_symbols_are_zero(label, fractions):
+    """The geometry flag that lets the map derivatives skip Christoffel terms
+    is set exactly when Gamma^c_{ab} is zero at points across the chart."""
+    geom = _CATALOG[label]
+    bounds = np.asarray(geom.chart_bounds, dtype=float)
+    frac = np.asarray(fractions)[:, :geom.dim]
+    points = bounds[:, 0] + frac * (bounds[:, 1] - bounds[:, 0])
+    assert geom.christoffel_vanishes == (not geom.christoffel(points).any())
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(_CATALOG)), st.sampled_from(sorted(_CATALOG)),
        st.integers(min_value=0, max_value=2**32 - 1))
@@ -186,6 +200,47 @@ def test_small_matrix_contractions_match_einsum_definitions(src, tgt, seed):
     scale = (np.abs(H) + np.einsum("...gc,...cab->...gab", abs(D), abs(grid.gamma))
              + np.einsum("...gst,...sa,...tb->...gab", abs(gam_t), abs(D), abs(D)))
     assert np.max(np.abs(S - want)) <= 1e-13 * np.max(scale)
+
+
+class _SkewTorus(fh.FlatTorus):
+    """Flat 2-torus with a constant metric that is not diagonal."""
+
+    def __init__(self, periods, g):
+        super().__init__(periods)
+        self.g = np.asarray(g, dtype=float)
+
+    def metric(self, points):
+        shape = np.shape(points)[:-1] + self.g.shape
+        return np.broadcast_to(self.g, shape).copy()
+
+    def metric_inv(self, points):
+        return np.linalg.inv(self.metric(points))
+
+    def sqrt_det(self, points):
+        return np.sqrt(np.linalg.det(self.metric(points)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(min_value=0.5, max_value=2.0), st.floats(min_value=0.5, max_value=2.0),
+       st.floats(min_value=-0.45, max_value=0.45),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_contractions_keep_off_diagonal_metric_terms(g00, g11, g01, seed):
+    """Every catalog metric is diagonal, so its off-diagonal terms vanish.
+    On a torus with a constant skew metric the unrolled contractions and
+    the exp step's norm still equal their einsum definitions."""
+    torus = _SkewTorus([TWO_PI, 3.0], [[g00, g01], [g01, g11]])
+    grid = fh.build_grid(torus, 8)
+    rng = np.random.default_rng(seed)
+    mapf = fh.FoliatedMapField(grid, torus, rng.uniform(0.0, 3.0, grid.shape + (2,)))
+    gi, gt, D, S, tau = grid.metric_inv, mapf.target_metric, mapf.D, mapf.S, mapf.tau
+    assert _matches(tau, "...ab,...gab->...g", gi, S)
+    assert _matches(mapf.dT_norm_sq, "...ab,...st,...sa,...tb->...", gi, gt, D, D)
+    assert _matches(fh.second_form_norm_squared(mapf),
+                    "...ax,...by,...gd,...gab,...dxy->...", gi, gi, gt, S, S)
+    n2 = np.einsum("...st,...s,...t->...", gt, tau, tau)
+    assert np.isclose(fh.tension_sup_norm(mapf) ** 2, np.max(n2), rtol=1e-12, atol=0)
+    v = rng.standard_normal(mapf.values.shape)
+    assert _matches(torus.norm(mapf.values, v) ** 2, "...ab,...a,...b->...", gt, v, v)
 
 
 @settings(max_examples=60, deadline=None)

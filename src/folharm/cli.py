@@ -12,7 +12,9 @@ rejected.  The output directory resolves as ``--out`` flag, then the
 ``./folharm_out``.
 
 Exit codes: 0 all selected checks pass, 1 a numerical check failed,
-2 configuration/schema error, 3 runtime failure.
+2 configuration/schema error, 3 runtime failure, including an energy,
+tension field or identity residual that is not finite (raised before that
+result is written).
 """
 
 from __future__ import annotations
@@ -131,15 +133,19 @@ def run_tension(exp: Experiment, out: Path) -> tuple[int, dict]:
     import numpy as np
 
     from . import serialize, tension_sup_norm
+    from .errors import InvalidMapError
 
     mapf = exp.initial_map()
     tau = mapf.tau
+    max_tension, mean_abs = tension_sup_norm(mapf), float(np.mean(np.abs(tau)))
+    if not np.isfinite([max_tension, mean_abs]).all():
+        raise InvalidMapError(f"tension field is not finite: max |tau| = {max_tension!r}")
     serialize.scalar_field_to_csv(out / "tension.csv", exp.grid, {"tau": tau})
     payload = {
         "subcommand": "tension",
         "resolution": list(exp.grid.shape),
-        "max_tension": tension_sup_norm(mapf),
-        "mean_abs_tension": float(np.mean(np.abs(tau))),
+        "max_tension": max_tension,
+        "mean_abs_tension": mean_abs,
         "seed": exp.seed,
         "pass": True,
     }
@@ -216,6 +222,7 @@ def _verify_reports(exp: Experiment) -> list[dict]:
     differences are in the variation parameter, not in the grid spacing.
     """
     from . import refinement_report
+    from .errors import InvalidMapError
     from .verify import IdentityResidualReport
 
     vcfg = exp.config["verify"]
@@ -237,6 +244,8 @@ def _verify_reports(exp: Experiment) -> list[dict]:
                 check, [list(exp.grid.shape)], [r],
                 tolerance=tol, passed=(tol is None or r <= tol),
             )
+        if not all(map(math.isfinite, rep.residuals)):
+            raise InvalidMapError(f"{check} residuals {rep.residuals} are not all finite")
         reports.append(rep.to_dict())
     return reports
 

@@ -25,16 +25,6 @@ from .maps import AnalyticMap, Mode, same_chart
 
 __all__ = ["make_family", "variation_field", "FAMILY_NAMES"]
 
-FAMILY_NAMES = (
-    "identity",
-    "linear",
-    "sine_perturbation",
-    "latitude_circle",
-    "band_wave",
-    "sine_into_patch",
-    "constant",
-)
-
 
 def _identity(source, target, params):
     if params:
@@ -170,6 +160,7 @@ _FAMILIES = {
     "sine_into_patch": _sine_into_patch,
     "constant": _constant,
 }
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def make_family(name: str, source: TransverseGeometry,

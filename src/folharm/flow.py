@@ -23,6 +23,7 @@ from .maps import (
     second_form_norm_squared,
     tension_sup_norm,
 )
+from .tensor import contract
 
 __all__ = [
     "FlowConfig",
@@ -110,7 +111,7 @@ def transversal_energy(mapf: FoliatedMapField,
     to 1e-12 relative.
     """
     e = energy_density(mapf)
-    value = integrate(mapf.grid, e, "inverse_leaf_volume")
+    value = integrate(mapf.grid, e, "base_volume")
     if check_cancellation and struct is not None:
         vol = struct.vol_at(mapf.grid.points)
         explicit = integrate(mapf.grid, e / vol, "manifold_volume", struct)
@@ -253,8 +254,7 @@ def rigidity_diagnostics(mapf: FoliatedMapField, struct: FoliatedStructure | Non
     mu = float(mapf.target.curvature_constant) if mapf.target.dim >= 2 else 0.0
     # metric singular values of d_T phi
     Lt = np.linalg.cholesky(mapf.target_metric)
-    A = Lt.swapaxes(-1, -2) @ mapf.D
-    A = np.linalg.solve(L, A.swapaxes(-1, -2)).swapaxes(-1, -2)
+    A = np.linalg.solve(L, contract("...ts,...ta->...as", Lt, mapf.D)).swapaxes(-1, -2)
     sv = np.linalg.svd(A, compute_uv=False)
     rank_tol = tolerances.rank_tol_rel * max(float(np.max(sv)), 1e-300)
     rank_T = int(np.max(np.sum(sv > rank_tol, axis=-1)))

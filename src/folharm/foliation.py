@@ -19,6 +19,8 @@ from .geometry import TransverseGeometry
 
 __all__ = ["FoliatedStructure", "build_foliated_structure", "named_profile"]
 
+_CHECK_RESOLUTION = 16     # lattice nodes per axis of the positivity check
+
 
 @dataclass(frozen=True)
 class FoliatedStructure:
@@ -70,7 +72,6 @@ def build_foliated_structure(
     leaf_dimension: int,
     vol: Callable[[np.ndarray], np.ndarray],
     dlog_vol: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    check_resolution: int = 16,
 ) -> FoliatedStructure:
     """Validate a profile against the chart and wrap it in a structure.
 
@@ -80,7 +81,7 @@ def build_foliated_structure(
     """
     struct = FoliatedStructure(leaf_dimension, vol, dlog_vol)
     axes = [
-        np.linspace(lo, hi, check_resolution) for lo, hi in geom.chart_bounds
+        np.linspace(lo, hi, _CHECK_RESOLUTION) for lo, hi in geom.chart_bounds
     ]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     struct.vol_at(mesh)   # raises ConfigurationError on a nonpositive sample

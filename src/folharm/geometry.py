@@ -23,11 +23,13 @@ evaluate concurrently; geometry objects are immutable after construction.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, StepTooLargeError
+from .tensor import contract
 
 __all__ = [
     "TransverseGeometry",
@@ -74,11 +76,8 @@ class TransverseGeometry:
     def riemann(self, points: np.ndarray) -> np.ndarray:
         """Fully covariant R_{abcd}, indexed [..., a, b, c, d]."""
         g = self.metric(points)
-        K = self.curvature_constant
-        return K * (
-            np.einsum("...bc,...ad->...abcd", g, g)
-            - np.einsum("...ac,...bd->...abcd", g, g)
-        )
+        return self.curvature_constant * (contract("...bc,...ad->...abcd", g, g)
+                                          - contract("...ac,...bd->...abcd", g, g))
 
     def ricci(self, points: np.ndarray) -> np.ndarray:
         """Ricci as a bilinear form, Ric_{bc} = g^{ad} R_{abcd}; for constant
@@ -88,12 +87,11 @@ class TransverseGeometry:
     def sectional(self, point: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
         g = self.metric(point)
         R = self.riemann(point)
-        num = np.einsum("...abcd,...a,...b,...c,...d->...", R, X, Y, Y, X)
-        gXX = np.einsum("...ab,...a,...b->...", g, X, X)
-        gYY = np.einsum("...ab,...a,...b->...", g, Y, Y)
-        gXY = np.einsum("...ab,...a,...b->...", g, X, Y)
-        den = gXX * gYY - gXY**2
-        return num / den
+        num = contract("...abcd,...a,...b,...c,...d->...", R, X, Y, Y, X)
+        gXX = contract("...a,...ab,...b->...", X, g, X)
+        gYY = contract("...a,...ab,...b->...", Y, g, Y)
+        gXY = contract("...a,...ab,...b->...", X, g, Y)
+        return num / (gXX * gYY - gXY**2)
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -125,13 +123,8 @@ class TransverseGeometry:
             raise DomainError(f"point outside {self.kind} chart domain")
 
     def norm(self, points: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """|v|_g at each point: g_ab v^a v^b summed term by term, one ufunc
-        call per (a, b) over all points (q <= 2, so no per-point einsum)."""
-        g = self.metric(points)
-        v = np.asarray(v, dtype=float)
-        n2 = sum(g[..., a, b] * v[..., a] * v[..., b]
-                 for a in range(self.dim) for b in range(self.dim))
-        return np.sqrt(n2)
+        """|v|_g = sqrt(g_ab v^a v^b) at each point."""
+        return np.sqrt(contract("...a,...ab,...b->...", v, self.metric(points), v))
 
     # -- exponential map ---------------------------------------------------
 
@@ -174,29 +167,21 @@ class FlatTorus(TransverseGeometry):
             min(periods) / 4.0 if injectivity_cap is None else float(injectivity_cap)
         )
 
+    # constant fields are read-only broadcast views, nothing grid-sized is allocated
     def metric(self, points):
-        points = np.asarray(points, dtype=float)
-        q = self.dim
-        out = np.zeros(points.shape[:-1] + (q, q))
-        out[...] = np.eye(q)
-        return out
+        return _identity_field(self.dim, np.shape(points)[:-1])
 
     def metric_inv(self, points):
         return self.metric(points)
 
     def christoffel(self, points):
-        points = np.asarray(points, dtype=float)
-        q = self.dim
-        return np.zeros(points.shape[:-1] + (q, q, q))
+        return np.broadcast_to(0.0, np.shape(points)[:-1] + (self.dim,) * 3)
 
     def sqrt_det(self, points):
-        points = np.asarray(points, dtype=float)
-        return np.ones(points.shape[:-1])
+        return np.broadcast_to(1.0, np.shape(points)[:-1])
 
     def riemann(self, points):
-        points = np.asarray(points, dtype=float)
-        q = self.dim
-        return np.zeros(points.shape[:-1] + (q,) * 4)
+        return np.broadcast_to(0.0, np.shape(points)[:-1] + (self.dim,) * 4)
 
     def exp(self, points, v, reduce=True):
         points = np.asarray(points, dtype=float)
@@ -206,6 +191,12 @@ class FlatTorus(TransverseGeometry):
         if reduce:
             out = out % np.array(self.periods)
         return out
+
+
+@lru_cache(maxsize=64)
+def _identity_field(q: int, shape: tuple) -> np.ndarray:
+    """The (q, q) identity at nodes of ``shape``: one read-only view per shape."""
+    return np.broadcast_to(np.eye(q), shape + (q, q))
 
 
 class RoundSphere(TransverseGeometry):

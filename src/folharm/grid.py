@@ -11,8 +11,7 @@ Integration is a weighted Riemann sum against the base volume element
 w(i) = sqrt(det g(b_i)) * prod_a h_a, with composite-trapezoid end weights on
 fixed axes.  The measure factorization mu_M = vol_L * mu_B is the concrete
 meaning of integrals over the foliated manifold: ``manifold_volume`` weights
-by vol_L * w and ``inverse_leaf_volume`` by w alone (the mu_M / vol_L
-measure).
+by vol_L * w, and ``base_volume`` by w alone is the mu_M / vol_L measure.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import numpy as np
 from .errors import ConfigurationError, UnsupportedDomainError
 from .foliation import FoliatedStructure
 from .geometry import TransverseGeometry
+from .tensor import contract
 
 __all__ = [
     "GridChart",
@@ -42,7 +42,7 @@ __all__ = [
     "check_divergence_theorem",
 ]
 
-WEIGHT_MODES = ("base_volume", "manifold_volume", "inverse_leaf_volume")
+WEIGHT_MODES = ("base_volume", "manifold_volume")
 
 
 @dataclass(frozen=True)
@@ -244,8 +244,7 @@ def div_nabla(grid: GridChart, X: np.ndarray) -> np.ndarray:
     out = np.zeros(X.shape[:-1])
     for a in range(grid.dim):
         out += diff1(grid, X[..., a], a)
-    tr_gamma = np.einsum("...aab->...b", grid.gamma)
-    out += np.einsum("...b,...b->...", tr_gamma, X)
+    out += contract("...b,...b->...", contract("...aab->...b", grid.gamma), X)
     return out
 
 
@@ -264,7 +263,7 @@ def kappa_on_grid(grid: GridChart, struct: FoliatedStructure | None) -> np.ndarr
 
 def kappa_sharp(grid: GridChart, struct: FoliatedStructure | None) -> np.ndarray:
     """Mean-curvature vector kappa^a = g^{ab} kappa_b at the grid nodes."""
-    return np.einsum("...ab,...b->...a", grid.metric_inv, kappa_on_grid(grid, struct))
+    return contract("...ab,...b->...a", grid.metric_inv, kappa_on_grid(grid, struct))
 
 
 def delta_B_scalar(grid: GridChart, f: np.ndarray,
@@ -277,9 +276,9 @@ def delta_B_scalar(grid: GridChart, f: np.ndarray,
     """
     grad = grad_B(grid, f)
     hess = hessian_scalar(grid, f)
-    cov_hess = hess - np.einsum("...cab,...c->...ab", grid.gamma, grad)
-    out = -np.einsum("...ab,...ab->...", grid.metric_inv, cov_hess)
-    out += np.einsum("...a,...a->...", kappa_sharp(grid, struct), grad)
+    cov_hess = hess - contract("...c,...cab->...ab", grad, grid.gamma)
+    out = -contract("...ab,...ab->...", grid.metric_inv, cov_hess)
+    out += contract("...a,...a->...", kappa_sharp(grid, struct), grad)
     return out
 
 
@@ -308,6 +307,6 @@ def check_divergence_theorem(grid: GridChart, X: np.ndarray,
         )
     lhs = integrate(grid, div_nabla(grid, X), "manifold_volume", struct)
     kappa = kappa_on_grid(grid, struct)
-    pairing = np.einsum("...a,...a->...", X, kappa)   # g(X, kappa#) = X^a kappa_a
-    rhs = integrate(grid, pairing, "manifold_volume", struct)
+    g_X_kappa = contract("...a,...a->...", X, kappa)   # g(X, kappa#) = X^a kappa_a
+    rhs = integrate(grid, g_X_kappa, "manifold_volume", struct)
     return abs(lhs - rhs)

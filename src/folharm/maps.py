@@ -23,6 +23,7 @@ from .errors import CompositionError, ConfigurationError, InvalidMapError
 from .foliation import FoliatedStructure
 from .geometry import TransverseGeometry
 from .grid import GridChart, grad_B, hessian_scalar, kappa_sharp
+from .tensor import contract
 
 __all__ = [
     "FoliatedMapField",
@@ -69,7 +70,8 @@ class _Lift:
 
     @cached_property
     def values(self) -> np.ndarray:
-        return np.einsum("ca,...a->...c", self.slope, self.grid.points)
+        # node-major, like the map values it is subtracted from
+        return np.ascontiguousarray(contract("ca,...a->...c", self.slope, self.grid.points))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +92,7 @@ class FoliatedMapField:
 
     def __post_init__(self):
         q, qp = self.grid.dim, self.target.dim
-        values = np.array(self.values, dtype=float)
+        values = np.array(self.values, dtype=float, order="C")   # node-major stencils
         if values.shape != self.grid.shape + (qp,):
             raise InvalidMapError(
                 f"values: expected shape {self.grid.shape + (qp,)}, "
@@ -199,7 +201,7 @@ class Mode(NamedTuple):
     def term(self, x: np.ndarray, order: int = 0) -> np.ndarray:
         """amp * wave^(order)(k . x + phase): the term's ``order``-th
         derivative along k, without its ``order`` factors of k."""
-        s = np.einsum("a,...a->...", self.k, x) + self.phase
+        s = contract("a,...a->...", self.k, x) + self.phase
         return self.amp * _WAVE_CYCLE[_WAVE_START[self.wave] + order](s)
 
 
@@ -244,7 +246,7 @@ class AnalyticMap:
 
     def func(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        y = np.einsum("ca,...a->...c", self.slope, x)
+        y = contract("ca,...a->...c", self.slope, x)
         y += self.offset
         for m in self.modes:
             y[..., m.comp] += m.term(x)
@@ -273,110 +275,13 @@ class AnalyticMap:
         H = self.hess(points)
         gamma_src = self.source.christoffel(points)
         gamma_tgt = self.target.christoffel(y)
-        return H - lower_first(J, gamma_src) + pull_back(gamma_tgt, J)
+        return (H - contract("...gc,...cab->...gab", J, gamma_src)
+                + contract("...gst,...tb,...sa->...gab", gamma_tgt, J, J))
 
     def realize(self, grid: GridChart) -> FoliatedMapField:
         if not same_chart(grid.geometry, self.source):
             raise CompositionError("grid chart does not match the map's source chart")
         return FoliatedMapField(grid, self.target, self.func(grid.points), self.winding)
-
-
-# -- small-matrix contractions ---------------------------------------------
-# Index ranges are at most 2.  A stacked ``@`` runs one tiny product per node,
-# so each contraction below is an unrolled sum over component views
-# X[..., s, a] instead: one ufunc call per term, over all nodes at once.
-# Intermediate matrices are nested lists of such component fields.  Symmetric
-# results (pull-backs of g, g^{-1}, Gamma'^g, S^g; Gamma^c lowered) are
-# computed for a <= b and mirrored.
-
-
-def _dot(pairs) -> np.ndarray:
-    """Sum of x * y over the (x, y) pairs."""
-    (x, y), *rest = pairs
-    out = x * y
-    for x, y in rest:
-        out += x * y
-    return out
-
-
-def _comps(X: np.ndarray) -> list:
-    """Component views X[..., i, j] of a (..., m, n) field, as nested lists."""
-    return [[X[..., i, j] for j in range(X.shape[-1])] for i in range(X.shape[-2])]
-
-
-def _mm(A: list, B: list) -> list:
-    """Matrix product of two nested lists of component fields."""
-    return [[_dot([(A[i][k], B[k][j]) for k in range(len(B))])
-             for j in range(len(B[0]))] for i in range(len(A))]
-
-
-def _trace(A: list, B: list) -> np.ndarray:
-    """tr(A B) = A_{ab} B_{ba} of two nested lists of component fields."""
-    return _dot([(A[a][b], B[b][a]) for a in range(len(A)) for b in range(len(B))])
-
-
-def _symmetric(entry, q: int) -> list:
-    """q x q nested list of entry(a, b), evaluated for a <= b and mirrored."""
-    C = [[None] * q for _ in range(q)]
-    for a in range(q):
-        for b in range(a, q):
-            C[a][b] = C[b][a] = entry(a, b)
-    return C
-
-
-def _array(blocks: list) -> np.ndarray:
-    """Nested lists [k][i][j] of component fields as one (..., k, i, j) array."""
-    first = blocks[0][0][0]
-    out = np.empty(first.shape + (len(blocks), len(blocks[0]), len(blocks[0][0])))
-    for g, block in enumerate(blocks):
-        for i, row in enumerate(block):
-            for j, x in enumerate(row):
-                out[..., g, i, j] = x
-    return out
-
-
-def pull_back(T: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """D^T T D: T_{st} D^s_a D^t_b, for symmetric T (..., q', q') or a stack
-    (..., k, q', q') of such forms (e.g. Gamma'^g_{st})."""
-    if T.ndim == D.ndim:
-        return pull_back(T[..., None, :, :], D)[..., 0, :, :]
-    qp, q = D.shape[-2:]
-    Dc = _comps(D)
-    blocks = []
-    for g in range(T.shape[-3]):
-        TD = _mm(_comps(T[..., g, :, :]), Dc)                # (T D)_{sb}
-        blocks.append(_symmetric(
-            lambda a, b: _dot([(Dc[s][a], TD[s][b]) for s in range(qp)]), q))
-    return _array(blocks)
-
-
-def metric_trace(gi: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """g^{ab} S^g_{ab} of a stack (..., k, q, q) of forms, shape (..., k)."""
-    gic = _comps(gi)
-    out = np.empty(S.shape[:-2])
-    for g in range(S.shape[-3]):
-        out[..., g] = _trace(gic, _comps(S[..., g, :, :]))
-    return out
-
-
-def pairing(gt: np.ndarray, gi: np.ndarray, X: np.ndarray,
-            Y: np.ndarray) -> np.ndarray:
-    """<X, Y> = g^{ab} g'_{st} X^s_a Y^t_b of two (..., q', q) fields."""
-    gX = _mm(_comps(gt), _comps(X))                         # g'_{ts} X^s_a
-    Yg = _mm(_comps(Y), _comps(gi))                         # Y^t_b g^{ba}
-    return _dot([(x, y) for gx, yg in zip(gX, Yg) for x, y in zip(gx, yg)])
-
-
-def lower_first(J: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """J^g_c S^c_{ab} for J (..., k, m) and a stack S (..., m, q, q) of
-    symmetric forms."""
-    k, m = J.shape[-2:]
-    Jc = _comps(J)
-    Sc = [_comps(S[..., c, :, :]) for c in range(m)]
-    return _array([
-        _symmetric(lambda a, b: _dot([(Jc[g][c], Sc[c][a][b]) for c in range(m)]),
-                   S.shape[-1])
-        for g in range(k)])
 
 
 # -- differential operators on map fields ---------------------------------
@@ -400,23 +305,20 @@ def second_fund_form(mapf: FoliatedMapField) -> np.ndarray:
     D = mapf.D
     S = hessian_scalar(mapf.grid, mapf.periodic_part)
     if not mapf.grid.geometry.christoffel_vanishes:
-        S -= lower_first(D, mapf.grid.gamma)
+        S -= contract("...gc,...cab->...gab", D, mapf.grid.gamma)
     if not mapf.target.christoffel_vanishes:
-        S += pull_back(mapf.target_gamma, D)
+        S += contract("...gst,...tb,...sa->...gab", mapf.target_gamma, D, D)
     return S
 
 
 def tension(mapf: FoliatedMapField) -> np.ndarray:
     """Transversal tension field, tau^g = g^{ab} S^g_{ab}."""
-    return metric_trace(mapf.grid.metric_inv, mapf.S)
+    return contract("...ab,...gab->...g", mapf.grid.metric_inv, mapf.S)
 
 
 def tension_sup_norm(mapf: FoliatedMapField) -> float:
     """Max over nodes of |tau|_{g'} (the transversal-harmonicity defect)."""
-    gt, tau = mapf.target_metric, mapf.tau
-    qp = tau.shape[-1]
-    n2 = _dot([(gt[..., s, t] * tau[..., s], tau[..., t])
-               for s in range(qp) for t in range(qp)])
+    n2 = contract("...s,...st,...t->...", mapf.tau, mapf.target_metric, mapf.tau)
     return float(np.sqrt(np.max(n2)))
 
 
@@ -427,21 +329,15 @@ def energy_density(mapf: FoliatedMapField) -> np.ndarray:
 
 def dT_norm_squared(mapf: FoliatedMapField) -> np.ndarray:
     """|d_T phi|^2 = g^{ab} g'_{st}(phi) d_a phi^s d_b phi^t."""
-    return pairing(mapf.target_metric, mapf.grid.metric_inv, mapf.D, mapf.D)
+    return contract("...ts,...sa,...ab,...tb->...",
+                    mapf.target_metric, mapf.D, mapf.grid.metric_inv, mapf.D)
 
 
 def second_form_norm_squared(mapf: FoliatedMapField) -> np.ndarray:
     """|nabla_tr d_T phi|^2 = g^{aa'} g^{bb'} g'_{gd} S^g_{ab} S^d_{a'b'}
     = g'_{gd} tr(S^g g^{-1} S^d g^{-1})."""
-    S, gt = mapf.S, mapf.target_metric
-    gi = _comps(mapf.grid.metric_inv)
-    qp = S.shape[-3]
-    Sg = [_mm(_comps(S[..., g, :, :]), gi) for g in range(qp)]      # S^g g^{-1}
-    out = _dot([(gt[..., g, g], _trace(Sg[g], Sg[g])) for g in range(qp)])
-    for g in range(qp):
-        for d in range(g + 1, qp):
-            out += 2 * (gt[..., g, d] * _trace(Sg[g], Sg[d]))
-    return out
+    Sg = contract("...gab,...bc->...gac", mapf.S, mapf.grid.metric_inv)   # S^g g^{-1}
+    return contract("...gac,...dca,...gd->...", Sg, Sg, mapf.target_metric)
 
 
 def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray) -> np.ndarray:
@@ -455,11 +351,7 @@ def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray) -> np.ndarray:
     ds = grad_B(mapf.grid, s)
     if mapf.target.christoffel_vanishes:
         return ds
-    D = _comps(mapf.D)
-    for g in range(s.shape[-1]):
-        GD = _mm(_comps(mapf.target_gamma[..., g, :, :]), D)    # Gamma'^g_{ts} D^s_a
-        for a in range(len(D[0])):
-            ds[..., g, a] += _dot([(s[..., t], GD[t][a]) for t in range(len(GD))])
+    ds += contract("...t,...gst,...sa->...ga", s, mapf.target_gamma, mapf.D)
     return ds
 
 
@@ -467,7 +359,7 @@ def delta_nabla_dT(mapf: FoliatedMapField,
                    struct: FoliatedStructure | None = None) -> np.ndarray:
     """Codifferential of d_T phi as a pull-back section: -tau + i(kappa#) d_T phi."""
     kappa_up = kappa_sharp(mapf.grid, struct)
-    return -mapf.tau + np.einsum("...ga,...a->...g", mapf.D, kappa_up)
+    return -mapf.tau + contract("...ga,...a->...g", mapf.D, kappa_up)
 
 
 # -- composition ----------------------------------------------------------

@@ -34,13 +34,10 @@ from .maps import (
     FoliatedMapField,
     compose,
     delta_nabla_dT,
-    lower_first,
-    metric_trace,
-    pairing,
-    pull_back,
     pullback_derivative,
     second_form_norm_squared,
 )
+from .tensor import contract
 
 __all__ = [
     "VariationSpec",
@@ -107,7 +104,7 @@ def check_first_variation(mapf: FoliatedMapField,
 
     The left side is a Richardson-extrapolated central difference of
     E_B(exp_phi(t V)) over ``spec.fd_steps``; the right side is quadrature of
-    the pairing with the tension field.
+    g'(V, tau_b).
     """
     grid = mapf.grid
     V = np.asarray(spec.V, dtype=float)
@@ -130,7 +127,7 @@ def check_first_variation(mapf: FoliatedMapField,
     ]
     fd = _neville_to_zero([t**2 for t in spec.fd_steps], derivs)
 
-    g_V_tau = np.einsum("...ab,...a,...b->...", mapf.target_metric, V, mapf.tau)
+    g_V_tau = contract("...a,...ab,...b->...", V, mapf.target_metric, mapf.tau)
     rhs = -float(np.sum(g_V_tau * grid.weights))
     residual = abs(fd - rhs) / max(abs(rhs), abs(fd), 1e-6)
     return IdentityResidualReport(
@@ -142,34 +139,28 @@ def check_first_variation(mapf: FoliatedMapField,
     )
 
 
-def _trace_of_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """tr(X Y) of two symmetric (..., q, q) fields."""
-    return metric_trace(X, Y[..., None, :, :])[..., 0]
-
-
 def bochner_parts(mapf: FoliatedMapField) -> tuple[np.ndarray, np.ndarray]:
     """Source-Ricci and target-curvature contractions, separately.
 
     Both are evaluated pointwise from the catalog closed forms; their
     difference (Ricci minus curvature) is the Bochner term.  With the
-    pull-back metric A = D^T g' D and M = D g^{-1} D^T,
+    pull-back metric A = D^T g' D and P = g' D g^{-1} D^T,
 
-        ric_term  = (g^{-1} Ric g^{-1})^{ab} A_{ab},
-        curv_term = R'_{stuv} M^{sv} M^{tu} = K' [(tr g'M)^2 - tr(g'M g'M)],
+        ric_term  = A_{ab} g^{bc} Ric_{cd} g^{da},
+        curv_term = R'_{stuv} M^{sv} M^{tu} = K' [(tr P)^2 - tr(P P)],
 
-    the last form because the target has constant curvature K'.
+    with M = D g^{-1} D^T, the last form because the target has constant
+    curvature K'.
     """
     grid = mapf.grid
-    D = mapf.D
-    gi = grid.metric_inv
-    gt = mapf.target_metric
-    A = pull_back(gt, D)
-    M = pull_back(gi, np.swapaxes(D, -1, -2))
+    D, gi, gt = mapf.D, grid.metric_inv, mapf.target_metric
+    A = contract("...sa,...st,...tb->...ab", D, gt, D)
+    P = contract("...st,...ta,...ab,...ub->...su", gt, D, gi, D)
     ric = grid.geometry.ricci(grid.points)
-    ric_term = _trace_of_product(pull_back(ric, gi), A)
-    tr_gM = _trace_of_product(gt, M)
+    ric_term = contract("...ab,...bc,...cd,...da->...", A, gi, ric, gi)
+    tr_P = contract("...ss->...", P)
     curv_term = mapf.target.curvature_constant * (
-        tr_gM * tr_gM - _trace_of_product(pull_back(M, gt), M))
+        tr_P * tr_P - contract("...su,...us->...", P, P))
     return ric_term, curv_term
 
 
@@ -192,9 +183,7 @@ def weitzenbock_terms(mapf: FoliatedMapField,
         1/2 Delta_B |d|^2 = -|S|^2 - <F d, d> + 1/2 kappa#(|d|^2).
     """
     grid = mapf.grid
-    D = mapf.D
-    gi = grid.metric_inv
-    gt = mapf.target_metric
+    D, gi, gt = mapf.D, grid.metric_inv, mapf.target_metric
     e2 = mapf.dT_norm_sq
     lhs = 0.5 * delta_B_scalar(grid, e2, struct)
     S_sq = second_form_norm_squared(mapf)
@@ -202,9 +191,7 @@ def weitzenbock_terms(mapf: FoliatedMapField,
     kappa_up = kappa_sharp(grid, struct)
     terms = {"lhs": lhs, "second_form_sq": S_sq, "bochner": F}
     if mode == "harmonic":
-        kappa_drift = 0.5 * np.einsum(
-            "...a,...a->...", kappa_up, grad_B(grid, e2)
-        )
+        kappa_drift = 0.5 * contract("...a,...a->...", kappa_up, grad_B(grid, e2))
         terms["kappa_drift"] = kappa_drift
         terms["rhs"] = -S_sq - F + kappa_drift
         return terms
@@ -212,11 +199,11 @@ def weitzenbock_terms(mapf: FoliatedMapField,
         raise PreconditionError(f"mode: expected 'general' or 'harmonic', got {mode!r}")
     codiff = delta_nabla_dT(mapf, struct)           # -tau + i(kappa#) d
     laplacian_d = pullback_derivative(mapf, codiff)      # (..., g, a)
-    inner_lap = pairing(gt, gi, laplacian_d, D)
-    ikd = np.einsum("...ga,...a->...g", D, kappa_up)      # i(kappa#) d
-    a_form = -np.einsum("...a,...gab->...gb", kappa_up, mapf.S) \
+    inner_lap = contract("...ts,...sa,...ab,...tb->...", gt, laplacian_d, gi, D)
+    ikd = contract("...ga,...a->...g", D, kappa_up)      # i(kappa#) d
+    a_form = -contract("...a,...gab->...gb", kappa_up, mapf.S) \
         + pullback_derivative(mapf, ikd)
-    inner_a = pairing(gt, gi, a_form, D)
+    inner_a = contract("...ts,...sa,...ab,...tb->...", gt, a_form, gi, D)
     terms["laplacian_pairing"] = inner_lap
     terms["kappa_operator_pairing"] = inner_a
     terms["rhs"] = inner_lap - S_sq - inner_a - F
@@ -252,13 +239,12 @@ def composition_residuals(phi: FoliatedMapField, psi: AnalyticMap
     """
     comp = compose(phi, psi)
     J_psi = psi.jac(phi.values)
-    pulled = pull_back(psi.second_form(phi.values), phi.D)     # phi* S(psi)
-    rhs_full = lower_first(J_psi, phi.S) + pulled
+    pulled = contract("...gst,...tb,...sa->...gab",               # phi* S(psi)
+                      psi.second_form(phi.values), phi.D, phi.D)
+    rhs_full = contract("...gc,...cab->...gab", J_psi, phi.S) + pulled
     full = float(np.max(np.abs(comp.S - rhs_full)))
-    rhs_trace = (
-        (J_psi @ phi.tau[..., None])[..., 0]
-        + metric_trace(phi.grid.metric_inv, pulled)
-    )
+    rhs_trace = (contract("...ga,...a->...g", J_psi, phi.tau)
+                 + contract("...ab,...gab->...g", phi.grid.metric_inv, pulled))
     trace = float(np.max(np.abs(comp.tau - rhs_trace)))
     return {"second_form": full, "tension": trace}
 

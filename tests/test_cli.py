@@ -162,6 +162,33 @@ def test_non_finite_energy_exits_three(tmp_path):
     assert not (out / "energy.json").exists()
 
 
+def _huge_sine_config(amplitude, **extra):
+    return _base_config(map={"family": "sine_perturbation",
+                             "params": {"modes": [[0, [1, 0], amplitude, 0.0]]}}, **extra)
+
+
+def test_non_finite_tension_exits_three(tmp_path):
+    # the map is finite, |tau|^2 ~ 1e614 is not
+    cfg = _write_config(tmp_path, _huge_sine_config(1e307))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["tension", "--config", cfg, "--out", str(out)])
+    assert code == 3
+    assert not (out / "tension.json").exists()
+    assert not (out / "tension.csv").exists()
+
+
+def test_non_finite_verify_residual_exits_three(tmp_path, capsys):
+    # the Weitzenboeck terms overflow to inf - inf = nan
+    cfg = _write_config(tmp_path, _huge_sine_config(1e200, verify={"checks": ["weitzenbock"]}))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["verify", "--config", cfg, "--out", str(out)])
+    assert code == 3
+    assert "PASS" not in capsys.readouterr().out
+    assert not (out / "verify.json").exists()
+
+
 @pytest.mark.parametrize("subcommand, extra", [
     ("flow", {"flow": {}}),              # the CFL step squares h
     ("flow", {"flow": {"dt": 0.1}}),     # diff2 divides by h^2

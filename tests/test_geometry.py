@@ -168,6 +168,17 @@ def test_torus_exp_reduces_into_fundamental_domain(torus2):
     assert np.allclose(reduced, torus2.exp(p, v), atol=1e-12)
 
 
+def test_flat_torus_constants_are_read_only(torus2):
+    points = np.zeros((5, 3, 2))
+    for field, want in [(torus2.metric(points), np.eye(2)),
+                        (torus2.metric_inv(points), np.eye(2)),
+                        (torus2.christoffel(points), np.zeros((2, 2, 2))),
+                        (torus2.sqrt_det(points), 1.0)]:
+        assert field.shape == (5, 3) + np.shape(want)
+        assert not field.flags.writeable
+        assert np.array_equal(field, np.broadcast_to(want, field.shape))
+
+
 # -- construction and validation ------------------------------------------
 
 

@@ -121,11 +121,9 @@ def test_integrate_weight_modes_are_consistent(torus1):
     grid = fh.build_grid(torus1, 64)
     struct = fh.named_profile("cosine_offset", 1, {"offset": 2.0})
     f = np.sin(grid.points[..., 0]) ** 2
-    base = fh.integrate(grid, f, "base_volume")
     mani = fh.integrate(grid, f, "manifold_volume", struct)
     vol = struct.vol_at(grid.points)
     assert abs(mani - fh.integrate(grid, f * vol, "base_volume")) <= 1e-12
-    assert abs(fh.integrate(grid, f, "inverse_leaf_volume") - base) <= 1e-12
     with pytest.raises(fh.ConfigurationError):
         fh.integrate(grid, f, "no_such_weight")
     with pytest.raises(fh.ConfigurationError):

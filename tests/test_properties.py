@@ -156,9 +156,9 @@ def test_christoffel_vanishes_exactly_where_the_symbols_are_zero(label, fraction
 @given(st.sampled_from(sorted(_CATALOG)), st.sampled_from(sorted(_CATALOG)),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_small_matrix_contractions_match_einsum_definitions(src, tgt, seed):
-    """The matmul contractions of maps and verify equal the einsum forms
-    they replace, on random map fields between catalog geometries."""
-    from folharm.maps import lower_first, metric_trace, pairing, pull_back
+    """The contractions of maps and verify equal their einsum definitions,
+    on random map fields between catalog geometries."""
+    from folharm.tensor import contract
 
     source, target = _CATALOG[src], _CATALOG[tgt]
     grid = fh.build_grid(source, 8)
@@ -173,11 +173,12 @@ def test_small_matrix_contractions_match_einsum_definitions(src, tgt, seed):
     X = rng.standard_normal(D.shape)
     s = rng.standard_normal(mapf.values.shape)
 
-    assert _matches(pull_back(gam_t, D), "...gst,...sa,...tb->...gab", gam_t, D, D)
-    assert _matches(lower_first(D, grid.gamma), "...gc,...cab->...gab", D, grid.gamma)
-    assert _matches(metric_trace(gi, S), "...ab,...gab->...g", gi, S)
+    for spec, ops in [("...gst,...sa,...tb->...gab", (gam_t, D, D)),
+                      ("...gc,...cab->...gab", (D, grid.gamma)),
+                      ("...ab,...gab->...g", (gi, S)),
+                      ("...ab,...st,...sa,...tb->...", (gi, gt, X, D))]:
+        assert _matches(contract(spec, *ops), spec, *ops)
     assert _matches(mapf.tau, "...ab,...gab->...g", gi, S)
-    assert _matches(pairing(gt, gi, X, D), "...ab,...st,...sa,...tb->...", gi, gt, X, D)
     assert _matches(mapf.dT_norm_sq, "...ab,...st,...sa,...tb->...", gi, gt, D, D)
     assert _matches(fh.second_form_norm_squared(mapf),
                     "...ax,...by,...gd,...gab,...dxy->...", gi, gi, gt, S, S)

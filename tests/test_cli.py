@@ -1,5 +1,6 @@
 """Command-line runner: config validation, subcommands, exit codes, outputs."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -202,6 +203,20 @@ def test_grid_spacing_whose_square_overflows_exits_two(tmp_path, subcommand, ext
     assert not (out / f"{subcommand}.json").exists()
 
 
+def test_schema_flow_and_rigidity_keys_are_the_dataclass_fields():
+    """A schema key without a field would pass validation and then fail as a
+    TypeError (exit 3) instead of a config error (exit 2)."""
+    from folharm.flow import FlowConfig, RigidityTolerances
+
+    schema = json.loads(
+        resources.files("folharm").joinpath("config_schema.json").read_text()
+    )["properties"]
+    assert set(schema["flow"]["properties"]) == {
+        f.name for f in dataclasses.fields(FlowConfig)}
+    assert set(schema["rigidity"]["properties"]) == {
+        f.name for f in dataclasses.fields(RigidityTolerances)} | {"rank_cap"}
+
+
 def test_out_dir_resolution_env_var(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, _base_config())
     env_dir = tmp_path / "from_env"
@@ -310,8 +325,52 @@ def _drop_phi_column(lines):
             for line in lines]
 
 
-@pytest.mark.parametrize("corrupt", [_truncate, _duplicate_node, _drop_phi_column])
-def test_malformed_map_csv_exits_three(tmp_path, corrupt):
+def _winding_only(lines):
+    return [line for line in lines if line.startswith("# winding")]
+
+
+def _short_winding_row(lines):
+    return [lines[0].rsplit(",", 1)[0]] + lines[1:]
+
+
+# the node rows start after two winding rows and the header
+def _edit_first_node(lines, edit):
+    cells = lines[3].split(",")
+    return lines[:3] + [",".join(edit(cells))] + lines[4:]
+
+
+def _non_numeric_cell(lines):
+    return _edit_first_node(lines, lambda c: c[:-1] + ["north"])
+
+
+def _extra_cell(lines):
+    return _edit_first_node(lines, lambda c: c + ["0.0"])
+
+
+def _index_outside_grid(lines):
+    return _edit_first_node(lines, lambda c: ["16"] + c[1:])
+
+
+def _moved_chart_coordinates(lines):
+    return _edit_first_node(lines, lambda c: c[:2] + ["0.5"] + c[3:])
+
+
+# corruption -> the words of the runtime error that names it
+_CSV_FAULTS = {
+    _truncate: "node rows, the grid has",
+    _duplicate_node: "more than once",
+    _drop_phi_column: "do not match",
+    _winding_only: "no header row",
+    _short_winding_row: "winding row needs 2 entries",
+    _non_numeric_cell: "could not convert",
+    _extra_cell: "node rows of 6 cells",
+    _index_outside_grid: "node indices outside",
+    _moved_chart_coordinates: "chart coordinates do not match",
+}
+
+
+@pytest.mark.parametrize("corrupt", list(_CSV_FAULTS))
+def test_malformed_map_csv_exits_three(tmp_path, capsys, corrupt):
     base = _base_config(map={"family": "sine_perturbation"})
     out = tmp_path / "out"
     assert cli.main(["flow", "--config", _write_config(tmp_path, base),
@@ -323,3 +382,4 @@ def test_malformed_map_csv_exits_three(tmp_path, corrupt):
                         name="config2.json")
     assert cli.main(["energy", "--config", cfg,
                      "--out", str(tmp_path / "out2")]) == 3
+    assert _CSV_FAULTS[corrupt] in capsys.readouterr().err

@@ -200,9 +200,16 @@ def test_build_geometry_rejects_bad_specs():
         fh.build_geometry({"kind": "flat_torus", "periods": [-1.0]})
     with pytest.raises(fh.ConfigurationError):
         fh.build_geometry({"kind": "flat_torus", "periods": [1.0], "extra": 2})
-    with pytest.raises(fh.ConfigurationError):
-        fh.build_geometry({"kind": "hyperbolic_patch", "x_bounds": [0, 1],
-                           "y_bounds": [-1.0, 2.0]})
+    # each constructor check, named by the parameter it rejects
+    for spec, key in [({"kind": "flat_torus", "periods": []}, "periods"),
+                      ({"kind": "round_sphere", "radius": 0.0}, "radius"),
+                      ({"kind": "round_sphere", "cap_angle": 2.0}, "cap_angle"),
+                      ({"kind": "hyperbolic_patch", "x_bounds": [1, 0],
+                        "y_bounds": [0.5, 2.0]}, "x_bounds"),
+                      ({"kind": "hyperbolic_patch", "x_bounds": [0, 1],
+                        "y_bounds": [-1.0, 2.0]}, "y_bounds")]:
+        with pytest.raises(fh.ConfigurationError, match=key):
+            fh.build_geometry(spec)
 
 
 def test_domain_validation(sphere, patch):

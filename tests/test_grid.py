@@ -172,6 +172,11 @@ def test_build_grid_rejects_tiny_resolutions(torus1):
         fh.build_grid(torus1, 4)
 
 
+def test_build_grid_needs_one_resolution_per_axis(torus2):
+    with pytest.raises(fh.ConfigurationError, match="axes"):
+        fh.build_grid(torus2, (16, 16, 16))
+
+
 @pytest.mark.parametrize("period", [1e308, 1e-170])
 def test_build_grid_rejects_spacings_without_a_finite_nonzero_square(period):
     with pytest.raises(fh.ConfigurationError, match="square"):

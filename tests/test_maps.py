@@ -150,6 +150,8 @@ def test_composition_rejects_chart_mismatch(sphere, patch):
     psi = fh.make_family("constant", patch, patch)   # source chart is wrong
     with pytest.raises(fh.CompositionError):
         fh.compose(phi, psi)
+    with pytest.raises(fh.CompositionError):
+        psi.realize(grid)                            # and so is the grid's
 
 
 def test_compose_takes_analytic_outer_maps_only():
@@ -172,9 +174,11 @@ def test_map_field_validation(sphere):
     bad[0, 0, 0] = 0.01          # inside the excluded polar cap
     with pytest.raises(fh.InvalidMapError):
         fh.FoliatedMapField(grid, sphere, bad, None)
-    with pytest.raises(fh.InvalidMapError):
+    with pytest.raises(fh.InvalidMapError, match="integers"):
         fh.FoliatedMapField(grid, sphere, good,
-                            np.array([[0.5, 0.0], [0.0, 0.0]]))  # non-integer
+                            np.array([[0.5, 0.0], [0.0, 0.0]]))
+    with pytest.raises(fh.InvalidMapError, match="shape"):
+        fh.FoliatedMapField(grid, sphere, good, np.zeros((1, 2), dtype=int))
 
 
 def test_map_values_must_be_finite(sphere):
@@ -217,31 +221,51 @@ def test_replaced_field_shares_the_lift_and_keeps_its_checks(sphere):
 def test_winding_must_vanish_on_fixed_axes(patch):
     grid = fh.build_grid(patch, 16)
     values = np.tile(np.array([0.0, 1.0]), grid.shape + (1,))
-    with pytest.raises(fh.InvalidMapError):
+    with pytest.raises(fh.InvalidMapError, match="source axis"):
         fh.FoliatedMapField(grid, fh.FlatTorus([TWO_PI, TWO_PI]), values,
                             np.array([[1, 0], [0, 0]]))
+    torus_grid = _torus_grid(16)           # and on fixed target coordinates
+    values = np.tile(np.array([0.0, 1.0]), torus_grid.shape + (1,))
+    with pytest.raises(fh.InvalidMapError, match="target coordinate"):
+        fh.FoliatedMapField(torus_grid, patch, values, np.array([[1, 0], [0, 0]]))
 
 
-def test_family_registry_errors(torus2, sphere):
-    with pytest.raises(fh.ConfigurationError):
-        fh.make_family("moebius", torus2, torus2)
-    with pytest.raises(fh.ConfigurationError):
-        fh.make_family("identity", torus2, sphere)
-    with pytest.raises(fh.ConfigurationError):
-        fh.make_family("linear", torus2, torus2, {"matrix": [[0.5, 0], [0, 1]]})
-    with pytest.raises(fh.ConfigurationError):
-        fh.make_family("identity", torus2, torus2, {"stray": 1})
-    # malformed offsets, wavevectors and mode components
-    with pytest.raises(fh.ConfigurationError):
-        fh.make_family("linear", torus2, torus2, {"offset": [0.1, 0.2, 0.3]})
-    with pytest.raises(fh.ConfigurationError):
-        fh.make_family("band_wave", torus2, sphere, {"kvec": [1, 1, 1]})
-    with pytest.raises(fh.ConfigurationError):
-        fh.make_family("sine_perturbation", torus2, torus2, {"modes": [[2, [1, 0]]]})
-    with pytest.raises(fh.ConfigurationError):
-        fh.variation_field(fh.build_grid(torus2, 8), torus2, {"kvec": [1]})
-    with pytest.raises(fh.ConfigurationError):
-        fh.variation_field(fh.build_grid(torus2, 8), torus2, {"component": 2})
+def test_family_registry_errors(torus1, torus2, sphere, patch):
+    """Every parameter and chart check of the family builders and of the
+    variation field raises ConfigurationError."""
+    bad_families = [
+        ("moebius", torus2, torus2, None),
+        ("identity", torus2, torus2, {"stray": 1}),
+        ("identity", torus2, sphere, None),
+        ("linear", torus2, sphere, None),
+        ("linear", torus2, torus2, {"stray": 1}),
+        ("linear", torus2, torus2, {"matrix": [[1, 0]]}),
+        ("linear", torus2, torus2, {"matrix": [[0.5, 0], [0, 1]]}),
+        ("linear", torus2, torus2, {"offset": [0.1, 0.2, 0.3]}),
+        ("sine_perturbation", torus2, sphere, None),
+        ("sine_perturbation", torus2, torus2, {"stray": 1}),
+        ("sine_perturbation", torus2, torus2, {"modes": [[2, [1, 0]]]}),
+        ("sine_perturbation", torus2, torus2, {"modes": [[0, [1, 0, 0]]]}),
+        ("latitude_circle", torus1, sphere, {"stray": 1}),
+        ("latitude_circle", torus2, sphere, None),
+        ("latitude_circle", torus1, torus1, None),
+        ("band_wave", torus2, sphere, {"stray": 1}),
+        ("band_wave", torus1, sphere, None),
+        ("band_wave", torus2, torus2, None),
+        ("band_wave", torus2, sphere, {"kvec": [1, 1, 1]}),
+        ("sine_into_patch", torus2, patch, {"stray": 1}),
+        ("sine_into_patch", torus1, patch, None),
+        ("sine_into_patch", torus2, sphere, None),
+        ("constant", torus2, sphere, {"stray": 1}),
+        ("constant", torus2, sphere, {"point": [1.0, 2.0, 3.0]}),
+    ]
+    for name, source, target, params in bad_families:
+        with pytest.raises(fh.ConfigurationError):
+            fh.make_family(name, source, target, params)
+    grid = fh.build_grid(torus2, 8)
+    for spec in ({"kvec": [1]}, {"component": 2}, {"stray": 1}):
+        with pytest.raises(fh.ConfigurationError):
+            fh.variation_field(grid, torus2, spec)
 
 
 # family -> (source, target, params); the tori have periods other than 2 pi,

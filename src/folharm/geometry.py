@@ -39,13 +39,16 @@ __all__ = [
     "build_geometry",
 ]
 
+# slack of the chart-box test: points this far outside a fixed bound still count
+_CHART_TOL = 1e-9
+
 
 class TransverseGeometry:
     """Base class for the model geometry catalog.
 
-    Subclasses fill in ``metric``, ``christoffel`` and ``exp`` with closed
-    forms; curvature comes from the constant-curvature formula
-    R_{abcd} = K (g_{bc} g_{ad} - g_{ac} g_{bd}).
+    Subclasses fill in ``metric``, ``metric_inv``, ``sqrt_det``,
+    ``christoffel`` and ``exp`` with closed forms; curvature comes from the
+    constant-curvature formula R_{abcd} = K (g_{bc} g_{ad} - g_{ac} g_{bd}).
     """
 
     kind: str
@@ -63,15 +66,9 @@ class TransverseGeometry:
     def metric(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def metric_inv(self, points: np.ndarray) -> np.ndarray:
-        return np.linalg.inv(self.metric(points))
-
     def christoffel(self, points: np.ndarray) -> np.ndarray:
         """Gamma^c_{ab}, indexed [..., c, a, b]."""
         raise NotImplementedError
-
-    def sqrt_det(self, points: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.linalg.det(self.metric(points)))
 
     def riemann(self, points: np.ndarray) -> np.ndarray:
         """Fully covariant R_{abcd}, indexed [..., a, b, c, d]."""
@@ -104,8 +101,9 @@ class TransverseGeometry:
                 periods[a] = hi - lo
         return periods
 
-    def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        """True where the point lies in the (closed) chart box.
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """True where the point lies in the (closed) chart box, up to
+        ``_CHART_TOL``.
 
         Periodic axes are unconstrained (lift coordinates are allowed).
         """
@@ -115,7 +113,7 @@ class TransverseGeometry:
             if self.periodic[a]:
                 continue
             lo, hi = self.chart_bounds[a]
-            ok &= (points[..., a] >= lo - tol) & (points[..., a] <= hi + tol)
+            ok &= (points[..., a] >= lo - _CHART_TOL) & (points[..., a] <= hi + _CHART_TOL)
         return ok
 
     def require_valid(self, points: np.ndarray) -> None:
@@ -128,12 +126,12 @@ class TransverseGeometry:
 
     # -- exponential map ---------------------------------------------------
 
-    def exp(self, points: np.ndarray, v: np.ndarray, reduce: bool = True) -> np.ndarray:
+    def exp(self, points: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Endpoint of the geodesic from ``points`` with initial velocity ``v``.
 
-        ``reduce`` wraps periodic coordinates back into the fundamental chart
-        box; pass ``reduce=False`` to stay on a continuous lift (needed by the
-        heat flow so winding data survives the update).
+        Periodic coordinates stay on the continuous lift through ``points``
+        (they are not wrapped into the chart box), so the winding data of a
+        map survives a heat-flow update.
         """
         raise NotImplementedError
 
@@ -183,14 +181,11 @@ class FlatTorus(TransverseGeometry):
     def riemann(self, points):
         return np.broadcast_to(0.0, np.shape(points)[:-1] + (self.dim,) * 4)
 
-    def exp(self, points, v, reduce=True):
+    def exp(self, points, v):
         points = np.asarray(points, dtype=float)
         v = np.asarray(v, dtype=float)
         self.check_cap(points, v)
-        out = points + v
-        if reduce:
-            out = out % np.array(self.periods)
-        return out
+        return points + v
 
 
 @lru_cache(maxsize=64)
@@ -226,10 +221,10 @@ class RoundSphere(TransverseGeometry):
             radius * np.pi / 2 if injectivity_cap is None else float(injectivity_cap)
         )
 
-    def contains(self, points, tol=1e-9):
-        ok = super().contains(points, tol)
+    def contains(self, points):
+        ok = super().contains(points)
         theta = np.asarray(points, dtype=float)[..., 0]
-        ok &= (theta > tol) & (theta < np.pi - tol)   # poles are never valid
+        ok &= (theta > _CHART_TOL) & (theta < np.pi - _CHART_TOL)   # poles are never valid
         return ok
 
     def metric(self, points):
@@ -271,7 +266,7 @@ class RoundSphere(TransverseGeometry):
              r * np.sin(theta) * np.sin(phi),
              r * np.cos(theta)], axis=-1)
 
-    def exp(self, points, v, reduce=True):
+    def exp(self, points, v):
         points = np.asarray(points, dtype=float)
         v = np.asarray(v, dtype=float)
         self.require_valid(points)
@@ -297,10 +292,7 @@ class RoundSphere(TransverseGeometry):
         # keep phi on the lift closest to the first-order prediction
         phi_pred = phi + v[..., 1]
         phi_new = phi_raw + 2 * np.pi * np.round((phi_pred - phi_raw) / (2 * np.pi))
-        out = np.stack([theta_new, phi_new], axis=-1)
-        if reduce:
-            out[..., 1] %= 2 * np.pi
-        return out
+        return np.stack([theta_new, phi_new], axis=-1)
 
 
 class HyperbolicPatch(TransverseGeometry):
@@ -326,9 +318,9 @@ class HyperbolicPatch(TransverseGeometry):
         self.periodic = (False, False)
         self.injectivity_cap = 1.0 if injectivity_cap is None else float(injectivity_cap)
 
-    def contains(self, points, tol=1e-9):
-        ok = super().contains(points, tol)
-        ok &= np.asarray(points, dtype=float)[..., 1] > tol
+    def contains(self, points):
+        ok = super().contains(points)
+        ok &= np.asarray(points, dtype=float)[..., 1] > _CHART_TOL
         return ok
 
     def metric(self, points):
@@ -362,7 +354,7 @@ class HyperbolicPatch(TransverseGeometry):
         out[..., 1, 1, 1] = -inv_y      # Gamma^y_{yy}
         return out
 
-    def exp(self, points, v, reduce=True):
+    def exp(self, points, v):
         # Work at the basepoint i: w -> (w - x)/y maps z to i isometrically and
         # scales velocities by 1/y; a rotation about i sends the direction to
         # vertical, where the geodesic is w(t) = i e^{st}.

@@ -52,21 +52,41 @@ def same_chart(a: TransverseGeometry, b: TransverseGeometry) -> bool:
 
 
 class _Lift:
-    """Exact linear part of a lift, fixed by grid, target and winding.
+    """Winding matrix and exact linear part of a lift, fixed by grid, target
+    and winding.
 
-    Every field of one flow shares the same instance, so the target periods,
-    the slope and the linear values are computed once per flow.
+    The winding is validated here: every field of one flow shares the same
+    instance, so the winding is checked, and the slope and the linear values
+    are computed, once per flow.
     """
 
     def __init__(self, grid: GridChart, target: TransverseGeometry,
-                 winding: np.ndarray):
+                 winding: np.ndarray | None):
+        q, qp = grid.dim, target.dim
+        winding = np.zeros((qp, q), dtype=int) if winding is None else np.asarray(winding)
+        if winding.shape != (qp, q):
+            raise InvalidMapError(
+                f"winding: expected shape {(qp, q)}, got {winding.shape}"
+            )
+        if not (winding == np.round(winding)).all():
+            raise InvalidMapError("winding: entries must be integers")
+        periods = target.axis_periods()
+        for alpha in range(qp):
+            if periods[alpha] == 0 and winding[alpha].any():
+                raise InvalidMapError(
+                    f"winding: target coordinate {alpha} is not periodic"
+                )
+        for a in range(q):
+            if not grid.periodic[a] and winding[:, a].any():
+                raise InvalidMapError(f"winding: source axis {a} is not periodic")
+        self.winding = winding.astype(int)
+        self.winding.flags.writeable = False
         self.grid = grid
-        self.periods = target.axis_periods()
-        self.slope = np.zeros((target.dim, grid.dim))     # (q', q)
-        for a in range(grid.dim):
+        self.slope = np.zeros((qp, q))
+        for a in range(q):
             if grid.periodic[a]:
                 lo, hi = grid.geometry.chart_bounds[a]
-                self.slope[:, a] = winding[:, a] * self.periods / (hi - lo)
+                self.slope[:, a] = self.winding[:, a] * periods / (hi - lo)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -81,7 +101,8 @@ class FoliatedMapField:
     The field is immutable: ``values`` is a read-only copy, so the
     derivatives cached on first use (``D``, ``S``, ``tau``, ``dT_norm_sq``)
     cannot go stale.  ``replace_values`` builds a new field on the same
-    lift.
+    lift, whose winding was checked when the lift was built, so only the
+    new values are checked.
     """
 
     grid: GridChart
@@ -91,7 +112,7 @@ class FoliatedMapField:
     _lift: _Lift | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        q, qp = self.grid.dim, self.target.dim
+        qp = self.target.dim
         values = np.array(self.values, dtype=float, order="C")   # node-major stencils
         if values.shape != self.grid.shape + (qp,):
             raise InvalidMapError(
@@ -103,30 +124,9 @@ class FoliatedMapField:
             raise InvalidMapError("map values must be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        winding = self.winding
-        if winding is None:
-            winding = np.zeros((qp, q), dtype=int)
-        winding = np.asarray(winding)
-        if winding.shape != (qp, q):
-            raise InvalidMapError(
-                f"winding: expected shape {(qp, q)}, got {winding.shape}"
-            )
-        if not (winding == np.round(winding)).all():
-            raise InvalidMapError("winding: entries must be integers")
-        winding = winding.astype(int)
-        winding.flags.writeable = False
-        object.__setattr__(self, "winding", winding)
         if self._lift is None:
-            object.__setattr__(self, "_lift", _Lift(self.grid, self.target, winding))
-        tp = self._lift.periods
-        for alpha in range(qp):
-            if tp[alpha] == 0 and winding[alpha].any():
-                raise InvalidMapError(
-                    f"winding: target coordinate {alpha} is not periodic"
-                )
-        for a in range(q):
-            if not self.grid.periodic[a] and winding[:, a].any():
-                raise InvalidMapError(f"winding: source axis {a} is not periodic")
+            object.__setattr__(self, "_lift", _Lift(self.grid, self.target, self.winding))
+        object.__setattr__(self, "winding", self._lift.winding)
         if not self.target.contains(values).all():
             raise InvalidMapError("map values leave the target chart interior")
 
@@ -154,8 +154,7 @@ class FoliatedMapField:
         return self.target.christoffel(self.values)
 
     def replace_values(self, values: np.ndarray) -> "FoliatedMapField":
-        return FoliatedMapField(self.grid, self.target, values, self.winding,
-                                self._lift)
+        return FoliatedMapField(self.grid, self.target, values, _lift=self._lift)
 
     # -- derivatives, each computed once per field ---------------------------
 

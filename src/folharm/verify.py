@@ -119,7 +119,7 @@ def check_first_variation(mapf: FoliatedMapField,
         )
 
     def energy_at(t: float) -> float:
-        values = mapf.target.exp(mapf.values, t * V, reduce=False)
+        values = mapf.target.exp(mapf.values, t * V)
         return transversal_energy(mapf.replace_values(values), struct)
 
     derivs = [

@@ -141,8 +141,7 @@ def test_schema_rejects_bad_geometry(tmp_path):
 
 
 def test_runtime_error_exits_three(tmp_path):
-    # flow stepping with a huge fixed dt and no backtracking is a config
-    # error; a missing map CSV at run time is a runtime failure
+    # a missing map CSV at run time is a runtime failure
     cfg = _write_config(tmp_path, {
         "source": {"kind": "flat_torus", "periods": [TWO_PI]},
         "resolution": 16,
@@ -166,6 +165,16 @@ def test_non_finite_energy_exits_three(tmp_path):
 def _huge_sine_config(amplitude, **extra):
     return _base_config(map={"family": "sine_perturbation",
                              "params": {"modes": [[0, [1, 0], amplitude, 0.0]]}}, **extra)
+
+
+def test_non_finite_initial_flow_energy_exits_three(tmp_path):
+    # the map is finite, E_B ~ 1e400 is not: the flow stops before its first step
+    cfg = _write_config(tmp_path, _huge_sine_config(1e200, flow={}))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["flow", "--config", cfg, "--out", str(out)])
+    assert code == 3
+    assert not (out / "flow.json").exists()
 
 
 def test_non_finite_tension_exits_three(tmp_path):

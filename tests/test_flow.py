@@ -18,7 +18,7 @@ def _circle_flow(n=64, amp=0.5, **cfg):
 def test_cfl_step_flat_grid():
     grid = fh.build_grid(fh.FlatTorus([TWO_PI]), 64)
     h = TWO_PI / 64
-    assert np.isclose(fh.cfl_step(grid), h * h / 2)
+    assert np.isclose(fh.cfl_step(grid), 0.9 * h * h / 2)
 
 
 def test_energy_decreases_monotonically():
@@ -49,14 +49,6 @@ def test_max_steps_termination():
     assert trace.steps[-1] == 5
 
 
-def test_oversized_step_without_backtracking_rejected():
-    grid = fh.build_grid(fh.FlatTorus([TWO_PI]), 64)
-    fam = fh.make_family("sine_perturbation", grid.geometry, grid.geometry, {})
-    with pytest.raises(fh.ConfigurationError):
-        fh.run_flow(fam.realize(grid), None,
-                    fh.FlowConfig(dt=1.0, energy_backtrack=False))
-
-
 def test_steps_beyond_the_injectivity_cap_are_halved():
     """exp refuses the CFL step on a circle with a tiny injectivity cap; the
     flow halves dt once and converges at half the step size."""
@@ -70,7 +62,7 @@ def test_steps_beyond_the_injectivity_cap_are_halved():
 
     grid, mapf, (_, capped) = flow(0.005)
     with pytest.raises(fh.StepTooLargeError):
-        fh.flow_step(mapf, fh.cfl_step(grid, safety=0.9))
+        fh.flow_step(mapf, fh.cfl_step(grid))
     _, _, (_, free) = flow(None)
     assert capped.termination == free.termination == "tension_tol"
     assert 1.9 * free.steps[-1] <= capped.steps[-1] <= 2.1 * free.steps[-1]
@@ -136,13 +128,18 @@ def test_measure_cancellation_failure_is_a_folharm_error(torus1):
 
 
 def test_non_finite_energy_stops_the_flow(monkeypatch):
+    """A nan candidate energy passes the descent test (nan > E is false), and
+    the initial energy is compared with nothing; both stop the flow, even
+    when every later energy is finite."""
     import folharm.flow as flow
 
-    energies = iter([1.0])
-    monkeypatch.setattr(flow, "transversal_energy",
-                        lambda m, s: next(energies, float("nan")))
-    with pytest.raises(fh.FlowDivergedError):
-        _circle_flow(n=32, tension_tol=1e-14, max_steps=50)
+    nan = float("nan")
+    for first, later in ((1.0, nan), (nan, 1.0), (float("inf"), 1.0)):
+        energies = iter([first])
+        monkeypatch.setattr(flow, "transversal_energy",
+                            lambda m, s, e=energies, x=later: next(e, x))
+        with pytest.raises(fh.FlowDivergedError):
+            _circle_flow(n=32, tension_tol=1e-14, max_steps=50)
 
 
 def _count_calls(monkeypatch, module, name):

@@ -110,7 +110,7 @@ def test_exp_matches_geodesic_reintegration(all_geometries):
             n = geom.norm(p, v)
             if n > 0.8 * geom.injectivity_cap:
                 v *= 0.8 * geom.injectivity_cap / n
-            got = geom.exp(p, v, reduce=False)
+            got = geom.exp(p, v)
             want = rk4_geodesic(geom, p, v, nsteps=400)
             if not np.all(geom.contains(want)):
                 continue
@@ -128,7 +128,7 @@ def test_exp_known_values(torus1, sphere, patch):
 def test_exp_zero_vector_is_identity(all_geometries):
     for geom in all_geometries:
         pts = interior_points(geom, RNG, 20)
-        out = geom.exp(pts, np.zeros_like(pts), reduce=False)
+        out = geom.exp(pts, np.zeros_like(pts))
         assert np.allclose(out, pts, atol=1e-14)
 
 
@@ -138,10 +138,10 @@ def test_exp_norm_preservation(all_geometries):
     for geom in all_geometries:
         for p in interior_points(geom, rng, 5):
             v = 0.3 * rng.standard_normal(geom.dim)
-            half = geom.exp(p, 0.5 * v, reduce=False)
+            half = geom.exp(p, 0.5 * v)
             if not np.all(geom.contains(half)):
                 continue
-            full = geom.exp(p, v, reduce=False)
+            full = geom.exp(p, v)
             refull = rk4_geodesic(geom, half, 0.5 * _transport(geom, p, half, v), 200)
             # geodesic segment property holds within integrator error
             if np.all(geom.contains(full)) and np.all(geom.contains(refull)):
@@ -151,21 +151,14 @@ def test_exp_norm_preservation(all_geometries):
 def _transport(geom, p, mid, v):
     """Velocity of the geodesic t -> exp_p(tv) at the midpoint, by FD."""
     eps = 1e-6
-    a = geom.exp(p, (0.5 + eps) * v, reduce=False)
-    b = geom.exp(p, (0.5 - eps) * v, reduce=False)
+    a = geom.exp(p, (0.5 + eps) * v)
+    b = geom.exp(p, (0.5 - eps) * v)
     return (a - b) / (2 * eps)
 
 
 def test_exp_rejects_steps_beyond_injectivity_cap(sphere):
     with pytest.raises(fh.StepTooLargeError):
         sphere.exp([np.pi / 2, 0.0], [0.0, 10.0])
-
-
-def test_torus_exp_reduces_into_fundamental_domain(torus2):
-    p = np.array([0.1, 0.2])
-    v = np.array([0.3, -0.4])
-    reduced = torus2.exp(np.array([0.1 + 2 * np.pi, 0.2]), v)
-    assert np.allclose(reduced, torus2.exp(p, v), atol=1e-12)
 
 
 def test_flat_torus_constants_are_read_only(torus2):

@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Time single explicit heat-flow attempts in-process.
+"""Time explicit heat-flow steps in-process, as ``run_flow`` pays for them.
 
     python3 scripts/step_time.py [--config C] [--resolution N] [--attempts K]
 
 Builds the config's source grid at resolution N and its initial map, then
-times K consecutive attempts.  An attempt is the work of one accepted step
-of ``run_flow``: ``flow_step`` at the config's (CFL) step size, the
-candidate's energy, and the trace statistics max|tau|, max|S| and
-max|d_T phi|^2.  Each attempt starts from the previous candidate, so every
-one computes fresh derivatives.  Prints one JSON line with the median and
-quartiles in milliseconds.  Set OPENBLAS_NUM_THREADS=1 for figures
+times ``run_flow`` with the config's flow settings, ``tension_tol=0`` and
+``max_steps=K``: the initial map's energy and tension, K steps with their
+energies, rejections and trace statistics, and the last block of trace
+statistics.  Each of five runs starts from a freshly built initial map.
+Prints one JSON line with the median and quartiles over the runs of the
+milliseconds per accepted step.  Set OPENBLAS_NUM_THREADS=1 for figures
 comparable with the benchmark.
 """
 
@@ -26,8 +26,10 @@ sys.path.insert(0, str(here.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from folharm import flow, maps  # noqa: E402
+from folharm import flow  # noqa: E402
 from folharm.cli import Experiment, load_config  # noqa: E402
+
+RUNS = 5
 
 
 def main(argv=None) -> int:
@@ -40,23 +42,21 @@ def main(argv=None) -> int:
     config = load_config(args.config)
     config["resolution"] = args.resolution
     exp = Experiment(config)
-    mapf = exp.initial_map()
-    dt = flow.FlowConfig(**config.get("flow", {})).resolve_dt(mapf.grid)
-    maps.tension_sup_norm(mapf)              # the first attempt needs tau
-    times = []
-    for _ in range(args.attempts):
+    settings = {**config.get("flow", {}), "tension_tol": 0.0, "max_steps": args.attempts}
+    flow_config = flow.FlowConfig(**settings)
+    per_step = []
+    for _ in range(RUNS):
+        mapf = exp.initial_map()
         t0 = time.perf_counter()
-        mapf = flow.flow_step(mapf, dt)
-        flow.transversal_energy(mapf, exp.struct)
-        maps.tension_sup_norm(mapf)
-        np.max(maps.second_form_norm_squared(mapf))
-        np.max(mapf.dT_norm_sq)
-        times.append(time.perf_counter() - t0)
-    ms = 1e3 * np.asarray(times)
-    q1, med, q3 = np.percentile(ms, [25, 50, 75])
+        _, trace = flow.run_flow(mapf, exp.struct, flow_config)
+        elapsed = time.perf_counter() - t0
+        steps = trace.steps[-1]
+        per_step.append(1e3 * elapsed / max(steps, 1))
+    q1, med, q3 = np.percentile(per_step, [25, 50, 75])
     print(json.dumps({
         "config": Path(args.config).name, "resolution": list(mapf.grid.shape),
-        "attempts": args.attempts, "dt": dt,
+        "attempts": args.attempts, "steps": steps, "termination": trace.termination,
+        "runs": RUNS, "dt": flow_config.resolve_dt(mapf.grid),
         "median_ms": round(float(med), 3), "q1_ms": round(float(q1), 3),
         "q3_ms": round(float(q3), 3),
     }))

@@ -88,6 +88,9 @@ class Experiment:
             self.struct = named_profile(
                 fol["profile"], fol.get("leaf_dimension", 1), fol.get("params")
             )
+            # one sample at a chart corner: a profile that does not fit the
+            # chart fails here, before any subcommand work
+            self.struct.vol_at(self.source.chart_bounds[:, 0])
         self.resolution = config["resolution"]
         self.grid = build_grid(self.source, self.resolution)
 

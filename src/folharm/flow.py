@@ -7,6 +7,14 @@ transversally harmonic maps.  Explicit Euler from a CFL step, halved
 whenever a candidate's energy rises or ``exp`` refuses the step, so accepted
 energies never rise; fixed-boundary source nodes are frozen.  Every energy
 the flow holds, the initial one included, must be finite.
+
+The energy, its finiteness and max|tau| are evaluated at every accepted
+step, because they decide the flow.  The trace-only columns max|S| and
+max|d_T phi|^2 decide nothing: the flow keeps references to the accepted
+maps' S, target metric and |d_T phi|^2 and reduces them in blocks of about
+``_BLOCK_BYTES``, one stacked contraction per block, and before it returns.
+The contractions are elementwise, so every value is the one a per-step
+evaluation gives.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .grid import GridChart, integrate
 from .maps import (
     FoliatedMapField,
     energy_density,
+    form_norm_squared,
     second_form_norm_squared,
     tension_sup_norm,
 )
@@ -128,29 +137,59 @@ def flow_step(mapf: FoliatedMapField, dt: float) -> FoliatedMapField:
     return mapf.replace_values(new_values)
 
 
+# bytes of accepted-map arrays held for one block of trace-only statistics
+_BLOCK_BYTES = 128 * 1024
+
+
+def _stack(arrays: tuple) -> np.ndarray:
+    """The arrays along a new first axis; a lone array is viewed, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _record_block(trace: FlowTrace, block: list, metric_inv: np.ndarray) -> None:
+    """Record the accepted steps of ``block``, rows (step, E, max|tau|, S,
+    target metric, |d_T phi|^2), with max|S| and max|d_T phi|^2 reduced in
+    one stacked pass."""
+    steps, energies, tau_max, S, metrics, d2 = zip(*block)
+    g = metrics[0] if all(m is metrics[0] for m in metrics) else np.stack(metrics)
+    n2 = form_norm_squared(_stack(S), metric_inv, g).reshape(len(block), -1)
+    d2_max = _stack(d2).reshape(len(block), -1).max(axis=1)
+    for step, E, tau, S_max, d2_step in zip(steps, energies, tau_max,
+                                            n2.max(axis=1), d2_max):
+        trace.record(step, E, tau, float(np.sqrt(max(S_max, 0.0))), d2_step)
+
+
 def run_flow(mapf: FoliatedMapField, struct: FoliatedStructure | None,
              config: FlowConfig) -> tuple[FoliatedMapField, FlowTrace]:
     """Iterate the heat flow until the tension tolerance, step or dt budget."""
     dt = config.resolve_dt(mapf.grid)
     trace = FlowTrace()
+    block, held = [], 0
 
-    def record(step, m, E):
-        # every energy the flow holds passes here; the rest are trace-only
-        # statistics, evaluated for accepted maps alone
+    def accept(step, m, E):
+        # every energy the flow holds passes here; the trace-only statistics
+        # wait for their block
+        nonlocal held
         if not np.isfinite(E):
             raise FlowDivergedError(f"energy {E!r} at step {step} is not finite")
         tau_max = tension_sup_norm(m)
-        S_max = float(np.sqrt(max(np.max(second_form_norm_squared(m)), 0.0)))
-        trace.record(step, E, tau_max, S_max, float(np.max(m.dT_norm_sq)))
+        row = (step, E, tau_max, m.S, m.target_metric, m.dT_norm_sq)
+        block.append(row)
+        held += sum(x.nbytes for x in row[3:])
+        if held >= _BLOCK_BYTES:
+            _record_block(trace, block, m.grid.metric_inv)
+            block.clear()
+            held = 0
         return tau_max
 
     E = transversal_energy(mapf, struct)
-    tau_max = record(0, mapf, E)
+    tau_max = accept(0, mapf, E)
     step = 0
+    termination = "tension_tol"
     while tau_max > config.tension_tol:
         if step == config.max_steps:
-            trace.termination = "max_steps"
-            return mapf, trace
+            termination = "max_steps"
+            break
         try:
             candidate = flow_step(mapf, dt)
         except StepTooLargeError:       # exp refused a step beyond its cap
@@ -161,13 +200,15 @@ def run_flow(mapf: FoliatedMapField, struct: FoliatedStructure | None,
         if rejected:
             dt *= 0.5
             if dt < config.dt_min:
-                trace.termination = "dt_underflow"
-                return mapf, trace
+                termination = "dt_underflow"
+                break
             continue
         step += 1
         mapf, E = candidate, E_c
-        tau_max = record(step, mapf, E)
-    trace.termination = "tension_tol"
+        tau_max = accept(step, mapf, E)
+    if block:
+        _record_block(trace, block, mapf.grid.metric_inv)
+    trace.termination = termination
     return mapf, trace
 
 

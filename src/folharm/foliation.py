@@ -88,6 +88,16 @@ def build_foliated_structure(
     return struct
 
 
+def _coordinate(b, axis: int) -> np.ndarray:
+    """Chart coordinate ``axis`` of the points b (..., q)."""
+    b = np.asarray(b, dtype=float)
+    if not 0 <= axis < b.shape[-1]:
+        raise ConfigurationError(
+            f"axis: {axis} is not an axis of the {b.shape[-1]}-dimensional chart"
+        )
+    return b[..., axis]
+
+
 def named_profile(name: str, leaf_dimension: int, params: dict | None = None
                   ) -> FoliatedStructure:
     """Named leaf-volume profiles available from experiment configs.
@@ -97,6 +107,9 @@ def named_profile(name: str, leaf_dimension: int, params: dict | None = None
                         axis (default 0)
     * ``warped_sine``   vol = exp(p * amp * sin(b_axis)), params: amplitude
                         (default 0.1), axis (default 0)
+
+    A profile evaluated at points of a chart that has no coordinate
+    ``axis`` raises ``ConfigurationError``.
     """
     params = dict(params or {})
     axis = int(params.pop("axis", 0))
@@ -112,12 +125,12 @@ def named_profile(name: str, leaf_dimension: int, params: dict | None = None
             raise ConfigurationError(f"offset: must exceed 1 for positivity, got {c}")
 
         def vol(b, c=c, axis=axis):
-            return c + np.cos(np.asarray(b)[..., axis])
+            return c + np.cos(_coordinate(b, axis))
 
         def dlog(b, c=c, axis=axis):
-            b = np.asarray(b, dtype=float)
-            out = np.zeros(b.shape)
-            out[..., axis] = -np.sin(b[..., axis]) / (c + np.cos(b[..., axis]))
+            x = _coordinate(b, axis)
+            out = np.zeros(np.shape(b))
+            out[..., axis] = -np.sin(x) / (c + np.cos(x))
             return out
 
         return FoliatedStructure(leaf_dimension, vol, dlog)
@@ -128,12 +141,12 @@ def named_profile(name: str, leaf_dimension: int, params: dict | None = None
         p = leaf_dimension
 
         def vol(b, amp=amp, p=p, axis=axis):
-            return np.exp(p * amp * np.sin(np.asarray(b)[..., axis]))
+            return np.exp(p * amp * np.sin(_coordinate(b, axis)))
 
         def dlog(b, amp=amp, p=p, axis=axis):
-            b = np.asarray(b, dtype=float)
-            out = np.zeros(b.shape)
-            out[..., axis] = p * amp * np.cos(b[..., axis])
+            x = _coordinate(b, axis)
+            out = np.zeros(np.shape(b))
+            out[..., axis] = p * amp * np.cos(x)
             return out
 
         return FoliatedStructure(leaf_dimension, vol, dlog)

@@ -137,7 +137,7 @@ class TransverseGeometry:
 
     def check_cap(self, points: np.ndarray, v: np.ndarray) -> None:
         n = self.norm(points, v)
-        if np.any(n > self.injectivity_cap):
+        if (n > self.injectivity_cap).any():
             raise StepTooLargeError(
                 f"exp step |v| = {float(np.max(n)):.3g} exceeds injectivity cap "
                 f"{self.injectivity_cap:.3g} for {self.kind}; shrink dt"

@@ -99,10 +99,10 @@ class FoliatedMapField:
     """Grid of target-chart coordinates of (the transverse part of) a map.
 
     The field is immutable: ``values`` is a read-only copy, so the
-    derivatives cached on first use (``D``, ``S``, ``tau``, ``dT_norm_sq``)
-    cannot go stale.  ``replace_values`` builds a new field on the same
-    lift, whose winding was checked when the lift was built, so only the
-    new values are checked.
+    periodic part and the derivatives cached on first use (``D``, ``S``,
+    ``tau``, ``dT_norm_sq``) cannot go stale.  ``replace_values`` builds a
+    new field on the same lift, whose winding was checked when the lift was
+    built, so only the new values are checked.
     """
 
     grid: GridChart
@@ -137,13 +137,15 @@ class FoliatedMapField:
         """Slope (q', q) of the exact linear part of the lift."""
         return self._lift.slope
 
-    @property
+    @cached_property
     def periodic_part(self) -> np.ndarray:
         """Values minus the linear part of the lift (the values themselves
-        when the winding is zero); recomputed on use, not kept."""
+        when the winding is zero), read-only like them."""
         if not self._lift.slope.any():
             return self.values
-        return self.values - self._lift.values
+        part = self.values - self._lift.values
+        part.flags.writeable = False
+        return part
 
     @cached_property
     def target_metric(self) -> np.ndarray:
@@ -318,7 +320,7 @@ def tension(mapf: FoliatedMapField) -> np.ndarray:
 def tension_sup_norm(mapf: FoliatedMapField) -> float:
     """Max over nodes of |tau|_{g'} (the transversal-harmonicity defect)."""
     n2 = contract("...s,...st,...t->...", mapf.tau, mapf.target_metric, mapf.tau)
-    return float(np.sqrt(np.max(n2)))
+    return float(np.sqrt(n2.max()))
 
 
 def energy_density(mapf: FoliatedMapField) -> np.ndarray:
@@ -335,8 +337,16 @@ def dT_norm_squared(mapf: FoliatedMapField) -> np.ndarray:
 def second_form_norm_squared(mapf: FoliatedMapField) -> np.ndarray:
     """|nabla_tr d_T phi|^2 = g^{aa'} g^{bb'} g'_{gd} S^g_{ab} S^d_{a'b'}
     = g'_{gd} tr(S^g g^{-1} S^d g^{-1})."""
-    Sg = contract("...gab,...bc->...gac", mapf.S, mapf.grid.metric_inv)   # S^g g^{-1}
-    return contract("...gac,...dca,...gd->...", Sg, Sg, mapf.target_metric)
+    return form_norm_squared(mapf.S, mapf.grid.metric_inv, mapf.target_metric)
+
+
+def form_norm_squared(S: np.ndarray, metric_inv: np.ndarray,
+                      target_metric: np.ndarray) -> np.ndarray:
+    """``second_form_norm_squared`` of second-form arrays S (..., q', q, q);
+    leading axes beyond the grid's stack maps, and broadcast against the
+    metrics."""
+    Sg = contract("...gab,...bc->...gac", S, metric_inv)   # S^g g^{-1}
+    return contract("...gac,...dca,...gd->...", Sg, Sg, target_metric)
 
 
 def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray) -> np.ndarray:

@@ -162,6 +162,19 @@ def test_non_finite_energy_exits_three(tmp_path):
     assert not (out / "energy.json").exists()
 
 
+@pytest.mark.parametrize("subcommand, axis", [
+    ("energy", 3), ("energy", 1), ("energy", -1), ("flow", 3),
+])
+def test_foliation_axis_outside_the_chart_exits_two(tmp_path, capsys, subcommand, axis):
+    cfg = _write_config(tmp_path, _base_config(
+        source={"kind": "flat_torus", "periods": [TWO_PI]},
+        foliation={"profile": "cosine_offset", "params": {"axis": axis}}))
+    out = tmp_path / "out"
+    assert cli.main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert "axis" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def _huge_sine_config(amplitude, **extra):
     return _base_config(map={"family": "sine_perturbation",
                              "params": {"modes": [[0, [1, 0], amplitude, 0.0]]}}, **extra)

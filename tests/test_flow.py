@@ -82,6 +82,52 @@ def test_rejections_below_dt_min_end_in_dt_underflow():
     assert final is mapf
 
 
+def _patch_flow(**cfg):
+    grid = fh.build_grid(fh.FlatTorus([TWO_PI, TWO_PI]), 8)
+    patch = fh.HyperbolicPatch(x_bounds=(-2.0, 2.0), y_bounds=(0.5, 3.0))
+    fam = fh.make_family("sine_into_patch", grid.geometry, patch)
+    return fh.run_flow(fam.realize(grid), None, fh.FlowConfig(**cfg))
+
+
+@pytest.mark.parametrize("flow_run, cfg, termination", [
+    (_circle_flow, {"n": 16, "tension_tol": 1e-3}, "tension_tol"),
+    (_circle_flow, {"n": 16, "tension_tol": 1e-14, "max_steps": 11}, "max_steps"),
+    (_circle_flow, {"n": 16, "tension_tol": 1e-14}, "dt_underflow"),  # energies rise
+    (_patch_flow, {"tension_tol": 1e-14, "max_steps": 10}, "max_steps"),
+])
+def test_block_reduced_trace_columns_equal_per_map_values(monkeypatch, flow_run, cfg,
+                                                           termination):
+    """max_second_form and max_density are reduced in blocks (here of three
+    maps), and still equal, bit for bit, the per-map values, on a flat and
+    a curved target, also for a last block cut short by any termination."""
+    import folharm.flow as flow
+
+    accepted, energies = [], []
+    sup_norm, energy = flow.tension_sup_norm, flow.transversal_energy
+
+    def recording(m):           # called once per accepted map
+        if not accepted:
+            held = m.S.nbytes + m.target_metric.nbytes + m.dT_norm_sq.nbytes
+            monkeypatch.setattr(flow, "_BLOCK_BYTES", 3 * held)
+        accepted.append(m)
+        return sup_norm(m)
+
+    def rising(m, struct):      # every energy after the tenth rises
+        energies.append(energy(m, struct) if len(energies) < 10 else 1e300)
+        return energies[-1]
+
+    monkeypatch.setattr(flow, "tension_sup_norm", recording)
+    if termination == "dt_underflow":
+        monkeypatch.setattr(flow, "transversal_energy", rising)
+    _, trace = flow_run(**cfg)
+    assert trace.termination == termination
+    assert len(trace.steps) == len(accepted) > 6
+    assert len(trace.max_second_form) == len(trace.max_density) == len(accepted)
+    for m, S_max, d2_max in zip(accepted, trace.max_second_form, trace.max_density):
+        assert S_max == float(np.sqrt(max(np.max(fh.second_form_norm_squared(m)), 0.0)))
+        assert d2_max == float(np.max(m.dT_norm_sq))
+
+
 def test_backtracking_recovers_from_large_dt():
     """An unstable step size halves until the energy decreases again."""
     final, trace = _circle_flow(n=32, amp=0.3, dt=0.05, tension_tol=1e-5)

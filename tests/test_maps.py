@@ -34,6 +34,19 @@ def test_dT_exact_on_linear_maps():
     assert np.max(np.abs(D - np.array([[2.0, 1.0], [0.0, 1.0]]))) <= 1e-12
 
 
+def test_periodic_part_is_computed_once_per_field():
+    """A winding map subtracts the linear part of its lift once; D and S
+    difference the same read-only array."""
+    grid = _torus_grid(16)
+    fam = fh.make_family("linear", grid.geometry, grid.geometry,
+                         {"matrix": [[2, 1], [0, 1]]})
+    mapf = fam.realize(grid)
+    part = mapf.periodic_part
+    assert part is mapf.periodic_part and not part.flags.writeable
+    linear = np.einsum("ca,...a->...c", mapf.linear_slope, grid.points)
+    assert np.allclose(part, mapf.values - linear, rtol=0, atol=1e-12)
+
+
 def test_dT_second_order_accurate():
     errs = []
     for n in (32, 64, 128):

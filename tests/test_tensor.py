@@ -54,6 +54,53 @@ def test_contract_matches_einsum(case, seed):
         assert np.array_equal(x, y)
 
 
+def _constant_operands(spec, shapes, rng):
+    """Random operands, about half of them constants: zero-stride views
+    (or, without '...', plain arrays) whose entries are 0, 1, -1 or random."""
+    operands = []
+    for term, shape in zip(spec.partition("->")[0].split(","), shapes):
+        core = shape[len(shape) - len(term.removeprefix("...")):]
+        if rng.random() < 0.5:
+            operands.append(rng.standard_normal(shape))
+            continue
+        pick = rng.integers(0, 4, core)
+        values = np.choose(pick, [0.0, 1.0, -1.0, rng.standard_normal(core)])
+        operands.append(np.broadcast_to(values, shape))
+    return operands
+
+
+@settings(max_examples=300, deadline=None)
+@given(contractions(), st.integers(0, 2**32 - 1))
+@example(("...ab,...bc->...ac", ((3, 2, 2), (1, 2, 2))), 0)
+@example(("...ts,...sa,...ab,...tb->...", ((4, 2, 2), (4, 2, 2), (4, 2, 2), (4, 2, 2))), 1)
+@example(("...ab,...gab->...g", ((2, 3, 2, 2), (3, 2, 2, 2))), 2)
+def test_contract_folds_constant_operands(case, seed):
+    spec, shapes = case
+    operands = _constant_operands(spec, shapes, np.random.default_rng(seed))
+    before = [x.copy() for x in operands]
+    got = contract(spec, *operands)
+    want = np.einsum(spec, *operands)
+    scale = np.einsum(spec, *(np.abs(x) for x in operands))
+    assert np.shape(got) == np.shape(want)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.max(scale, initial=1e-300))
+    again = contract(spec, *operands)
+    assert np.array_equal(got, again)
+    for x, y in zip(operands, before):       # nothing written, nothing aliased
+        assert np.array_equal(x, y)
+        assert not np.shares_memory(got, x)
+    assert not np.shares_memory(got, again)
+
+
+def test_zero_constant_entries_contribute_nothing_against_non_finite_factors():
+    identity = np.broadcast_to(np.eye(2), (3, 2, 2))
+    v = np.array([[1.0, np.inf], [np.nan, -2.0], [-0.0, 3.0]])
+    got = contract("...ab,...b->...a", identity, v)
+    assert np.array_equal(got, v, equal_nan=True)      # einsum: nan beside every non-finite
+    assert not np.shares_memory(got, v)
+    assert np.array_equal(contract("...a,...a->...", np.broadcast_to([0.0, 1.0], (3, 2)), v),
+                          v[:, 1])
+
+
 def test_contract_writes_one_fresh_component_major_block_per_output_component():
     x = np.arange(12.0).reshape(3, 2, 2)
     got = contract("...ab->...ba", x)

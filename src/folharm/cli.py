@@ -6,10 +6,11 @@ Subcommands: ``tension`` (dump the tension field), ``energy`` (print the
 transversal energy), ``flow`` (run the heat flow, dump trace / final map /
 diagnostics), ``verify`` (run identity checks), ``report`` (everything the
 config selects, bundled).  Configs are single JSON documents validated
-against ``config_schema.json`` before any computation; unknown keys are
-rejected.  The output directory resolves as ``--out`` flag, then the
-``FOLHARM_OUT`` environment variable, then the config's ``out`` key, then
-``./folharm_out``.
+against ``config_schema.json`` before any computation, by the package's own
+draft-07 validator (``_schema``, no ``jsonschema`` import); unknown keys and
+numbers that are not finite are rejected.  The output directory resolves as
+``--out`` flag, then the ``FOLHARM_OUT`` environment variable, then the
+config's ``out`` key, then ``./folharm_out``.
 
 Exit codes: 0 all selected checks pass, 1 a numerical check failed,
 2 configuration/schema error, 3 runtime failure, including an energy,
@@ -24,7 +25,6 @@ import json
 import math
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 EXIT_OK = 0
@@ -42,27 +42,35 @@ def _set_thread_limit(n: int) -> None:
 
 
 def load_config(path) -> dict:
-    """Parse and schema-validate an experiment config."""
-    import jsonschema
+    """Parse and schema-validate an experiment config.
 
+    A number that is not a finite double (``NaN``, ``Infinity``,
+    ``-Infinity``, or a literal such as ``1e309`` or ``1`` followed by 400
+    zeros that overflows) is rejected while parsing.
+    """
+    from ._schema import Schema
     from .errors import ConfigurationError
+
+    def number(token: str) -> int | float:
+        value = float(token)
+        if not math.isfinite(value):
+            raise ConfigurationError(f"config {path}: {token} is not a finite number")
+        return int(token) if token.lstrip("-").isdigit() else value
 
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     try:
-        config = json.loads(text)
+        config = json.loads(text, parse_float=number, parse_int=number,
+                            parse_constant=number)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
-    schema = json.loads(
-        resources.files("folharm").joinpath("config_schema.json").read_text()
-    )
-    try:
-        jsonschema.validate(config, schema)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigurationError(f"config {path}: at {where}: {exc.message}") from exc
+    schema = Schema(json.loads(Path(__file__).with_name("config_schema.json").read_text()))
+    error = schema.first_error(config)
+    if error is not None:
+        where = "/".join(map(str, error[0])) or "(top level)"
+        raise ConfigurationError(f"config {path}: at {where}: {error[1]}")
     return config
 
 

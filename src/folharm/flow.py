@@ -73,8 +73,8 @@ class FlowConfig:
         if self.dt is None:
             return cfl_step(grid)
         dt = float(self.dt)
-        if dt <= 0:
-            raise ConfigurationError(f"dt: must be positive, got {dt}")
+        if not 0 < dt < np.inf:
+            raise ConfigurationError(f"dt: must be positive and finite, got {dt}")
         return dt
 
 

@@ -5,12 +5,14 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
 from folharm import cli
+from folharm.errors import ConfigurationError
 
 TWO_PI = 2 * np.pi
 
@@ -138,6 +140,64 @@ def test_schema_rejects_bad_geometry(tmp_path):
     })
     assert cli.main(["energy", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
+
+
+# (config edit, where, message): each error names its place in the config
+_CONFIG_FAULTS = {
+    "unknown key": (dict(mystery=1), "(top level)",
+                    "Additional properties are not allowed ('mystery' was unexpected)"),
+    "missing key": (dict(foliation={"leaf_dimension": 1}), "foliation",
+                    "'profile' is a required property"),
+    "type": (dict(seed="7"), "seed", "'7' is not of type 'integer'"),
+    "bool is not a number": (dict(flow={"dt": True}), "flow/dt",
+                             "True is not of type 'number', 'null'"),
+    "bound in a oneOf branch": (dict(resolution=[16, 4]), "resolution/1",
+                                "4 is less than the minimum of 8"),
+    "no oneOf branch fits": (dict(resolution="16"), "resolution",
+                             "'16' is not valid under any of the given schemas"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_CONFIG_FAULTS))
+def test_config_error_names_where_and_what(tmp_path, fault):
+    edit, where, message = _CONFIG_FAULTS[fault]
+    cfg = _write_config(tmp_path, _base_config(**edit))
+    with pytest.raises(ConfigurationError) as caught:
+        cli.load_config(cfg)
+    assert str(caught.value) == f"config {cfg}: at {where}: {message}"
+
+
+_NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e309", "-1e309", "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("token", _NON_FINITE, ids=lambda token: token[:8])
+@pytest.mark.parametrize("key", ["tension_tol", "dt", "periods"])
+def test_non_finite_config_numbers_are_rejected(tmp_path, token, key):
+    """json.loads accepts NaN and Infinity and reads 1e309 as inf; a nan
+    tension_tol would stop a flow at once with pass: true, an infinite dt
+    would never halve below dt_min, and an integer beyond the double range
+    fails when it becomes a float."""
+    config = _base_config(flow={"tension_tol": 1e-6, "dt": 0.01})
+    if key == "periods":
+        config["source"]["periods"] = [TWO_PI, "@"]
+    else:
+        config["flow"][key] = "@"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config).replace('"@"', token))
+    with pytest.raises(ConfigurationError) as caught:
+        cli.load_config(path)
+    assert str(caught.value) == f"config {path}: {token} is not a finite number"
+
+
+def test_nan_tension_tol_flow_exits_two(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_base_config(
+        map={"family": "sine_perturbation"}, flow={"tension_tol": "@"},
+    )).replace('"@"', "NaN"))
+    out = tmp_path / "out"
+    assert cli.main(["flow", "--config", str(path), "--out", str(out)]) == 2
+    assert "NaN is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_runtime_error_exits_three(tmp_path):
@@ -332,6 +392,16 @@ def test_cli_import_leaves_numpy_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.strip() == "False"
+
+
+def test_cold_start_loads_neither_jsonschema_nor_numpy():
+    """Validating a config needs neither: both imports would add to every run."""
+    config = Path(__file__).parents[1] / "scripts" / "configs" / "energy_identity_torus.json"
+    probe = ("import sys, folharm.cli; folharm.cli.load_config(sys.argv[1]); "
+             "print(sorted({'jsonschema', 'numpy'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe, str(config)], capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 def _truncate(lines):

@@ -43,6 +43,15 @@ def test_stationary_start_terminates_immediately():
     assert np.array_equal(final.values, mapf.values)
 
 
+@pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -1.0])
+def test_resolve_dt_rejects_a_step_that_is_not_positive_and_finite(dt):
+    """An infinite dt would never halve below dt_min, so the flow would not
+    end; a nan one would compare false everywhere."""
+    grid = fh.build_grid(fh.FlatTorus([TWO_PI]), 16)
+    with pytest.raises(fh.ConfigurationError, match="dt: must be positive and finite"):
+        fh.FlowConfig(dt=dt).resolve_dt(grid)
+
+
 def test_max_steps_termination():
     _, trace = _circle_flow(n=64, tension_tol=1e-14, max_steps=5)
     assert trace.termination == "max_steps"

@@ -24,7 +24,7 @@ from .errors import (
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "foliation": ("FoliatedStructure", "build_foliated_structure", "named_profile"),
+    "foliation": ("FoliatedStructure", "named_profile"),
     "geometry": ("FlatTorus", "HyperbolicPatch", "RoundSphere",
                  "TransverseGeometry", "build_geometry"),
     "grid": ("GridChart", "build_grid", "check_divergence_theorem",

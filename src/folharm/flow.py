@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isfinite
 
 import numpy as np
 
@@ -170,12 +171,12 @@ def run_flow(mapf: FoliatedMapField, struct: FoliatedStructure | None,
         # every energy the flow holds passes here; the trace-only statistics
         # wait for their block
         nonlocal held
-        if not np.isfinite(E):
+        if not isfinite(E):
             raise FlowDivergedError(f"energy {E!r} at step {step} is not finite")
         tau_max = tension_sup_norm(m)
-        row = (step, E, tau_max, m.S, m.target_metric, m.dT_norm_sq)
-        block.append(row)
-        held += sum(x.nbytes for x in row[3:])
+        S, g, d2 = m.S, m.target_metric, m.dT_norm_sq
+        block.append((step, E, tau_max, S, g, d2))
+        held += S.nbytes + g.nbytes + d2.nbytes
         if held >= _BLOCK_BYTES:
             _record_block(trace, block, m.grid.metric_inv)
             block.clear()

@@ -15,11 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import TransverseGeometry
 
-__all__ = ["FoliatedStructure", "build_foliated_structure", "named_profile"]
-
-_CHECK_RESOLUTION = 16     # lattice nodes per axis of the positivity check
+__all__ = ["FoliatedStructure", "named_profile"]
 
 
 @dataclass(frozen=True)
@@ -65,27 +62,6 @@ class FoliatedStructure:
             vol=lambda b: np.ones(np.asarray(b).shape[:-1]),
             dlog_vol=lambda b: np.zeros(np.asarray(b).shape),
         )
-
-
-def build_foliated_structure(
-    geom: TransverseGeometry,
-    leaf_dimension: int,
-    vol: Callable[[np.ndarray], np.ndarray],
-    dlog_vol: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> FoliatedStructure:
-    """Validate a profile against the chart and wrap it in a structure.
-
-    Positivity is checked on a coarse lattice over the chart box; evaluation
-    re-checks each sample, so a profile dipping below zero between lattice
-    nodes still fails at use time.
-    """
-    struct = FoliatedStructure(leaf_dimension, vol, dlog_vol)
-    axes = [
-        np.linspace(lo, hi, _CHECK_RESOLUTION) for lo, hi in geom.chart_bounds
-    ]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    struct.vol_at(mesh)   # raises ConfigurationError on a nonpositive sample
-    return struct
 
 
 def _coordinate(b, axis: int) -> np.ndarray:

@@ -60,6 +60,9 @@ class TransverseGeometry:
     # True when the chart's Christoffel symbols vanish identically, so the
     # connection terms of the map derivatives can be skipped
     christoffel_vanishes: bool = False
+    # True when ``metric`` and ``metric_inv`` are the identity everywhere, so
+    # the metric factors of the contractions can be skipped
+    metric_is_identity: bool = False
 
     # -- pointwise closed forms -------------------------------------------
 
@@ -121,8 +124,14 @@ class TransverseGeometry:
             raise DomainError(f"point outside {self.kind} chart domain")
 
     def norm(self, points: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """|v|_g = sqrt(g_ab v^a v^b) at each point."""
-        return np.sqrt(contract("...a,...ab,...b->...", v, self.metric(points), v))
+        """|v|_g = sqrt(g_ab v^a v^b) at each point; inf, and no warning,
+        where the square overflows."""
+        if self.metric_is_identity and self.dim == 1:   # |v|, which cannot overflow
+            return np.abs(v[..., 0])
+        with np.errstate(over="ignore"):
+            if self.metric_is_identity:
+                return np.sqrt(contract("...a,...a->...", v, v))
+            return np.sqrt(contract("...a,...ab,...b->...", v, self.metric(points), v))
 
     # -- exponential map ---------------------------------------------------
 
@@ -135,9 +144,9 @@ class TransverseGeometry:
         """
         raise NotImplementedError
 
-    def check_cap(self, points: np.ndarray, v: np.ndarray) -> None:
-        n = self.norm(points, v)
-        if (n > self.injectivity_cap).any():
+    def check_cap(self, n: np.ndarray) -> None:
+        """Refuse an exp step whose lengths |v|_g = n exceed the cap."""
+        if np.count_nonzero(n > self.injectivity_cap):
             raise StepTooLargeError(
                 f"exp step |v| = {float(np.max(n)):.3g} exceeds injectivity cap "
                 f"{self.injectivity_cap:.3g} for {self.kind}; shrink dt"
@@ -164,6 +173,8 @@ class FlatTorus(TransverseGeometry):
         self.injectivity_cap = (
             min(periods) / 4.0 if injectivity_cap is None else float(injectivity_cap)
         )
+        # not for a subclass with a (constant, still flat) metric of its own
+        self.metric_is_identity = type(self).metric is FlatTorus.metric
 
     # constant fields are read-only broadcast views, nothing grid-sized is allocated
     def metric(self, points):
@@ -184,7 +195,7 @@ class FlatTorus(TransverseGeometry):
     def exp(self, points, v):
         points = np.asarray(points, dtype=float)
         v = np.asarray(v, dtype=float)
-        self.check_cap(points, v)
+        self.check_cap(self.norm(points, v))
         return points + v
 
 
@@ -270,7 +281,7 @@ class RoundSphere(TransverseGeometry):
         points = np.asarray(points, dtype=float)
         v = np.asarray(v, dtype=float)
         self.require_valid(points)
-        self.check_cap(points, v)
+        self.check_cap(self.norm(points, v))
         r = self.radius
         theta, phi = points[..., 0], points[..., 1]
         p3 = self.embed(points)
@@ -361,9 +372,10 @@ class HyperbolicPatch(TransverseGeometry):
         points = np.asarray(points, dtype=float)
         v = np.asarray(v, dtype=float)
         self.require_valid(points)
-        self.check_cap(points, v)
         x, y = points[..., 0], points[..., 1]
-        s = np.hypot(v[..., 0], v[..., 1]) / y     # hyperbolic speed
+        with np.errstate(over="ignore"):
+            s = np.hypot(v[..., 0], v[..., 1]) / y     # hyperbolic speed |v|_g
+        self.check_cap(s)
         alpha = np.arctan2(v[..., 1], v[..., 0])
         th = (np.pi / 2 - alpha) / 2.0             # Moebius K_th rotates by 2*th
         w1 = 1j * np.exp(s)

@@ -5,7 +5,8 @@ one copy of the field wrapped by a layer on each side, and fixed
 (non-periodic) axes use one-sided second-order stencils on the two boundary
 layers.  All operators
 are exact on fields that are polynomials of degree <= 1 in the chart
-coordinates of a flat chart.
+coordinates of a flat chart.  The stencils take a field or its ``Partials``,
+so that the gradient and the Hessian of one field wrap each axis once.
 
 Integration is a weighted Riemann sum against the base volume element
 w(i) = sqrt(det g(b_i)) * prod_a h_a, with composite-trapezoid end weights on
@@ -29,6 +30,7 @@ from .tensor import contract
 
 __all__ = [
     "GridChart",
+    "Partials",
     "build_grid",
     "diff1",
     "diff2",
@@ -160,19 +162,38 @@ def _axis_slices(ndim: int, axis: int) -> tuple:
                  for lo, hi in ((-1, None), (None, 1), (2, None), (1, -1), (None, -2)))
 
 
-def _wrapped(f: np.ndarray, axis: int) -> np.ndarray:
-    """f with one wrapped layer on each side of a periodic axis:
-    fp[i + 1] = f[i mod n] for i = -1 .. n."""
-    last, first = _axis_slices(f.ndim, axis)[:2]
-    return np.concatenate((f[last], f, f[first]), axis=axis, dtype=float)
+class Partials:
+    """One field ``f`` with its copies wrapped along periodic axes, which the
+    first and second partials share, and its first partials, which the mixed
+    partials difference again; each is made once, on first use."""
+
+    def __init__(self, grid: GridChart, f: np.ndarray):
+        self.grid, self.f, self._wrapped, self._first = grid, f, {}, {}
+
+    def wrapped(self, axis: int) -> np.ndarray:
+        """fp[i + 1] = f[i mod n] for i = -1 .. n along a periodic axis."""
+        if axis not in self._wrapped:
+            f, (last, first) = self.f, _axis_slices(self.f.ndim, axis)[:2]
+            self._wrapped[axis] = np.concatenate((f[last], f, f[first]), axis=axis, dtype=float)
+        return self._wrapped[axis]
+
+    def first(self, axis: int) -> np.ndarray:
+        if axis not in self._first:
+            self._first[axis] = diff1(self.grid, self, axis)
+        return self._first[axis]
 
 
-def diff1(grid: GridChart, f: np.ndarray, axis: int) -> np.ndarray:
+def _partials(grid: GridChart, f) -> Partials:
+    return f if isinstance(f, Partials) else Partials(grid, f)
+
+
+def diff1(grid: GridChart, f, axis: int) -> np.ndarray:
     """First partial derivative along a grid axis, second order."""
-    nd = f.ndim
+    p = _partials(grid, f)
+    f, nd = p.f, p.f.ndim
     _, _, hi, mid, lo = _axis_slices(nd, axis)
     if grid.periodic[axis]:
-        fp = _wrapped(f, axis)
+        fp = p.wrapped(axis)
         out = fp[hi] - fp[lo]
     else:                          # one-sided stencils on the boundary layers
         def at(i):
@@ -186,12 +207,13 @@ def diff1(grid: GridChart, f: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def diff2(grid: GridChart, f: np.ndarray, axis: int) -> np.ndarray:
+def diff2(grid: GridChart, f, axis: int) -> np.ndarray:
     """Second partial derivative along one axis, second order."""
-    nd = f.ndim
+    p = _partials(grid, f)
+    f, nd = p.f, p.f.ndim
     _, _, hi, mid, lo = _axis_slices(nd, axis)
     if grid.periodic[axis]:
-        fp = _wrapped(f, axis)
+        fp = p.wrapped(axis)
         out = fp[hi] - 2 * fp[mid]
         out += fp[lo]
     else:                          # one-sided stencils on the boundary layers
@@ -206,30 +228,31 @@ def diff2(grid: GridChart, f: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def mixed_diff(grid: GridChart, f: np.ndarray, a: int, b: int) -> np.ndarray:
+def mixed_diff(grid: GridChart, f, a: int, b: int) -> np.ndarray:
     """Mixed second partial d_a d_b (symmetric by construction for a != b)."""
     if a == b:
         return diff2(grid, f, a)
-    return diff1(grid, diff1(grid, f, b), a)
+    return diff1(grid, _partials(grid, f).first(b), a)
 
 
-def grad_B(grid: GridChart, f: np.ndarray) -> np.ndarray:
+def grad_B(grid: GridChart, f) -> np.ndarray:
     """First partials d_a f of a scalar or vector field, stacked last:
     f.shape + (q,); for a scalar field this is its basic gradient."""
-    out = np.empty(f.shape + (grid.dim,))
+    p = _partials(grid, f)
+    out = np.empty(p.f.shape + (grid.dim,))
     for a in range(grid.dim):
-        out[..., a] = diff1(grid, f, a)
+        out[..., a] = p.first(a)
     return out
 
 
-def hessian_scalar(grid: GridChart, f: np.ndarray) -> np.ndarray:
+def hessian_scalar(grid: GridChart, f) -> np.ndarray:
     """Second partials d_a d_b f of a scalar or vector field, stacked last:
     f.shape + (q, q)."""
-    q = grid.dim
-    out = np.empty(f.shape + (q, q))
+    q, p = grid.dim, _partials(grid, f)
+    out = np.empty(p.f.shape + (q, q))
     for a in range(q):
         for b in range(a, q):
-            d = mixed_diff(grid, f, a, b)
+            d = mixed_diff(grid, p, a, b)
             out[..., a, b] = d
             out[..., b, a] = d
     return out
@@ -292,7 +315,7 @@ def integrate(grid: GridChart, f: np.ndarray, weight: str = "base_volume",
         if struct is None:
             raise ConfigurationError("manifold_volume weight needs a foliated structure")
         w = w * struct.vol_at(grid.points)
-    return float(np.sum(f * w))
+    return float((f * w).sum())
 
 
 def check_divergence_theorem(grid: GridChart, X: np.ndarray,

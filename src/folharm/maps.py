@@ -14,7 +14,7 @@ explicit g^{ab} contractions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CompositionError, ConfigurationError, InvalidMapError
 from .foliation import FoliatedStructure
 from .geometry import TransverseGeometry
-from .grid import GridChart, grad_B, hessian_scalar, kappa_sharp
+from .grid import GridChart, Partials, grad_B, hessian_scalar, kappa_sharp
 from .tensor import contract
 
 __all__ = [
@@ -49,6 +49,16 @@ def same_chart(a: TransverseGeometry, b: TransverseGeometry) -> bool:
         and np.allclose(a.chart_bounds, b.chart_bounds)
         and a.periodic == b.periodic
     )
+
+
+class _cached_property(cached_property):
+    """``functools.cached_property`` without the lock that Python 3.11 takes
+    on each first read: a field is read by one thread."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.attrname, self.func(instance))
 
 
 class _Lift:
@@ -87,6 +97,7 @@ class _Lift:
             if grid.periodic[a]:
                 lo, hi = grid.geometry.chart_bounds[a]
                 self.slope[:, a] = self.winding[:, a] * periods / (hi - lo)
+        self.winds = bool(self.slope.any())
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -98,11 +109,12 @@ class _Lift:
 class FoliatedMapField:
     """Grid of target-chart coordinates of (the transverse part of) a map.
 
-    The field is immutable: ``values`` is a read-only copy, so the
-    periodic part and the derivatives cached on first use (``D``, ``S``,
-    ``tau``, ``dT_norm_sq``) cannot go stale.  ``replace_values`` builds a
-    new field on the same lift, whose winding was checked when the lift was
-    built, so only the new values are checked.
+    The field is immutable: ``values`` is read-only (a copy of the caller's
+    array), so the periodic part and the derivatives cached on first use
+    (``D``, ``S``, ``tau``, ``dT_norm_sq``) cannot go stale.
+    ``replace_values`` builds a new field on the same lift, whose winding was
+    checked when the lift was built, and adopts the new values instead of
+    copying them, so it only checks them.
     """
 
     grid: GridChart
@@ -112,23 +124,22 @@ class FoliatedMapField:
     _lift: _Lift | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        qp = self.target.dim
-        values = np.array(self.values, dtype=float, order="C")   # node-major stencils
-        if values.shape != self.grid.shape + (qp,):
-            raise InvalidMapError(
-                f"values: expected shape {self.grid.shape + (qp,)}, "
-                f"got {values.shape}"
-            )
-        # array methods, not np.all/np.any: this runs once per flow candidate
-        if not np.isfinite(values).all():
+        values = self.values
+        if self._lift is None:      # a copy: the caller's array stays theirs
+            values = np.array(values, dtype=float, order="C")   # node-major stencils
+            object.__setattr__(self, "_lift", _Lift(self.grid, self.target, self.winding))
+        shape = self.grid.shape + (self.target.dim,)
+        if values.shape != shape:
+            raise InvalidMapError(f"values: expected shape {shape}, got {values.shape}")
+        # count_nonzero, the cheapest test: this runs once per flow candidate
+        if np.count_nonzero(np.isfinite(values)) < values.size:
             raise InvalidMapError("map values must be finite")
+        # periodic axes are unconstrained, so only a fixed axis can be left
+        if not all(self.target.periodic) and not self.target.contains(values).all():
+            raise InvalidMapError("map values leave the target chart interior")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if self._lift is None:
-            object.__setattr__(self, "_lift", _Lift(self.grid, self.target, self.winding))
         object.__setattr__(self, "winding", self._lift.winding)
-        if not self.target.contains(values).all():
-            raise InvalidMapError("map values leave the target chart interior")
 
     # -- lift bookkeeping --------------------------------------------------
 
@@ -137,45 +148,53 @@ class FoliatedMapField:
         """Slope (q', q) of the exact linear part of the lift."""
         return self._lift.slope
 
-    @cached_property
+    @_cached_property
     def periodic_part(self) -> np.ndarray:
         """Values minus the linear part of the lift (the values themselves
         when the winding is zero), read-only like them."""
-        if not self._lift.slope.any():
+        if not self._lift.winds:
             return self.values
         part = self.values - self._lift.values
         part.flags.writeable = False
         return part
 
-    @cached_property
+    @_cached_property
+    def partials(self) -> Partials:
+        """Stencil partials of the periodic part, shared by ``D`` and ``S``."""
+        return Partials(self.grid, self.periodic_part)
+
+    @_cached_property
     def target_metric(self) -> np.ndarray:
         return self.target.metric(self.values)
 
-    @cached_property
+    @_cached_property
     def target_gamma(self) -> np.ndarray:
         return self.target.christoffel(self.values)
 
     def replace_values(self, values: np.ndarray) -> "FoliatedMapField":
+        """The field of ``values``, a fresh float array it adopts, on this lift."""
         return FoliatedMapField(self.grid, self.target, values, _lift=self._lift)
 
     # -- derivatives, each computed once per field ---------------------------
 
-    @cached_property
+    @_cached_property
     def D(self) -> np.ndarray:
         """Transversal differential d_T phi, (..., q', q)."""
         return d_T(self)
 
-    @cached_property
+    @_cached_property
     def S(self) -> np.ndarray:
         """Second fundamental form, (..., q', q, q)."""
-        return second_fund_form(self)
+        S = second_fund_form(self)
+        self.__dict__.pop("partials", None)     # D and S are taken: it is spent
+        return S
 
-    @cached_property
+    @_cached_property
     def tau(self) -> np.ndarray:
         """Transversal tension field, (..., q')."""
         return tension(self)
 
-    @cached_property
+    @_cached_property
     def dT_norm_sq(self) -> np.ndarray:
         """|d_T phi|^2 at every node."""
         return dT_norm_squared(self)
@@ -290,8 +309,9 @@ class AnalyticMap:
 
 def d_T(mapf: FoliatedMapField) -> np.ndarray:
     """Transversal differential, components D[..., alpha, a] = d_a phi^alpha."""
-    D = grad_B(mapf.grid, mapf.periodic_part)
-    D += mapf.linear_slope
+    D = grad_B(mapf.grid, mapf.partials)
+    if mapf._lift.winds:
+        D += mapf.linear_slope
     return D
 
 
@@ -304,7 +324,7 @@ def second_fund_form(mapf: FoliatedMapField) -> np.ndarray:
     A Christoffel term is skipped where its geometry says the symbols vanish.
     """
     D = mapf.D
-    S = hessian_scalar(mapf.grid, mapf.periodic_part)
+    S = hessian_scalar(mapf.grid, mapf.partials)
     if not mapf.grid.geometry.christoffel_vanishes:
         S -= contract("...gc,...cab->...gab", D, mapf.grid.gamma)
     if not mapf.target.christoffel_vanishes:
@@ -314,12 +334,17 @@ def second_fund_form(mapf: FoliatedMapField) -> np.ndarray:
 
 def tension(mapf: FoliatedMapField) -> np.ndarray:
     """Transversal tension field, tau^g = g^{ab} S^g_{ab}."""
-    return contract("...ab,...gab->...g", mapf.grid.metric_inv, mapf.S)
+    S = mapf.S
+    if mapf.grid.geometry.metric_is_identity:        # the trace S^g_aa, a fresh array
+        tau = reduce(np.add, (S[..., a, a] for a in range(1, mapf.grid.dim)), S[..., 0, 0])
+        return tau if mapf.grid.dim > 1 else tau.copy()
+    return contract("...ab,...gab->...g", mapf.grid.metric_inv, S)
 
 
 def tension_sup_norm(mapf: FoliatedMapField) -> float:
     """Max over nodes of |tau|_{g'} (the transversal-harmonicity defect)."""
-    n2 = contract("...s,...st,...t->...", mapf.tau, mapf.target_metric, mapf.tau)
+    n2 = (_sum_of_squares(mapf.tau, 1) if mapf.target.metric_is_identity
+          else contract("...s,...st,...t->...", mapf.tau, mapf.target_metric, mapf.tau))
     return float(np.sqrt(n2.max()))
 
 
@@ -330,8 +355,17 @@ def energy_density(mapf: FoliatedMapField) -> np.ndarray:
 
 def dT_norm_squared(mapf: FoliatedMapField) -> np.ndarray:
     """|d_T phi|^2 = g^{ab} g'_{st}(phi) d_a phi^s d_b phi^t."""
+    if mapf.grid.geometry.metric_is_identity and mapf.target.metric_is_identity:
+        return _sum_of_squares(mapf.D, 2)
     return contract("...ts,...sa,...ab,...tb->...",
                     mapf.target_metric, mapf.D, mapf.grid.metric_inv, mapf.D)
+
+
+def _sum_of_squares(x: np.ndarray, k: int) -> np.ndarray:
+    """Sum of the squares of x over its last ``k`` axes, added in index order
+    as ``contract`` adds them: the contraction with identity metrics."""
+    comps = x.reshape(x.shape[:x.ndim - k] + (-1,))
+    return reduce(np.add, (comps[..., i] * comps[..., i] for i in range(comps.shape[-1])))
 
 
 def second_form_norm_squared(mapf: FoliatedMapField) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Heat flow: descent, convergence, stopping rules, rigidity diagnostics."""
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,24 @@ def test_steps_beyond_the_injectivity_cap_are_halved():
     _, _, (_, free) = flow(None)
     assert capped.termination == free.termination == "tension_tol"
     assert 1.9 * free.steps[-1] <= capped.steps[-1] <= 2.1 * free.steps[-1]
+
+
+@pytest.mark.parametrize("name", ["flow_circle_sine", "flow_rigidity_flat",
+                                  "flow_rigidity_hyperbolic"])
+def test_refused_huge_steps_warn_nothing(name):
+    """dt = 1e300 makes |v| overflow in exp's cap test; the length is inf,
+    silently, so the step is refused and dt halved without a numpy
+    warning, down to steps the flow accepts."""
+    from folharm.cli import Experiment, load_config
+
+    config = load_config(Path(__file__).parents[1] / "scripts" / "configs" / f"{name}.json")
+    config["resolution"] = 16
+    exp = Experiment(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = fh.run_flow(exp.initial_map(), exp.struct,
+                               fh.FlowConfig(dt=1e300, max_steps=5))
+    assert trace.termination == "max_steps"
 
 
 def test_rejections_below_dt_min_end_in_dt_underflow():

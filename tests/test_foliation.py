@@ -61,7 +61,8 @@ def test_profile_validation():
 
 
 def test_nonpositive_volume_rejected_at_build(torus1):
-    with pytest.raises(fh.ConfigurationError):
-        fh.build_foliated_structure(
-            torus1, 1, lambda b: np.cos(np.asarray(b)[..., 0])
-        )
+    """Positivity is enforced where the profile is used: vol_at raises on
+    a grid where the profile dips below zero."""
+    struct = fh.FoliatedStructure(1, lambda b: np.cos(np.asarray(b)[..., 0]))
+    with pytest.raises(fh.ConfigurationError, match="nonpositive"):
+        struct.vol_at(fh.build_grid(torus1, 16).points)

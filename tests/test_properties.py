@@ -144,12 +144,17 @@ def _matches(got, spec, *operands):
                          min_size=2, max_size=2), min_size=1, max_size=5))
 def test_christoffel_vanishes_exactly_where_the_symbols_are_zero(label, fractions):
     """The geometry flag that lets the map derivatives skip Christoffel terms
-    is set exactly when Gamma^c_{ab} is zero at points across the chart."""
+    is set exactly when Gamma^c_{ab} is zero at points across the chart, and
+    the one that lets them skip metric factors exactly when g is the
+    identity there."""
     geom = _CATALOG[label]
     bounds = np.asarray(geom.chart_bounds, dtype=float)
     frac = np.asarray(fractions)[:, :geom.dim]
     points = bounds[:, 0] + frac * (bounds[:, 1] - bounds[:, 0])
     assert geom.christoffel_vanishes == (not geom.christoffel(points).any())
+    identity = np.eye(geom.dim)
+    assert geom.metric_is_identity == bool((geom.metric(points) == identity).all()
+                                           and (geom.metric_inv(points) == identity).all())
 
 
 @settings(max_examples=30, deadline=None)
@@ -228,8 +233,11 @@ class _SkewTorus(fh.FlatTorus):
 def test_contractions_keep_off_diagonal_metric_terms(g00, g11, g01, seed):
     """Every catalog metric is diagonal, so its off-diagonal terms vanish.
     On a torus with a constant skew metric the unrolled contractions and
-    the exp step's norm still equal their einsum definitions."""
+    the exp step's norm still equal their einsum definitions.  So they do
+    between flat tori of dimensions 1 and 2, which skip their identity
+    metrics; the skew torus, though flat, must not skip its metric."""
     torus = _SkewTorus([TWO_PI, 3.0], [[g00, g01], [g01, g11]])
+    assert torus.christoffel_vanishes and not torus.metric_is_identity
     grid = fh.build_grid(torus, 8)
     rng = np.random.default_rng(seed)
     mapf = fh.FoliatedMapField(grid, torus, rng.uniform(0.0, 3.0, grid.shape + (2,)))
@@ -242,6 +250,18 @@ def test_contractions_keep_off_diagonal_metric_terms(g00, g11, g01, seed):
     assert np.isclose(fh.tension_sup_norm(mapf) ** 2, np.max(n2), rtol=1e-12, atol=0)
     v = rng.standard_normal(mapf.values.shape)
     assert _matches(torus.norm(mapf.values, v) ** 2, "...ab,...a,...b->...", gt, v, v)
+
+    for q, qp in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        source, target = fh.FlatTorus([TWO_PI, 3.0][:q]), fh.FlatTorus([3.0, TWO_PI][:qp])
+        grid = fh.build_grid(source, 8)
+        mapf = fh.FoliatedMapField(grid, target, rng.uniform(0.0, 3.0, grid.shape + (qp,)))
+        gi, gt, D, S, tau = grid.metric_inv, mapf.target_metric, mapf.D, mapf.S, mapf.tau
+        assert _matches(tau, "...ab,...gab->...g", gi, S)
+        assert _matches(mapf.dT_norm_sq, "...ab,...st,...sa,...tb->...", gi, gt, D, D)
+        n2 = np.einsum("...st,...s,...t->...", gt, tau, tau)
+        assert np.isclose(fh.tension_sup_norm(mapf) ** 2, np.max(n2), rtol=1e-12, atol=0)
+        v = rng.standard_normal(mapf.values.shape)
+        assert _matches(target.norm(mapf.values, v) ** 2, "...ab,...a,...b->...", gt, v, v)
 
 
 @settings(max_examples=60, deadline=None)

@@ -268,10 +268,10 @@ def _write_verify_outputs(reports: list[dict], out: Path) -> bool:
     serialize.write_csv(
         out / "verify_summary.csv",
         ["identity", "finest_residual", "min_order", "pass"],
-        [[rep["identity"],
-          serialize.fmt(rep["residuals"][-1]),
-          serialize.fmt(min(rep["orders"])) if rep["orders"] else "",
-          str(rep["pass"]).lower()] for rep in reports],
+        [[rep["identity"] for rep in reports],
+         [serialize.fmt(rep["residuals"][-1]) for rep in reports],
+         [serialize.fmt(min(rep["orders"])) if rep["orders"] else "" for rep in reports],
+         [str(rep["pass"]).lower() for rep in reports]],
     )
     ok = True
     for rep in reports:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import isfinite
+from math import isfinite, prod
 
 import numpy as np
 
@@ -97,13 +97,10 @@ class FlowTrace:
         self.max_second_form.append(float(S_max))
         self.max_density.append(float(d2_max))
 
-    def rows(self):
+    def columns(self):
         header = ["step", "E_B", "max_tension", "max_second_form", "max_density"]
-        body = list(
-            zip(self.steps, self.energy, self.max_tension,
-                self.max_second_form, self.max_density)
-        )
-        return header, body
+        return header, [self.steps, self.energy, self.max_tension,
+                        self.max_second_form, self.max_density]
 
 
 def transversal_energy(mapf: FoliatedMapField,
@@ -142,6 +139,12 @@ def flow_step(mapf: FoliatedMapField, dt: float) -> FoliatedMapField:
 _BLOCK_BYTES = 128 * 1024
 
 
+def _held_bytes(a: np.ndarray) -> int:
+    """Bytes of memory ``a`` spans: an axis of stride 0 (a broadcast view,
+    such as a flat target's identity metric) repeats its elements."""
+    return a.itemsize * prod(n for n, stride in zip(a.shape, a.strides) if stride)
+
+
 def _stack(arrays: tuple) -> np.ndarray:
     """The arrays along a new first axis; a lone array is viewed, not copied."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
@@ -176,7 +179,8 @@ def run_flow(mapf: FoliatedMapField, struct: FoliatedStructure | None,
         tau_max = tension_sup_norm(m)
         S, g, d2 = m.S, m.target_metric, m.dT_norm_sq
         block.append((step, E, tau_max, S, g, d2))
-        held += S.nbytes + g.nbytes + d2.nbytes
+        # only the target metric may be a broadcast view
+        held += S.nbytes + _held_bytes(g) + d2.nbytes
         if held >= _BLOCK_BYTES:
             _record_block(trace, block, m.grid.metric_inv)
             block.clear()

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
+import warnings
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,8 @@ __all__ = [
     "dump_json",
 ]
 
-# Node rows become Python lists this many at a time, so a large grid never
-# holds all of its rows as Python objects at once.
+# Rows are built this many at a time, so a large table never holds all of
+# its cells as Python strings at once.
 _CHUNK_ROWS = 4096
 _MAP_FIELD = "phi"
 
@@ -40,17 +41,38 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
-def write_csv(path, header, rows, preamble=()) -> None:
-    """Write the preamble rows, the header row, then ``rows``.
+def _text(column: np.ndarray) -> list[str]:
+    """The CSV text of a 1-D int or float64 array: str of each int, repr of
+    each float (the text ``fmt`` gives).  Each distinct value is formatted
+    once; floats are told apart by their int64 bit pattern, because
+    ``np.unique`` on values would merge -0.0 with 0.0."""
+    is_float = column.dtype == np.float64
+    distinct, inverse = np.unique(column.view(np.int64) if is_float else column,
+                                  return_inverse=True)
+    if is_float:
+        distinct = distinct.view(np.float64)
+    # repr of Python numbers: numpy 2 writes np.float64(...) for its scalars
+    return np.array(list(map(repr, distinct.tolist())), dtype=object)[inverse].tolist()
 
-    ``csv`` writes a Python float as its repr, the same text as ``fmt``, and
-    an int as its str.
+
+def write_csv(path, header, columns, preamble=()) -> None:
+    """Write the preamble rows, the header row, then one row per entry of the
+    equal-length ``columns``.
+
+    A column holds ints or floats, written as ``_text`` gives, or ready
+    strings that need no quoting (no comma, quote or line break).  Lines end
+    in '\\r\\n', as ``csv`` ends them; the preamble and header rows go
+    through ``csv`` itself.
     """
+    columns = [np.asarray(c) for c in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerows(preamble)
         writer.writerow(header)
-        writer.writerows(rows)
+        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+            block = [c[lo:lo + _CHUNK_ROWS] for c in columns]
+            cells = [c.tolist() if c.dtype.kind == "U" else _text(c) for c in block]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _node_columns(q: int, widths: dict) -> list[str]:
@@ -67,20 +89,13 @@ def _write_node_table(path, grid: GridChart, fields: dict, preamble=()) -> None:
     """One row per node in C order: index coordinates, chart coordinates,
     then the values of ``fields``."""
     n_nodes, q = int(np.prod(grid.shape)), grid.dim
-    widths, columns = {}, [grid.points.reshape(n_nodes, q)]
+    widths, columns = {}, [*np.indices(grid.shape).reshape(q, n_nodes),
+                           *grid.points.reshape(n_nodes, q).T]
     for name, arr in fields.items():
         arr = np.asarray(arr, dtype=float)
         widths[name] = None if arr.shape == grid.shape else arr.shape[-1]
-        columns.append(arr.reshape(n_nodes, -1))
-    index = np.indices(grid.shape).reshape(q, n_nodes).T
-    values = np.concatenate(columns, axis=1)
-
-    def rows():
-        for lo in range(0, n_nodes, _CHUNK_ROWS):
-            hi = lo + _CHUNK_ROWS
-            yield from map(operator.add, index[lo:hi].tolist(), values[lo:hi].tolist())
-
-    write_csv(path, _node_columns(q, widths), rows(), preamble)
+        columns.extend(arr.reshape(n_nodes, -1).T)
+    write_csv(path, _node_columns(q, widths), columns, preamble)
 
 
 def scalar_field_to_csv(path, grid: GridChart, fields: dict[str, np.ndarray]) -> None:
@@ -104,13 +119,40 @@ def _parse(path, line: int, cells, kind=float) -> list:
         raise InvalidMapError(f"{path}:{line}: {exc}") from exc
 
 
+def _parse_block(path, first: int, lines: list, width: int, count: int,
+                 n_nodes: int) -> np.ndarray:
+    """The node rows among ``lines`` (file lines ``first`` on) of a table
+    that holds ``count`` of its ``n_nodes`` rows so far.  A block that
+    ``np.loadtxt`` refuses, or with rows of another width or beyond the last
+    node, is parsed again row by row, which names the first bad line."""
+    with warnings.catch_warnings():     # a block of blank lines holds no data
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            # comments=None: the default '#' would drop a row or cell
+            cells = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if cells.shape[1] == width and count + len(cells) <= n_nodes:
+                return cells
+        except ValueError:
+            pass
+    rows = []
+    for line, row in enumerate(csv.reader(lines), start=first):
+        if not row:
+            continue
+        if count + len(rows) == n_nodes or len(row) != width:
+            raise InvalidMapError(
+                f"{path}:{line}: expected {n_nodes} node rows of {width} cells"
+            )
+        rows.append(_parse(path, line, row))
+    return np.array(rows).reshape(-1, width)
+
+
 def map_from_csv(path, grid: GridChart, target: TransverseGeometry
                  ) -> FoliatedMapField:
     """Load a map written by ``map_to_csv`` onto ``grid``.
 
-    Raises InvalidMapError unless the columns are the i*, b* and phi* columns
-    of this grid and target and every node appears exactly once, at its
-    chart coordinates.
+    Raises InvalidMapError unless '# winding' rows, the i*, b* and phi*
+    header of this grid and target, and the node rows come in that order
+    and every node appears exactly once, at its chart coordinates.
     """
     q, qp = grid.dim, target.dim
     columns = _node_columns(q, {_MAP_FIELD: qp})
@@ -121,27 +163,24 @@ def map_from_csv(path, grid: GridChart, target: TransverseGeometry
         for line, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
-            if row[0] == "# winding":
-                if len(row) != q + 1:
-                    raise InvalidMapError(f"{path}:{line}: winding row needs {q} entries")
-                winding_rows.append(_parse(path, line, row[1:], int))
-            elif header is None:
+            if row[0] != "# winding":
                 header = row
-                if header != columns:
-                    raise InvalidMapError(
-                        f"{path}: columns {header} do not match {columns} "
-                        "of this grid and target"
-                    )
-            elif count == n_nodes or len(row) != len(columns):
-                raise InvalidMapError(
-                    f"{path}:{line}: expected {n_nodes} node rows of "
-                    f"{len(columns)} cells"
-                )
-            else:
-                table[count] = _parse(path, line, row)
-                count += 1
-    if header is None:
-        raise InvalidMapError(f"{path}: no header row found")
+                break
+            if len(row) != q + 1:
+                raise InvalidMapError(f"{path}:{line}: winding row needs {q} entries")
+            winding_rows.append(_parse(path, line, row[1:], int))
+        if header is None:
+            raise InvalidMapError(f"{path}: no header row found")
+        if header != columns:
+            raise InvalidMapError(
+                f"{path}: columns {header} do not match {columns} "
+                "of this grid and target"
+            )
+        while block := list(islice(fh, _CHUNK_ROWS)):
+            cells = _parse_block(path, line + 1, block, len(columns), count, n_nodes)
+            table[count:count + len(cells)] = cells
+            count += len(cells)
+            line += len(block)
     if count != n_nodes:
         raise InvalidMapError(f"{path}: {count} node rows, the grid has {n_nodes}")
     index = table[:, :q]
@@ -161,7 +200,7 @@ def map_from_csv(path, grid: GridChart, target: TransverseGeometry
 
 
 def trace_to_csv(path, trace) -> None:
-    write_csv(path, *trace.rows())
+    write_csv(path, *trace.columns())
 
 
 def sanitize_json(obj):

@@ -137,7 +137,7 @@ def test_block_reduced_trace_columns_equal_per_map_values(monkeypatch, flow_run,
 
     def recording(m):           # called once per accepted map
         if not accepted:
-            held = m.S.nbytes + m.target_metric.nbytes + m.dT_norm_sq.nbytes
+            held = m.S.nbytes + flow._held_bytes(m.target_metric) + m.dT_norm_sq.nbytes
             monkeypatch.setattr(flow, "_BLOCK_BYTES", 3 * held)
         accepted.append(m)
         return sup_norm(m)
@@ -156,6 +156,26 @@ def test_block_reduced_trace_columns_equal_per_map_values(monkeypatch, flow_run,
     for m, S_max, d2_max in zip(accepted, trace.max_second_form, trace.max_density):
         assert S_max == float(np.sqrt(max(np.max(fh.second_form_norm_squared(m)), 0.0)))
         assert d2_max == float(np.max(m.dT_norm_sq))
+
+
+def test_trace_blocks_count_only_the_memory_a_map_holds(monkeypatch):
+    """At n=128 an accepted circle map holds 1 KiB each of S and |d_T phi|^2;
+    its target metric is a broadcast view of one element, so a block of
+    128 KiB holds 64 maps, not the 43 that counting the view's full size
+    gives."""
+    import folharm.flow as flow
+
+    lengths = []
+    record = flow._record_block
+
+    def counting(trace, block, metric_inv):
+        lengths.append(len(block))
+        record(trace, block, metric_inv)
+
+    monkeypatch.setattr(flow, "_record_block", counting)
+    _, trace = _circle_flow(n=128, tension_tol=1e-14, max_steps=150)
+    assert trace.termination == "max_steps"
+    assert lengths == [64, 64, 23]      # step 0 and 150 accepted steps
 
 
 def test_backtracking_recovers_from_large_dt():

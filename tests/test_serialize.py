@@ -1,8 +1,12 @@
 """CSV/JSON round trips and formatting."""
 
+import csv
+import io
 import json
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import folharm as fh
 from folharm import serialize
@@ -58,6 +62,95 @@ def test_node_table_matches_a_per_node_loop(tmp_path, torus2):
         cells += [serialize.fmt(f[idx])] + [serialize.fmt(x) for x in V[idx]]
         lines.append(",".join(cells))
     assert path.read_bytes().decode() == "\r\n".join(lines) + "\r\n"
+
+
+def _csv_module_bytes(header, rows, preamble=()) -> bytes:
+    """What ``csv.writer`` makes of the rows: repr of each float, str of each int."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerows(preamble)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+# signed zeros, non-finite values, subnormals, integer-valued floats and the
+# values around repr's switch to exponent notation (1e+16, 1e-05)
+_SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072e-310,
+            2.2250738585072014e-308, 1e16, 9999999999999998.0, 1e-5, 0.0001,
+            -3.0, 2.0**53, 1e300]
+_CH = serialize._CHUNK_ROWS
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, 7, _CH, _CH + 1]), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(width=64), min_size=1, max_size=6),
+       st.integers(1, 4))
+def test_writer_bytes_equal_the_csv_module(tmp_path_factory, n_rows, seed, pool, n_float):
+    """Index columns, a column of the special values and columns drawn with
+    heavy repetition from a small pool (or from any bit pattern), with a
+    winding preamble, give the bytes ``csv.writer`` gives."""
+    rng = np.random.default_rng(seed)
+    columns = [np.arange(n_rows), rng.integers(-5, 5, n_rows),
+               np.resize(rng.permutation(_SPECIAL), n_rows)]
+    pool = np.array(pool + _SPECIAL)
+    columns += [pool[rng.integers(len(pool), size=n_rows)] for _ in range(n_float)]
+    columns.append(rng.integers(0, 2**64, n_rows, dtype=np.uint64).view(np.float64))
+    header = [f"c{k}" for k in range(len(columns))]
+    preamble = [["# winding", 1, -2], ["# winding", 0, 3]]
+    path = tmp_path_factory.mktemp("w") / "table.csv"
+    serialize.write_csv(path, header, columns, preamble)
+    rows = zip(*(c.tolist() for c in columns))
+    assert path.read_bytes() == _csv_module_bytes(header, rows, preamble)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**12), *[st.floats(width=64)] * 4),
+                min_size=1, max_size=40),
+       st.booleans())
+def test_trace_bytes_equal_the_csv_module(tmp_path_factory, records, two_blocks):
+    """A flow trace, its int step column included, gives the bytes
+    ``csv.writer`` gives for its rows, in one row block and in two."""
+    n_rows = _CH + 1 if two_blocks else len(records)
+    rows = [records[k % len(records)] for k in range(n_rows)]
+    trace = fh.FlowTrace()
+    for row in rows:
+        trace.record(*row)
+    path = tmp_path_factory.mktemp("t") / "trace.csv"
+    serialize.trace_to_csv(path, trace)
+    header = ["step", "E_B", "max_tension", "max_second_form", "max_density"]
+    assert path.read_bytes() == _csv_module_bytes(header, rows)
+
+
+def test_map_csv_round_trip_of_any_bit_pattern(tmp_path, torus2):
+    """Finite values of every magnitude, subnormals and -0.0 included, load
+    back with the same bits across more than one row block."""
+    grid = fh.build_grid(torus2, 72)
+    rng = np.random.default_rng(3)
+    values = rng.integers(0, 2**64, grid.shape + (2,), dtype=np.uint64).view(np.float64)
+    values[~np.isfinite(values)] = -0.0
+    values.flat[:3] = [5e-324, -0.0, 1e16]
+    mapf = fh.FoliatedMapField(grid, torus2, values)
+    path = tmp_path / "map.csv"
+    serialize.map_to_csv(path, mapf)
+    back = serialize.map_from_csv(path, grid, torus2)
+    assert np.array_equal(back.values.view(np.int64), values.view(np.int64))
+
+
+def test_map_csv_reader_takes_blank_lines_and_quoted_cells(tmp_path, torus2):
+    """Blank lines, a block of nothing but blank lines and a quoted cell, all
+    of which ``csv`` reads, load the same map."""
+    grid = fh.build_grid(torus2, 16)
+    mapf = fh.FoliatedMapField(grid, torus2, np.random.default_rng(4).random(grid.shape + (2,)))
+    path = tmp_path / "map.csv"
+    serialize.map_to_csv(path, mapf)
+    lines = path.read_text().splitlines()
+    cells = lines[4].split(",")
+    lines[4] = ",".join(cells[:-1] + [f'"{cells[-1]}"'])
+    lines = lines[:4] + [""] + lines[4:] + [""] * _CH
+    path.write_text("\n".join(lines) + "\n")
+    back = serialize.map_from_csv(path, grid, torus2)
+    assert np.array_equal(back.values, mapf.values)
 
 
 def test_trace_csv(tmp_path, torus1):

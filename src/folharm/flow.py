@@ -226,6 +226,10 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class RigidityTolerances:
+    """Thresholds of ``rigidity_diagnostics``.  ``rank_tol_rel`` is applied
+    to the singular values of the whitened Jacobian: one counts toward
+    rank_T where it exceeds rank_tol_rel times their grid maximum."""
+
     tension_tol: float = 1e-5
     constant_tol: float = 1e-4
     geo_tol: float = 1e-5
@@ -258,10 +262,47 @@ class RigidityDiagnostics:
         }
 
 
-def _whiten(L: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """L^{-1} M L^{-T} for stacked Cholesky factors and symmetric matrices."""
-    X = np.linalg.solve(L, M)
-    return np.linalg.solve(L, X.swapaxes(-1, -2)).swapaxes(-1, -2)
+def _cholesky_2x2(g: np.ndarray) -> tuple:
+    """Entries (l00, l10, l11) of the lower Cholesky factor of stacked
+    symmetric positive definite 2x2 matrices."""
+    l00 = np.sqrt(g[..., 0, 0])
+    l10 = g[..., 1, 0] / l00
+    return l00, l10, np.sqrt(g[..., 1, 1] - l10 * l10)
+
+
+def _singular_values_2x2(g: np.ndarray, gt: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Singular values (sigma_max, sigma_min), stacked on the last axis, of
+    the whitened Jacobian A = L'^T D L^{-T} at each node, where g = L L^T
+    and g' = L' L'^T, without LAPACK.
+
+    For A = [[a, b], [c, d]], sigma_max = (hypot(a+d, c-b) + hypot(a-d, c+b))/2
+    and sigma_min = |ad - bc| / sigma_max (0 where sigma_max = 0).
+    """
+    l00, l10, l11 = _cholesky_2x2(g)
+    m00, m10, m11 = _cholesky_2x2(gt)
+    # B = L'^T D, then A = B L^{-T} by forward substitution along each row
+    a = (m00 * D[..., 0, 0] + m10 * D[..., 1, 0]) / l00
+    b = (m00 * D[..., 0, 1] + m10 * D[..., 1, 1] - l10 * a) / l11
+    c = m11 * D[..., 1, 0] / l00
+    d = (m11 * D[..., 1, 1] - l10 * c) / l11
+    smax = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, c + b))
+    smin = np.divide(np.abs(a * d - b * c), smax, out=np.zeros_like(smax), where=smax > 0)
+    return np.stack((smax, smin), axis=-1)
+
+
+def _whitened_singular_values(mapf: FoliatedMapField) -> np.ndarray:
+    """Singular values of d_T phi with respect to g and g' at each node,
+    stacked on the last axis: one closed form per shape, and LAPACK only
+    for a source or target of dimension 3 or more."""
+    q, qt = mapf.grid.dim, mapf.target.dim
+    if q == 1 or qt == 1:   # one singular value, |d_T phi|
+        return np.sqrt(np.maximum(mapf.dT_norm_sq, 0.0))[..., None]
+    if q == qt == 2:
+        return _singular_values_2x2(mapf.grid.metric, mapf.target_metric, mapf.D)
+    L = np.linalg.cholesky(mapf.grid.metric)
+    Lt = np.linalg.cholesky(mapf.target_metric)
+    A = np.linalg.solve(L, contract("...ts,...ta->...as", Lt, mapf.D)).swapaxes(-1, -2)
+    return np.linalg.svd(A, compute_uv=False)
 
 
 def rigidity_diagnostics(mapf: FoliatedMapField, struct: FoliatedStructure | None,
@@ -270,12 +311,15 @@ def rigidity_diagnostics(mapf: FoliatedMapField, struct: FoliatedStructure | Non
                          ) -> RigidityDiagnostics:
     """Curvature/rank diagnostics behind the rigidity statements.
 
-    lam is the grid minimum of the smallest eigenvalue of Ric^Q with respect
-    to g; mu the target's sectional curvature, which is the constant
-    ``curvature_constant`` for every catalog geometry, or 0 for a
-    one-dimensional target (no 2-planes); rank_T counts singular values of
-    the metrically whitened Jacobian above rank_tol.  Requires a
-    near-harmonic map.
+    lam is the smallest eigenvalue of Ric^Q with respect to g, the closed
+    form (q - 1) K of the source's constant curvature K (``ricci`` is that
+    number times g); mu the target's sectional curvature, which is the
+    constant ``curvature_constant`` for every catalog geometry, or 0 for a
+    one-dimensional target (no 2-planes); rank_T is the grid maximum of the
+    number of singular values of the whitened Jacobian L'^T d_T phi L^{-T}
+    (g = L L^T, g' = L' L'^T) above rank_tol_rel times their grid maximum.
+    Those come from closed forms when q = q' = 2 or either dimension is 1.
+    Requires a near-harmonic map.
     """
     if rank_cap < 2:
         raise ConfigurationError(f"rank_cap: must be >= 2, got {rank_cap}")
@@ -286,16 +330,11 @@ def rigidity_diagnostics(mapf: FoliatedMapField, struct: FoliatedStructure | Non
             f"map is not transversally harmonic: max|tau| = {tau_max:.3g} "
             f"> {tolerances.tension_tol:.3g}"
         )
-    # source Ricci lower bound
-    L = np.linalg.cholesky(grid.metric)
-    ric = grid.geometry.ricci(grid.points)
-    lam = float(np.min(np.linalg.eigvalsh(_whiten(L, ric))))
+    # source Ricci lower bound: Ric = (q - 1) K g on the catalog
+    lam = float((grid.dim - 1) * grid.geometry.curvature_constant)
     # target sectional upper bound: the catalog's curvature is constant
     mu = float(mapf.target.curvature_constant) if mapf.target.dim >= 2 else 0.0
-    # metric singular values of d_T phi
-    Lt = np.linalg.cholesky(mapf.target_metric)
-    A = np.linalg.solve(L, contract("...ts,...ta->...as", Lt, mapf.D)).swapaxes(-1, -2)
-    sv = np.linalg.svd(A, compute_uv=False)
+    sv = _whitened_singular_values(mapf)
     rank_tol = tolerances.rank_tol_rel * max(float(np.max(sv)), 1e-300)
     rank_T = int(np.max(np.sum(sv > rank_tol, axis=-1)))
     max_d2 = float(np.max(mapf.dT_norm_sq))

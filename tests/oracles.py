@@ -107,6 +107,22 @@ def loop_bochner(source, target, point, jac, value):
     return ric_part - curv_part
 
 
+def loop_whitened_singular_values(source, target, point, jac, value):
+    """Singular values, largest first, of the whitened Jacobian
+    L'^T jac L^{-T} at one point, where g = L L^T and g' = L' L'^T: LAPACK
+    Cholesky factors and SVD, the product by explicit index loops."""
+    q, qp = source.dim, target.dim
+    L_inv = np.linalg.inv(np.linalg.cholesky(source.metric(point)))
+    Lt = np.linalg.cholesky(target.metric(value))
+    A = np.zeros((qp, q))
+    for s in range(qp):
+        for a in range(q):
+            for t in range(qp):
+                for b in range(q):
+                    A[s, a] += Lt[t, s] * jac[t, b] * L_inv[a, b]
+    return np.linalg.svd(A, compute_uv=False)
+
+
 def _layer(f, axis, i):
     idx = [slice(None)] * f.ndim
     idx[axis] = i

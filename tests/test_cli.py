@@ -354,6 +354,30 @@ def test_report_subcommand_bundles_everything(tmp_path, report_schema):
     assert doc["flow"]["rigidity"]["verdict"] == "totally_geodesic"
 
 
+def test_a_run_removes_the_outputs_it_does_not_write_and_nothing_else(tmp_path):
+    """Each subcommand clears the other subcommands' output files from its
+    directory before it writes, so stale results never sit beside fresh
+    ones; a file of another name survives every run."""
+    verify = {"checks": ["weitzenbock"], "weitzenbock_mode": "harmonic"}
+    with_verify = _write_config(tmp_path, _base_config(flow={}, verify=verify), "all.json")
+    without = _write_config(tmp_path, _base_config(flow={}), "no_verify.json")
+    out = tmp_path / "out"
+
+    def run(subcommand, cfg):
+        assert cli.main([subcommand, "--config", cfg, "--out", str(out)]) == 0
+        return {p.name for p in out.iterdir()}
+
+    flow = {"flow.json", "flow_trace.csv", "flow_final_map.csv"}
+    assert run("report", with_verify) == (
+        {"report.json", "energy.json", "verify.json", "verify_summary.csv"} | flow)
+    (out / "notes.txt").write_text("kept")
+    assert run("report", without) == {"report.json", "energy.json", "notes.txt"} | flow
+    assert run("energy", without) == {"energy.json", "notes.txt"}
+    assert run("tension", without) == {"tension.csv", "tension.json", "notes.txt"}
+    assert run("verify", with_verify) == {"verify.json", "verify_summary.csv", "notes.txt"}
+    assert (out / "notes.txt").read_text() == "kept"
+
+
 def test_threads_flag_validation(tmp_path):
     cfg = _write_config(tmp_path, _base_config())
     assert cli.main(["energy", "--config", cfg, "--threads", "0",

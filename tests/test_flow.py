@@ -350,3 +350,57 @@ def test_negative_target_curvature_is_inconclusive(patch):
     assert abs(diag.mu + 1.0) <= 1e-12
     assert diag.bound_value == np.inf
     assert diag.verdict == fh.Verdict.inconclusive
+
+
+def _diagnostics(source, target, family, params=None, n=16):
+    mapf = fh.make_family(family, source, target, params).realize(fh.build_grid(source, n))
+    return fh.rigidity_diagnostics(mapf, None, rank_cap=2)
+
+
+def test_circle_source_has_rank_one(torus1, sphere):
+    """q = 1: the one singular value is |d_T phi|; the equator is a geodesic."""
+    diag = _diagnostics(torus1, sphere, "latitude_circle", {"theta": np.pi / 2})
+    assert (diag.rank_T, diag.lam, diag.mu) == (1, 0.0, 1.0)
+    assert diag.verdict == fh.Verdict.totally_geodesic
+
+
+def test_torus_onto_circle_has_rank_one(torus1, torus2):
+    """q' = 1: a torus wound once onto a circle along its first axis."""
+    diag = _diagnostics(torus2, torus1, "linear", {"matrix": [[1, 0]]})
+    assert (diag.rank_T, diag.lam, diag.mu) == (1, 0.0, 0.0)
+    assert diag.max_dT_norm_sq == 1.0
+
+
+def test_flat_three_torus_identity_has_rank_three():
+    """q = q' = 3 takes the LAPACK route, the only one left."""
+    torus3 = fh.FlatTorus([TWO_PI, 3.0, 4.0])
+    diag = _diagnostics(torus3, torus3, "identity", n=8)
+    assert (diag.rank_T, diag.lam, diag.mu, diag.bound_value) == (3, 0.0, 0.0, np.inf)
+
+
+def test_map_constant_along_one_axis_has_rank_one(torus2):
+    """q = q' = 2, but d_T phi kills the second axis: rank_T falls to 1."""
+    diag = _diagnostics(torus2, torus2, "linear", {"matrix": [[1, 0], [0, 0]]})
+    assert diag.rank_T == 1
+    assert diag.verdict == fh.Verdict.totally_geodesic
+
+
+def test_two_dimensional_diagnostics_call_no_lapack(monkeypatch, sphere, patch):
+    """q = q' = 2 uses closed forms only: with np.linalg's Cholesky, solve,
+    SVD and eigvalsh made to raise, the sphere identity and a torus map into
+    the hyperbolic patch still give their diagnostics."""
+    identity = fh.make_family("identity", sphere, sphere).realize(fh.build_grid(sphere, 32))
+    torus = fh.build_grid(fh.FlatTorus([TWO_PI, TWO_PI]), 32)
+    into_patch = fh.make_family("sine_into_patch", torus.geometry, patch).realize(torus)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on the q = q' = 2 path")
+
+    for name in ("cholesky", "solve", "svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    diag = fh.rigidity_diagnostics(identity, None, rank_cap=2)
+    assert (diag.lam, diag.rank_T, diag.bound_value) == (1.0, 2, 2.0)
+    diag = fh.rigidity_diagnostics(into_patch, None, rank_cap=2,
+                                   tolerances=fh.RigidityTolerances(tension_tol=10.0))
+    assert diag.rank_T == 2
+    assert diag.verdict == fh.Verdict.inconclusive

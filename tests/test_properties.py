@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import folharm as fh
+from conftest import interior_points
+from folharm.flow import _singular_values_2x2
 from folharm.serialize import fmt
+from oracles import loop_whitened_singular_values
 from folharm.verify import _neville_to_zero
 
 TWO_PI = 2 * np.pi
@@ -306,3 +309,36 @@ def test_analytic_map_derivatives_match_central_differences(q, qp, data):
                         for e in steps], axis=-1)
     assert np.max(np.abs(fam.jac(x) - fd_jac)) <= 1e-6
     assert np.max(np.abs(fam.hess(x) - fd_hess)) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sphere", "patch", "torus", "skew"]),
+       st.sampled_from(["sphere", "patch", "torus", "skew"]),
+       st.floats(min_value=0.5, max_value=2.0), st.floats(min_value=0.5, max_value=2.0),
+       st.floats(min_value=-0.45, max_value=0.45),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_closed_form_singular_values_match_the_loop_oracle(src, tgt, g00, g11, g01, seed):
+    """The 2x2 closed-form singular values of the whitened Jacobian equal
+    per-node LAPACK ones to 1e-13 of sigma_max, and give the same rank,
+    for full-rank, rank-1 and zero Jacobians on diagonal and skew metrics."""
+    def geometry(label):
+        if label == "skew":
+            return _SkewTorus([TWO_PI, 3.0], [[g00, g01], [g01, g11]])
+        return _geometry_from_label(label)
+
+    source, target = geometry(src), geometry(tgt)
+    rng = np.random.default_rng(seed)
+    count = 24
+    x, y = interior_points(source, rng, count), interior_points(target, rng, count)
+    jac = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((count, 2, 2))
+    rank = rng.integers(0, 3, count)               # the Jacobian's rank at each node
+    jac[rank == 1] = jac[rank == 1, :, :1] * rng.standard_normal((np.sum(rank == 1), 1, 2))
+    jac[rank == 0] = 0.0
+    sv = _singular_values_2x2(source.metric(x), target.metric(y), jac)
+    want = np.array([loop_whitened_singular_values(source, target, x[i], jac[i], y[i])
+                     for i in range(count)])
+    assert np.all(np.abs(sv - want) <= 1e-13 * want[:, :1])
+    assert np.all(sv[rank == 0] == 0.0)
+    tol = fh.RigidityTolerances().rank_tol_rel * np.max(want)
+    assert np.array_equal(np.sum(sv > tol, axis=-1), np.sum(want > tol, axis=-1))
+    assert np.array_equal(np.sum(want > tol, axis=-1), rank)

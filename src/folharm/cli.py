@@ -10,9 +10,9 @@ against ``config_schema.json`` before any computation, by the package's own
 draft-07 validator (``_schema``, no ``jsonschema`` import); unknown keys and
 numbers that are not finite are rejected.  The output directory resolves as
 ``--out`` flag, then the ``FOLHARM_OUT`` environment variable, then the
-config's ``out`` key, then ``./folharm_out``.  Before it writes, a
-subcommand removes from that directory every output file name of
-``_OUTPUTS`` that it will not write itself, and touches no other file.
+config's ``out`` key, then ``./folharm_out``.  Before it runs, a subcommand
+removes from that directory every output file name of ``_OUTPUTS``, its own
+included, and touches no other file.
 
 Exit codes: 0 all selected checks pass, 1 a numerical check failed,
 2 configuration/schema error, 3 runtime failure, including an energy,
@@ -297,28 +297,21 @@ def run_report(exp: Experiment, out: Path) -> tuple[int, dict]:
 
     payload: dict = {"subcommand": "report", "seed": exp.seed}
     codes = []
-    for part in _report_parts(exp.config):
-        code, payload[part] = _RUNNERS[part](exp, out)
-        codes.append(code)
+    selected_by = {"energy": ("map",), "flow": ("flow", "rigidity"), "verify": ("verify",)}
+    for part, keys in selected_by.items():      # the parts the config selects, in order
+        if any(key in exp.config for key in keys):
+            code, payload[part] = _RUNNERS[part](exp, out)
+            codes.append(code)
     payload["pass"] = all(c == EXIT_OK for c in codes)
     serialize.dump_json(out / "report.json", payload)
     return (EXIT_OK if payload["pass"] else EXIT_CHECK_FAILED), payload
 
 
-def _report_parts(config: dict) -> tuple[str, ...]:
-    """The subcommands a report runs, in order: those the config selects."""
-    selected_by = {"energy": ("map",), "flow": ("flow", "rigidity"), "verify": ("verify",)}
-    return tuple(part for part, keys in selected_by.items()
-                 if any(key in config for key in keys))
-
-
-def _clear_stale_outputs(subcommand: str, config: dict, out: Path) -> None:
-    """Remove from ``out`` every file named in ``_OUTPUTS`` that this run
-    will not write, so that its results never sit beside an older run's.
-    No other file is touched."""
-    parts = (subcommand,) + (_report_parts(config) if subcommand == "report" else ())
-    written = {name for part in parts for name in _OUTPUTS[part]}
-    for name in set().union(*_OUTPUTS.values()) - written:
+def _clear_stale_outputs(out: Path) -> None:
+    """Remove from ``out`` every file named in ``_OUTPUTS``, so that a run's
+    results never sit beside an older run's, and a run that fails leaves
+    none.  No other file is touched."""
+    for name in set().union(*_OUTPUTS.values()):
         (out / name).unlink(missing_ok=True)
 
 
@@ -462,7 +455,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         exp = Experiment(config, seed=args.seed)
         out = _resolve_out(args, config)
-        _clear_stale_outputs(args.subcommand, config, out)
+        _clear_stale_outputs(out)
         code, _ = _RUNNERS[args.subcommand](exp, out)
         return code
     except ConfigurationError as exc:

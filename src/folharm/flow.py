@@ -8,33 +8,23 @@ whenever a candidate's energy rises or ``exp`` refuses the step, so accepted
 energies never rise; fixed-boundary source nodes are frozen.  Every energy
 the flow holds, the initial one included, must be finite.
 
-The energy, its finiteness and max|tau| are evaluated at every accepted
-step, because they decide the flow.  The trace-only columns max|S| and
-max|d_T phi|^2 decide nothing: the flow keeps references to the accepted
-maps' S, target metric and |d_T phi|^2 and reduces them in blocks of about
-``_BLOCK_BYTES``, one stacked contraction per block, and before it returns.
-The contractions are elementwise, so every value is the one a per-step
-evaluation gives.
+Each attempt takes the candidate's partials in one stencil pass and its
+energy from the target geometry's closed-form |d_T phi|^2; an accepted
+map's trace row (E, max|tau|, max|S|, max|d_T phi|^2) is recorded at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import isfinite, prod
+from math import isfinite, sqrt
 
 import numpy as np
 
 from .errors import ConfigurationError, FlowDivergedError, PreconditionError, StepTooLargeError
 from .foliation import FoliatedStructure
 from .grid import GridChart, integrate
-from .maps import (
-    FoliatedMapField,
-    energy_density,
-    form_norm_squared,
-    second_form_norm_squared,
-    tension_sup_norm,
-)
+from .maps import FoliatedMapField, energy_density, second_form_norm_squared, tension_sup_norm
 from .tensor import contract
 
 __all__ = [
@@ -131,36 +121,15 @@ def flow_step(mapf: FoliatedMapField, dt: float) -> FoliatedMapField:
     mask = mapf.grid.boundary_mask
     if mask is not None:
         v = np.where(mask[..., None], 0.0, v)
-    new_values = mapf.target.exp(mapf.values, v)
-    return mapf.replace_values(new_values)
+    return mapf.replace_values(mapf.target.exp(mapf.values, v))
 
 
-# bytes of accepted-map arrays held for one block of trace-only statistics
-_BLOCK_BYTES = 128 * 1024
+_max = np.maximum.reduce      # x.max() without its Python wrapper: three a step
 
 
-def _held_bytes(a: np.ndarray) -> int:
-    """Bytes of memory ``a`` spans: an axis of stride 0 (a broadcast view,
-    such as a flat target's identity metric) repeats its elements."""
-    return a.itemsize * prod(n for n, stride in zip(a.shape, a.strides) if stride)
-
-
-def _stack(arrays: tuple) -> np.ndarray:
-    """The arrays along a new first axis; a lone array is viewed, not copied."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _record_block(trace: FlowTrace, block: list, metric_inv: np.ndarray) -> None:
-    """Record the accepted steps of ``block``, rows (step, E, max|tau|, S,
-    target metric, |d_T phi|^2), with max|S| and max|d_T phi|^2 reduced in
-    one stacked pass."""
-    steps, energies, tau_max, S, metrics, d2 = zip(*block)
-    g = metrics[0] if all(m is metrics[0] for m in metrics) else np.stack(metrics)
-    n2 = form_norm_squared(_stack(S), metric_inv, g).reshape(len(block), -1)
-    d2_max = _stack(d2).reshape(len(block), -1).max(axis=1)
-    for step, E, tau, S_max, d2_step in zip(steps, energies, tau_max,
-                                            n2.max(axis=1), d2_max):
-        trace.record(step, E, tau, float(np.sqrt(max(S_max, 0.0))), d2_step)
+def _max_second_form(mapf: FoliatedMapField) -> float:
+    """Max over nodes of |nabla_tr d_T phi|."""
+    return sqrt(max(float(_max(second_form_norm_squared(mapf), None)), 0.0))
 
 
 def run_flow(mapf: FoliatedMapField, struct: FoliatedStructure | None,
@@ -168,23 +137,13 @@ def run_flow(mapf: FoliatedMapField, struct: FoliatedStructure | None,
     """Iterate the heat flow until the tension tolerance, step or dt budget."""
     dt = config.resolve_dt(mapf.grid)
     trace = FlowTrace()
-    block, held = [], 0
 
     def accept(step, m, E):
-        # every energy the flow holds passes here; the trace-only statistics
-        # wait for their block
-        nonlocal held
+        # every energy the flow holds passes here
         if not isfinite(E):
             raise FlowDivergedError(f"energy {E!r} at step {step} is not finite")
         tau_max = tension_sup_norm(m)
-        S, g, d2 = m.S, m.target_metric, m.dT_norm_sq
-        block.append((step, E, tau_max, S, g, d2))
-        # only the target metric may be a broadcast view
-        held += S.nbytes + _held_bytes(g) + d2.nbytes
-        if held >= _BLOCK_BYTES:
-            _record_block(trace, block, m.grid.metric_inv)
-            block.clear()
-            held = 0
+        trace.record(step, E, tau_max, _max_second_form(m), _max(m.dT_norm_sq, None))
         return tau_max
 
     E = transversal_energy(mapf, struct)
@@ -211,8 +170,6 @@ def run_flow(mapf: FoliatedMapField, struct: FoliatedStructure | None,
         step += 1
         mapf, E = candidate, E_c
         tau_max = accept(step, mapf, E)
-    if block:
-        _record_block(trace, block, mapf.grid.metric_inv)
     trace.termination = termination
     return mapf, trace
 
@@ -338,7 +295,7 @@ def rigidity_diagnostics(mapf: FoliatedMapField, struct: FoliatedStructure | Non
     rank_tol = tolerances.rank_tol_rel * max(float(np.max(sv)), 1e-300)
     rank_T = int(np.max(np.sum(sv > rank_tol, axis=-1)))
     max_d2 = float(np.max(mapf.dT_norm_sq))
-    max_S = float(np.sqrt(max(np.max(second_form_norm_squared(mapf)), 0.0)))
+    max_S = _max_second_form(mapf)
     bound = lam * rank_cap / (mu * (rank_cap - 1)) if mu > 0 else np.inf
     if max_d2 <= tolerances.constant_tol:
         verdict = Verdict.transversally_constant

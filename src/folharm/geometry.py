@@ -23,7 +23,7 @@ evaluate concurrently; geometry objects are immutable after construction.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -46,9 +46,9 @@ _CHART_TOL = 1e-9
 class TransverseGeometry:
     """Base class for the model geometry catalog.
 
-    Subclasses fill in ``metric``, ``metric_inv``, ``sqrt_det``,
-    ``christoffel`` and ``exp`` with closed forms; curvature comes from the
-    constant-curvature formula R_{abcd} = K (g_{bc} g_{ad} - g_{ac} g_{bd}).
+    Subclasses fill in ``metric`` and ``metric_inv`` (or ``metric_diagonal``),
+    ``sqrt_det``, ``christoffel`` and ``exp`` with closed forms; curvature comes
+    from the constant-curvature formula R_{abcd} = K (g_{bc} g_{ad} - g_{ac} g_{bd}).
     """
 
     kind: str
@@ -63,11 +63,24 @@ class TransverseGeometry:
     # True when ``metric`` and ``metric_inv`` are the identity everywhere, so
     # the metric factors of the contractions can be skipped
     metric_is_identity: bool = False
+    # True when the metric's off-diagonal entries vanish everywhere
+    metric_is_diagonal: bool = False
+    # strict bounds of a coordinate within the chart box: axis -> (lo, hi)
+    open_bounds: dict = {}
 
     # -- pointwise closed forms -------------------------------------------
 
     def metric(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """g_ab at ``points``; here that of a diagonal metric."""
+        out = np.zeros(np.shape(points)[:-1] + (self.dim, self.dim))
+        out[..., range(self.dim), range(self.dim)] = self.metric_diagonal(points)
+        return out
+
+    def metric_inv(self, points: np.ndarray) -> np.ndarray:
+        """g^ab at ``points``; here that of a diagonal metric, 1 / g_aa."""
+        out = np.zeros(np.shape(points)[:-1] + (self.dim, self.dim))
+        out[..., range(self.dim), range(self.dim)] = 1.0 / self.metric_diagonal(points)
+        return out
 
     def christoffel(self, points: np.ndarray) -> np.ndarray:
         """Gamma^c_{ab}, indexed [..., c, a, b]."""
@@ -83,6 +96,48 @@ class TransverseGeometry:
         """Ricci as a bilinear form, Ric_{bc} = g^{ad} R_{abcd}; for constant
         curvature K this contraction is (q - 1) K g."""
         return (self.dim - 1) * self.curvature_constant * self.metric(points)
+
+    # -- contractions: g is ``metric_factor``, h a grid's ``metric_inv_factor``;
+    # each adds its terms as the dense ``contract`` of ``metric`` and
+    # ``christoffel`` does, leaving out only the products with zero entries.
+
+    def metric_factor(self, points: np.ndarray) -> np.ndarray | None:
+        """The metric at ``points``: None (identity), g_aa (..., q) if diagonal, else dense."""
+        if self.metric_is_identity:
+            return None
+        return self.metric_diagonal(points) if self.metric_is_diagonal else self.metric(points)
+
+    def norm_sq(self, g: np.ndarray | None, v: np.ndarray) -> np.ndarray:
+        """|v|_g^2 = g_st v^s v^t of vectors v (..., q)."""
+        if not self.metric_is_diagonal:
+            return contract("...s,...st,...t->...", v, g, v)
+        return _sum_last((v if g is None else v * g) * v, 1)
+
+    def dT_norm_sq(self, g: np.ndarray | None, D: np.ndarray, h: np.ndarray | None) -> np.ndarray:
+        """|D|^2 = g_ts D^s_a h^ab D^t_b of D (..., q, p); inf, with no warning, on overflow."""
+        with np.errstate(over="ignore"):
+            if not self.metric_is_diagonal:
+                h = np.eye(D.shape[-1]) if h is None else h
+                return contract("...ts,...sa,...ab,...tb->...", g, D, h, D)
+            gD = D if g is None else D * g[..., None]
+            if h is not None:
+                return contract("...ta,...ab,...tb->...", gD, h, D)
+            return _sum_last(gD * D, 2)
+
+    def form_norm_sq(self, g: np.ndarray | None, S: np.ndarray, h: np.ndarray | None) -> np.ndarray:
+        """|S|^2 = g_gd (S^g h)_ac (S^d h)_ca of second forms S (..., q, p, p)."""
+        if h is not None:
+            S = contract("...gab,...bc->...gac", S, h)
+        if not self.metric_is_diagonal:
+            return contract("...gac,...dca,...gd->...", S, S, g)
+        X = _sum_last(S * S.swapaxes(-1, -2), 2)          # the diagonal entries X_gg
+        return _sum_last(X if g is None else X * g, 1)
+
+    def christoffel_term(self, points: np.ndarray, D: np.ndarray) -> np.ndarray | None:
+        """Gamma^g_st D^s_a D^t_b (..., q, p, p) of D (..., q, p); None if the symbols vanish."""
+        if self.christoffel_vanishes:
+            return None
+        return contract("...gst,...tb,...sa->...gab", self.christoffel(points), D, D)
 
     def sectional(self, point: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
         g = self.metric(point)
@@ -104,34 +159,34 @@ class TransverseGeometry:
                 periods[a] = hi - lo
         return periods
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """True where the point lies in the (closed) chart box, up to
-        ``_CHART_TOL``.
+    @cached_property
+    def _limits(self) -> tuple:
+        """(axis, lo, hi, strict) bounds of the chart: the fixed box axes, then open_bounds."""
+        box = tuple((a, float(lo) - _CHART_TOL, float(hi) + _CHART_TOL, False)
+                    for a, (lo, hi) in enumerate(self.chart_bounds) if not self.periodic[a])
+        return box + tuple((a, lo, hi, True) for a, (lo, hi) in self.open_bounds.items())
 
-        Periodic axes are unconstrained (lift coordinates are allowed).
-        """
+    def contains(self, points: np.ndarray) -> bool:
+        """True when every point lies in the closed chart box, up to ``_CHART_TOL``, and
+        in ``open_bounds``; periodic axes are unconstrained (lift coordinates)."""
         points = np.asarray(points, dtype=float)
-        ok = np.ones(points.shape[:-1], dtype=bool)
-        for a in range(self.dim):
-            if self.periodic[a]:
-                continue
-            lo, hi = self.chart_bounds[a]
-            ok &= (points[..., a] >= lo - _CHART_TOL) & (points[..., a] <= hi + _CHART_TOL)
-        return ok
+        for a, lo, hi, strict in self._limits:
+            x = points[..., a]
+            low, high = np.minimum.reduce(x, None), np.maximum.reduce(x, None)
+            if not ((lo < low and high < hi) if strict else (lo <= low and high <= hi)):
+                return False            # also where a coordinate is nan
+        return True
 
     def require_valid(self, points: np.ndarray) -> None:
-        if not np.all(self.contains(points)):
+        if not self.contains(points):
             raise DomainError(f"point outside {self.kind} chart domain")
 
     def norm(self, points: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """|v|_g = sqrt(g_ab v^a v^b) at each point; inf, and no warning,
-        where the square overflows."""
+        """|v|_g at each point; inf, and no warning, where the square overflows."""
         if self.metric_is_identity and self.dim == 1:   # |v|, which cannot overflow
             return np.abs(v[..., 0])
         with np.errstate(over="ignore"):
-            if self.metric_is_identity:
-                return np.sqrt(contract("...a,...a->...", v, v))
-            return np.sqrt(contract("...a,...ab,...b->...", v, self.metric(points), v))
+            return np.sqrt(self.norm_sq(self.metric_factor(points), v))
 
     # -- exponential map ---------------------------------------------------
 
@@ -174,7 +229,7 @@ class FlatTorus(TransverseGeometry):
             min(periods) / 4.0 if injectivity_cap is None else float(injectivity_cap)
         )
         # not for a subclass with a (constant, still flat) metric of its own
-        self.metric_is_identity = type(self).metric is FlatTorus.metric
+        self.metric_is_identity = self.metric_is_diagonal = type(self).metric is FlatTorus.metric
 
     # constant fields are read-only broadcast views, nothing grid-sized is allocated
     def metric(self, points):
@@ -199,6 +254,34 @@ class FlatTorus(TransverseGeometry):
         return points + v
 
 
+@lru_cache(maxsize=None)
+def _last_indices(shape: tuple) -> tuple:
+    """Index tuples of the components over trailing axes of ``shape``, in order."""
+    return tuple((..., *i) for i in np.ndindex(shape))
+
+
+def _sum_last(x: np.ndarray, k: int) -> np.ndarray:
+    """Sum of x over its last ``k`` axes, in index order as ``contract`` adds."""
+    index = _last_indices(x.shape[-k:])
+    total = x[index[0]]
+    for i in index[1:]:
+        total = total + x[i]
+    return total
+
+
+def _connection_term(Dt: np.ndarray, factors: tuple) -> np.ndarray:
+    """Gamma'^g_st D^s_a D^t_b = X_g[b] D^x_a + Y_g[b] D^y_a into a 2-chart, from Dt = D
+    indexed [t, b, ...] and factors (X_g, Y_g) indexed [b, ...] (None: vanishes)."""
+    p = Dt.shape[1]
+    out = np.empty((p, p) + Dt.shape[2:] + (2,))
+    for g, pair in enumerate(factors):
+        (X, Da), *rest = [(X, Dt[s]) for s, X in enumerate(pair) if X is not None]
+        np.multiply(X[None], Da[:, None], out=out[..., g])
+        for X, Da in rest:
+            out[..., g] += X[None] * Da[:, None]
+    return out.transpose((*range(2, out.ndim), 0, 1))
+
+
 @lru_cache(maxsize=64)
 def _identity_field(q: int, shape: tuple) -> np.ndarray:
     """The (q, q) identity at nodes of ``shape``: one read-only view per shape."""
@@ -209,6 +292,8 @@ class RoundSphere(TransverseGeometry):
     """Round 2-sphere of radius r, chart (theta, phi), polar caps excluded."""
 
     kind = "round_sphere"
+    metric_is_diagonal = True
+    open_bounds = {0: (_CHART_TOL, np.pi - _CHART_TOL)}      # poles are never valid
 
     def __init__(self, radius: float = 1.0, cap_angle: float = 0.3,
                  injectivity_cap: float | None = None):
@@ -232,27 +317,9 @@ class RoundSphere(TransverseGeometry):
             radius * np.pi / 2 if injectivity_cap is None else float(injectivity_cap)
         )
 
-    def contains(self, points):
-        ok = super().contains(points)
-        theta = np.asarray(points, dtype=float)[..., 0]
-        ok &= (theta > _CHART_TOL) & (theta < np.pi - _CHART_TOL)   # poles are never valid
-        return ok
-
-    def metric(self, points):
-        points = np.asarray(points, dtype=float)
-        theta = points[..., 0]
-        out = np.zeros(points.shape[:-1] + (2, 2))
-        out[..., 0, 0] = self.radius**2
-        out[..., 1, 1] = (self.radius * np.sin(theta)) ** 2
-        return out
-
-    def metric_inv(self, points):
-        points = np.asarray(points, dtype=float)
-        theta = points[..., 0]
-        out = np.zeros(points.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 1.0 / self.radius**2
-        out[..., 1, 1] = 1.0 / (self.radius * np.sin(theta)) ** 2
-        return out
+    def metric_diagonal(self, points):
+        g_phph = (self.radius * np.sin(np.asarray(points, dtype=float)[..., 0])) ** 2
+        return np.stack((np.full_like(g_phph, self.radius**2), g_phph), axis=-1)
 
     def sqrt_det(self, points):
         theta = np.asarray(points, dtype=float)[..., 0]
@@ -267,6 +334,13 @@ class RoundSphere(TransverseGeometry):
         out[..., 1, 0, 1] = cot                              # Gamma^ph_{th ph}
         out[..., 1, 1, 0] = cot
         return out
+
+    def christoffel_term(self, points, D):
+        # Gamma^th_{ph ph} = -sin cos and Gamma^ph_{th ph} = Gamma^ph_{ph th} = cot
+        theta = np.asarray(points, dtype=float)[..., 0]
+        sin, cos = np.sin(theta), np.cos(theta)
+        Dt, cot = np.moveaxis(D, (-2, -1), (0, 1)), cos / sin
+        return _connection_term(Dt, ((None, (-sin * cos) * Dt[1]), (cot * Dt[1], cot * Dt[0])))
 
     def embed(self, points):
         points = np.asarray(points, dtype=float)
@@ -310,6 +384,8 @@ class HyperbolicPatch(TransverseGeometry):
     """Rectangle in the upper half-plane with metric (dx^2 + dy^2)/y^2 (K = -1)."""
 
     kind = "hyperbolic_patch"
+    metric_is_diagonal = True
+    open_bounds = {1: (_CHART_TOL, np.inf)}
 
     def __init__(self, x_bounds: Sequence[float], y_bounds: Sequence[float],
                  injectivity_cap: float | None = None):
@@ -329,18 +405,8 @@ class HyperbolicPatch(TransverseGeometry):
         self.periodic = (False, False)
         self.injectivity_cap = 1.0 if injectivity_cap is None else float(injectivity_cap)
 
-    def contains(self, points):
-        ok = super().contains(points)
-        ok &= np.asarray(points, dtype=float)[..., 1] > _CHART_TOL
-        return ok
-
-    def metric(self, points):
-        points = np.asarray(points, dtype=float)
-        y = points[..., 1]
-        out = np.zeros(points.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 1.0 / y**2
-        out[..., 1, 1] = 1.0 / y**2
-        return out
+    def metric_diagonal(self, points):       # conformal: 1 / y^2 on both axes
+        return 1.0 / np.asarray(points, dtype=float)[..., (1, 1)] ** 2
 
     def metric_inv(self, points):
         points = np.asarray(points, dtype=float)
@@ -365,6 +431,12 @@ class HyperbolicPatch(TransverseGeometry):
         out[..., 1, 1, 1] = -inv_y      # Gamma^y_{yy}
         return out
 
+    def christoffel_term(self, points, D):
+        # Gamma^y_{xx} = 1/y and Gamma^x_{xy} = Gamma^x_{yx} = Gamma^y_{yy} = -1/y
+        inv_y, Dt = 1.0 / np.asarray(points, dtype=float)[..., 1], np.moveaxis(D, (-2, -1), (0, 1))
+        mDx, mDy = -inv_y * Dt[0], -inv_y * Dt[1]
+        return _connection_term(Dt, ((mDy, mDx), (inv_y * Dt[0], mDy)))
+
     def exp(self, points, v):
         # Work at the basepoint i: w -> (w - x)/y maps z to i isometrically and
         # scales velocities by 1/y; a rotation about i sends the direction to
@@ -382,8 +454,9 @@ class HyperbolicPatch(TransverseGeometry):
         c, sn = np.cos(th), np.sin(th)
         w2 = (c * w1 - sn) / (sn * w1 + c)
         z = y * w2 + x
-        out = np.stack([np.real(z), np.imag(z)], axis=-1)
-        return np.where((s == 0)[..., None], points, out)
+        out = np.asarray(z).reshape(-1).view(float).reshape(np.shape(z) + (2,))  # Re z, Im z
+        zero = s == 0
+        return np.where(zero[..., None], points, out) if np.count_nonzero(zero) else out
 
 
 _GEOMETRY_KINDS = {

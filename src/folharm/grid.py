@@ -5,8 +5,8 @@ one copy of the field wrapped by a layer on each side, and fixed
 (non-periodic) axes use one-sided second-order stencils on the two boundary
 layers.  All operators
 are exact on fields that are polynomials of degree <= 1 in the chart
-coordinates of a flat chart.  The stencils take a field or its ``Partials``,
-so that the gradient and the Hessian of one field wrap each axis once.
+coordinates of a flat chart.  ``derivatives`` takes the first and second
+partials of one field in one pass, wrapping each periodic axis once.
 
 Integration is a weighted Riemann sum against the base volume element
 w(i) = sqrt(det g(b_i)) * prod_a h_a, with composite-trapezoid end weights on
@@ -30,12 +30,12 @@ from .tensor import contract
 
 __all__ = [
     "GridChart",
-    "Partials",
     "build_grid",
     "diff1",
     "diff2",
     "mixed_diff",
     "grad_B",
+    "derivatives",
     "div_nabla",
     "delta_B_scalar",
     "kappa_on_grid",
@@ -77,6 +77,11 @@ class GridChart:
     @cached_property
     def metric_inv(self) -> np.ndarray:
         return self.geometry.metric_inv(self.points)
+
+    @cached_property
+    def metric_inv_factor(self) -> np.ndarray | None:
+        """``metric_inv``, or None where it is the identity, as contractions take it."""
+        return None if self.geometry.metric_is_identity else self.metric_inv
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -162,100 +167,83 @@ def _axis_slices(ndim: int, axis: int) -> tuple:
                  for lo, hi in ((-1, None), (None, 1), (2, None), (1, -1), (None, -2)))
 
 
-class Partials:
-    """One field ``f`` with its copies wrapped along periodic axes, which the
-    first and second partials share, and its first partials, which the mixed
-    partials difference again; each is made once, on first use."""
+def _partials_into(grid: GridChart, f: np.ndarray, axis: int,
+                   d1: np.ndarray | None, d2: np.ndarray | None = None) -> None:
+    """First and second partials of f along ``axis`` into d1 and d2 (None: not taken)."""
+    nd = f.ndim
+    last, head, hi, mid, lo = _axis_slices(nd, axis)
+    if grid.periodic[axis]:        # fp[i + 1] = f[i mod n] for i = -1 .. n
+        fp = np.concatenate((f[last], f, f[head]), axis=axis, dtype=float)
+        if d1 is not None:
+            np.subtract(fp[hi], fp[lo], out=d1)
+        if d2 is not None:
+            np.multiply(fp[mid], -2.0, out=d2)  # f[i+1] - 2 f[i] + f[i-1], in that order
+            d2 += fp[hi]
+            d2 += fp[lo]
+    else:                          # one-sided stencils on the boundary layers
+        def at(i):
+            return f[_sl(nd, axis, i)]
 
-    def __init__(self, grid: GridChart, f: np.ndarray):
-        self.grid, self.f, self._wrapped, self._first = grid, f, {}, {}
-
-    def wrapped(self, axis: int) -> np.ndarray:
-        """fp[i + 1] = f[i mod n] for i = -1 .. n along a periodic axis."""
-        if axis not in self._wrapped:
-            f, (last, first) = self.f, _axis_slices(self.f.ndim, axis)[:2]
-            self._wrapped[axis] = np.concatenate((f[last], f, f[first]), axis=axis, dtype=float)
-        return self._wrapped[axis]
-
-    def first(self, axis: int) -> np.ndarray:
-        if axis not in self._first:
-            self._first[axis] = diff1(self.grid, self, axis)
-        return self._first[axis]
+        if d1 is not None:
+            d1[mid] = f[hi] - f[lo]
+            d1[_sl(nd, axis, 0)] = -3 * at(0) + 4 * at(1) - at(2)
+            d1[_sl(nd, axis, -1)] = 3 * at(-1) - 4 * at(-2) + at(-3)
+        if d2 is not None:
+            d2[mid] = f[hi] - 2 * f[mid] + f[lo]
+            d2[_sl(nd, axis, 0)] = 2 * at(0) - 5 * at(1) + 4 * at(2) - at(3)
+            d2[_sl(nd, axis, -1)] = 2 * at(-1) - 5 * at(-2) + 4 * at(-3) - at(-4)
+    if d1 is not None:
+        d1 /= 2 * grid.spacing[axis]
+    if d2 is not None:
+        d2 /= grid.spacing[axis] ** 2
 
 
-def _partials(grid: GridChart, f) -> Partials:
-    return f if isinstance(f, Partials) else Partials(grid, f)
-
-
-def diff1(grid: GridChart, f, axis: int) -> np.ndarray:
+def diff1(grid: GridChart, f: np.ndarray, axis: int) -> np.ndarray:
     """First partial derivative along a grid axis, second order."""
-    p = _partials(grid, f)
-    f, nd = p.f, p.f.ndim
-    _, _, hi, mid, lo = _axis_slices(nd, axis)
-    if grid.periodic[axis]:
-        fp = p.wrapped(axis)
-        out = fp[hi] - fp[lo]
-    else:                          # one-sided stencils on the boundary layers
-        def at(i):
-            return f[_sl(nd, axis, i)]
-
-        out = np.empty_like(f, dtype=float)
-        out[mid] = f[hi] - f[lo]
-        out[_sl(nd, axis, 0)] = -3 * at(0) + 4 * at(1) - at(2)
-        out[_sl(nd, axis, -1)] = 3 * at(-1) - 4 * at(-2) + at(-3)
-    out /= 2 * grid.spacing[axis]
+    _partials_into(grid, f, axis, out := np.empty(f.shape))
     return out
 
 
-def diff2(grid: GridChart, f, axis: int) -> np.ndarray:
+def diff2(grid: GridChart, f: np.ndarray, axis: int) -> np.ndarray:
     """Second partial derivative along one axis, second order."""
-    p = _partials(grid, f)
-    f, nd = p.f, p.f.ndim
-    _, _, hi, mid, lo = _axis_slices(nd, axis)
-    if grid.periodic[axis]:
-        fp = p.wrapped(axis)
-        out = fp[hi] - 2 * fp[mid]
-        out += fp[lo]
-    else:                          # one-sided stencils on the boundary layers
-        def at(i):
-            return f[_sl(nd, axis, i)]
-
-        out = np.empty_like(f, dtype=float)
-        out[mid] = f[hi] - 2 * f[mid] + f[lo]
-        out[_sl(nd, axis, 0)] = 2 * at(0) - 5 * at(1) + 4 * at(2) - at(3)
-        out[_sl(nd, axis, -1)] = 2 * at(-1) - 5 * at(-2) + 4 * at(-3) - at(-4)
-    out /= grid.spacing[axis] ** 2
+    _partials_into(grid, f, axis, None, out := np.empty(f.shape))
     return out
 
 
-def mixed_diff(grid: GridChart, f, a: int, b: int) -> np.ndarray:
+def mixed_diff(grid: GridChart, f: np.ndarray, a: int, b: int) -> np.ndarray:
     """Mixed second partial d_a d_b (symmetric by construction for a != b)."""
-    if a == b:
-        return diff2(grid, f, a)
-    return diff1(grid, _partials(grid, f).first(b), a)
+    return diff2(grid, f, a) if a == b else diff1(grid, diff1(grid, f, b), a)
 
 
-def grad_B(grid: GridChart, f) -> np.ndarray:
+# partials stacked last are views of arrays that hold each partial as one block
+
+def grad_B(grid: GridChart, f: np.ndarray) -> np.ndarray:
     """First partials d_a f of a scalar or vector field, stacked last:
     f.shape + (q,); for a scalar field this is its basic gradient."""
-    p = _partials(grid, f)
-    out = np.empty(p.f.shape + (grid.dim,))
+    out = np.empty((grid.dim,) + f.shape)
     for a in range(grid.dim):
-        out[..., a] = p.first(a)
-    return out
+        _partials_into(grid, f, a, out[a])
+    return out.transpose((*range(1, out.ndim), 0))
 
 
-def hessian_scalar(grid: GridChart, f) -> np.ndarray:
+def derivatives(grid: GridChart, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second partials of a scalar or vector field, stacked last, in one pass:
+    each axis is wrapped once for both, and d_a d_b (a < b) differences d_b."""
+    q = grid.dim
+    first, second = np.empty((q,) + f.shape), np.empty((q, q) + f.shape)
+    for b in range(q):
+        _partials_into(grid, f, b, first[b], second[b, b])
+        for a in range(b):
+            _partials_into(grid, first[b], a, second[a, b])
+            second[b, a] = second[a, b]
+    return (first.transpose((*range(1, first.ndim), 0)),
+            second.transpose((*range(2, second.ndim), 0, 1)))
+
+
+def hessian_scalar(grid: GridChart, f: np.ndarray) -> np.ndarray:
     """Second partials d_a d_b f of a scalar or vector field, stacked last:
     f.shape + (q, q)."""
-    q, p = grid.dim, _partials(grid, f)
-    out = np.empty(p.f.shape + (q, q))
-    for a in range(q):
-        for b in range(a, q):
-            d = mixed_diff(grid, p, a, b)
-            out[..., a, b] = d
-            out[..., b, a] = d
-    return out
+    return derivatives(grid, f)[1]
 
 
 def div_nabla(grid: GridChart, X: np.ndarray) -> np.ndarray:
@@ -297,8 +285,7 @@ def delta_B_scalar(grid: GridChart, f: np.ndarray,
     With a minimal foliation this reduces to -f'' on the flat circle, so
     Delta_B cos = cos.
     """
-    grad = grad_B(grid, f)
-    hess = hessian_scalar(grid, f)
+    grad, hess = derivatives(grid, f)
     cov_hess = hess - contract("...c,...cab->...ab", grad, grid.gamma)
     out = -contract("...ab,...ab->...", grid.metric_inv, cov_hess)
     out += contract("...a,...a->...", kappa_sharp(grid, struct), grad)
@@ -315,7 +302,7 @@ def integrate(grid: GridChart, f: np.ndarray, weight: str = "base_volume",
         if struct is None:
             raise ConfigurationError("manifold_volume weight needs a foliated structure")
         w = w * struct.vol_at(grid.points)
-    return float((f * w).sum())
+    return float(np.add.reduce(f * w, None))     # f.sum(), without its Python wrapper
 
 
 def check_divergence_theorem(grid: GridChart, X: np.ndarray,

@@ -13,8 +13,8 @@ explicit g^{ab} contractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CompositionError, ConfigurationError, InvalidMapError
 from .foliation import FoliatedStructure
 from .geometry import TransverseGeometry
-from .grid import GridChart, Partials, grad_B, hessian_scalar, kappa_sharp
+from .grid import GridChart, derivatives, grad_B, kappa_sharp
 from .tensor import contract
 
 __all__ = [
@@ -121,13 +121,15 @@ class FoliatedMapField:
     target: TransverseGeometry
     values: np.ndarray                      # grid.shape + (q',)
     winding: np.ndarray | None = None       # (q', q) integers
-    _lift: _Lift | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        values = self.values
-        if self._lift is None:      # a copy: the caller's array stays theirs
-            values = np.array(values, dtype=float, order="C")   # node-major stencils
-            object.__setattr__(self, "_lift", _Lift(self.grid, self.target, self.winding))
+        # a copy: the caller's array stays theirs; node-major for the stencils
+        object.__setattr__(self, "_lift", _Lift(self.grid, self.target, self.winding))
+        object.__setattr__(self, "winding", self._lift.winding)
+        self._adopt(np.array(self.values, dtype=float, order="C"))
+
+    def _adopt(self, values: np.ndarray) -> None:
+        """Check ``values`` and make them this field's, read-only."""
         shape = self.grid.shape + (self.target.dim,)
         if values.shape != shape:
             raise InvalidMapError(f"values: expected shape {shape}, got {values.shape}")
@@ -135,11 +137,10 @@ class FoliatedMapField:
         if np.count_nonzero(np.isfinite(values)) < values.size:
             raise InvalidMapError("map values must be finite")
         # periodic axes are unconstrained, so only a fixed axis can be left
-        if not all(self.target.periodic) and not self.target.contains(values).all():
+        if not all(self.target.periodic) and not self.target.contains(values):
             raise InvalidMapError("map values leave the target chart interior")
         values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "winding", self._lift.winding)
+        self.__dict__["values"] = values
 
     # -- lift bookkeeping --------------------------------------------------
 
@@ -159,21 +160,30 @@ class FoliatedMapField:
         return part
 
     @_cached_property
-    def partials(self) -> Partials:
-        """Stencil partials of the periodic part, shared by ``D`` and ``S``."""
-        return Partials(self.grid, self.periodic_part)
+    def partials(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stencil partials of the periodic part, from the one pass D and S share."""
+        return derivatives(self.grid, self.periodic_part)
 
     @_cached_property
     def target_metric(self) -> np.ndarray:
         return self.target.metric(self.values)
 
     @_cached_property
+    def target_metric_factor(self) -> np.ndarray | None:
+        """The target metric at the values as the geometry's contractions take it."""
+        return self.target.metric_factor(self.values)
+
+    @_cached_property
     def target_gamma(self) -> np.ndarray:
         return self.target.christoffel(self.values)
 
     def replace_values(self, values: np.ndarray) -> "FoliatedMapField":
-        """The field of ``values``, a fresh float array it adopts, on this lift."""
-        return FoliatedMapField(self.grid, self.target, values, _lift=self._lift)
+        """The field of ``values``, a fresh array it adopts, on this lift; it checks only those."""
+        new = object.__new__(FoliatedMapField)
+        new.__dict__.update(grid=self.grid, target=self.target, winding=self.winding,
+                            _lift=self._lift)
+        new._adopt(values)
+        return new
 
     # -- derivatives, each computed once per field ---------------------------
 
@@ -186,7 +196,7 @@ class FoliatedMapField:
     def S(self) -> np.ndarray:
         """Second fundamental form, (..., q', q, q)."""
         S = second_fund_form(self)
-        self.__dict__.pop("partials", None)     # D and S are taken: it is spent
+        self.__dict__.pop("partials", None)     # D and S are taken: the pass is spent
         return S
 
     @_cached_property
@@ -309,10 +319,8 @@ class AnalyticMap:
 
 def d_T(mapf: FoliatedMapField) -> np.ndarray:
     """Transversal differential, components D[..., alpha, a] = d_a phi^alpha."""
-    D = grad_B(mapf.grid, mapf.partials)
-    if mapf._lift.winds:
-        D += mapf.linear_slope
-    return D
+    D = mapf.partials[0]
+    return D + mapf.linear_slope if mapf._lift.winds else D
 
 
 def second_fund_form(mapf: FoliatedMapField) -> np.ndarray:
@@ -323,29 +331,28 @@ def second_fund_form(mapf: FoliatedMapField) -> np.ndarray:
 
     A Christoffel term is skipped where its geometry says the symbols vanish.
     """
-    D = mapf.D
-    S = hessian_scalar(mapf.grid, mapf.partials)
+    D, S = mapf.D, mapf.partials[1]
     if not mapf.grid.geometry.christoffel_vanishes:
-        S -= contract("...gc,...cab->...gab", D, mapf.grid.gamma)
-    if not mapf.target.christoffel_vanishes:
-        S += contract("...gst,...tb,...sa->...gab", mapf.target_gamma, D, D)
-    return S
+        S = S - contract("...gc,...cab->...gab", D, mapf.grid.gamma)
+    gamma_term = mapf.target.christoffel_term(mapf.values, D)
+    return S if gamma_term is None else S + gamma_term
 
 
 def tension(mapf: FoliatedMapField) -> np.ndarray:
     """Transversal tension field, tau^g = g^{ab} S^g_{ab}."""
-    S = mapf.S
-    if mapf.grid.geometry.metric_is_identity:        # the trace S^g_aa, a fresh array
-        tau = reduce(np.add, (S[..., a, a] for a in range(1, mapf.grid.dim)), S[..., 0, 0])
-        return tau if mapf.grid.dim > 1 else tau.copy()
-    return contract("...ab,...gab->...g", mapf.grid.metric_inv, S)
+    S, h = mapf.S, mapf.grid.metric_inv_factor
+    if h is not None:
+        return contract("...ab,...gab->...g", h, S)
+    tau = S[..., 0, 0]                              # the trace S^g_aa
+    for a in range(1, mapf.grid.dim):
+        tau = tau + S[..., a, a]
+    return tau
 
 
 def tension_sup_norm(mapf: FoliatedMapField) -> float:
     """Max over nodes of |tau|_{g'} (the transversal-harmonicity defect)."""
-    n2 = (_sum_of_squares(mapf.tau, 1) if mapf.target.metric_is_identity
-          else contract("...s,...st,...t->...", mapf.tau, mapf.target_metric, mapf.tau))
-    return float(np.sqrt(n2.max()))
+    n2 = mapf.target.norm_sq(mapf.target_metric_factor, mapf.tau)
+    return float(np.sqrt(np.maximum.reduce(n2, None)))       # n2.max(), without its wrapper
 
 
 def energy_density(mapf: FoliatedMapField) -> np.ndarray:
@@ -354,33 +361,15 @@ def energy_density(mapf: FoliatedMapField) -> np.ndarray:
 
 
 def dT_norm_squared(mapf: FoliatedMapField) -> np.ndarray:
-    """|d_T phi|^2 = g^{ab} g'_{st}(phi) d_a phi^s d_b phi^t."""
-    if mapf.grid.geometry.metric_is_identity and mapf.target.metric_is_identity:
-        return _sum_of_squares(mapf.D, 2)
-    return contract("...ts,...sa,...ab,...tb->...",
-                    mapf.target_metric, mapf.D, mapf.grid.metric_inv, mapf.D)
-
-
-def _sum_of_squares(x: np.ndarray, k: int) -> np.ndarray:
-    """Sum of the squares of x over its last ``k`` axes, added in index order
-    as ``contract`` adds them: the contraction with identity metrics."""
-    comps = x.reshape(x.shape[:x.ndim - k] + (-1,))
-    return reduce(np.add, (comps[..., i] * comps[..., i] for i in range(comps.shape[-1])))
+    """|d_T phi|^2 = g^{ab} g'_{st}(phi) d_a phi^s d_b phi^t; inf, without a
+    warning, where it overflows."""
+    return mapf.target.dT_norm_sq(mapf.target_metric_factor, mapf.D, mapf.grid.metric_inv_factor)
 
 
 def second_form_norm_squared(mapf: FoliatedMapField) -> np.ndarray:
     """|nabla_tr d_T phi|^2 = g^{aa'} g^{bb'} g'_{gd} S^g_{ab} S^d_{a'b'}
     = g'_{gd} tr(S^g g^{-1} S^d g^{-1})."""
-    return form_norm_squared(mapf.S, mapf.grid.metric_inv, mapf.target_metric)
-
-
-def form_norm_squared(S: np.ndarray, metric_inv: np.ndarray,
-                      target_metric: np.ndarray) -> np.ndarray:
-    """``second_form_norm_squared`` of second-form arrays S (..., q', q, q);
-    leading axes beyond the grid's stack maps, and broadcast against the
-    metrics."""
-    Sg = contract("...gab,...bc->...gac", S, metric_inv)   # S^g g^{-1}
-    return contract("...gac,...dca,...gd->...", Sg, Sg, target_metric)
+    return mapf.target.form_norm_sq(mapf.target_metric_factor, mapf.S, mapf.grid.metric_inv_factor)
 
 
 def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray) -> np.ndarray:

@@ -2,12 +2,20 @@
 
 Everything here is deliberately written with explicit index loops and its own
 integrators so that it shares no contraction helpers with the package code
-it checks.
+it checks, except the dense route, which contracts full ``metric`` and
+``christoffel`` arrays with ``contract`` (checked against ``np.einsum`` by
+its own tests) and is the reference of the geometries' closed forms.
 """
 
 from __future__ import annotations
 
+from math import isfinite, sqrt
+
 import numpy as np
+
+from folharm.errors import FlowDivergedError, StepTooLargeError
+from folharm.grid import grad_B, hessian_scalar, integrate
+from folharm.tensor import contract
 
 
 def rk4_geodesic(geom, point, v, nsteps=200):
@@ -171,3 +179,75 @@ def trapezoid_integral_1d(f, lo, hi, n=4096):
     """Plain trapezoid quadrature of a callable on [lo, hi]."""
     x = np.linspace(lo, hi, n + 1)
     return np.trapezoid(f(x), x)
+
+
+# -- the dense route: every entry of metric and christoffel, zeros included --
+
+
+def dense_norm_sq(geom, points, v):
+    """|v|^2 = g_st v^s v^t."""
+    return contract("...s,...st,...t->...", v, geom.metric(points), v)
+
+
+def dense_dT_norm_sq(geom, points, D, h):
+    """|D|^2 = g_ts D^s_a h^ab D^t_b for a source metric_inv h."""
+    return contract("...ts,...sa,...ab,...tb->...", geom.metric(points), D, h, D)
+
+
+def dense_form_norm_sq(geom, points, S, h):
+    """|S|^2 = g_gd (S^g h)_ac (S^d h)_ca for a source metric_inv h."""
+    Sh = contract("...gab,...bc->...gac", S, h)
+    return contract("...gac,...dca,...gd->...", Sh, Sh, geom.metric(points))
+
+
+def dense_christoffel_term(geom, points, D):
+    """Gamma^g_st D^s_a D^t_b."""
+    return contract("...gst,...tb,...sa->...gab", geom.christoffel(points), D, D)
+
+
+def dense_flow(mapf, struct, config):
+    """``run_flow``'s iteration, step size policy and checks, with every
+    contraction on the dense route.  Returns the final map values and the
+    trace rows (step, E, max|tau|, max|S|, max|d_T phi|^2)."""
+    grid, target, h = mapf.grid, mapf.target, mapf.grid.metric_inv
+
+    def evaluate(field):
+        values, f = field.values, field.periodic_part
+        D = grad_B(grid, f) + field.linear_slope
+        S = (hessian_scalar(grid, f) - contract("...gc,...cab->...gab", D, grid.gamma)
+             + dense_christoffel_term(target, values, D))
+        d2 = dense_dT_norm_sq(target, values, D, h)
+        return {"tau": contract("...ab,...gab->...g", h, S), "S": S, "d2": d2,
+                "E": integrate(grid, 0.5 * d2, "base_volume")}
+
+    def accept(step, field, q):
+        if not isfinite(q["E"]):
+            raise FlowDivergedError(f"energy {q['E']!r} at step {step} is not finite")
+        tau_max = float(np.sqrt(dense_norm_sq(target, field.values, q["tau"]).max()))
+        S_max = sqrt(max(float(dense_form_norm_sq(target, field.values, q["S"], h).max()), 0.0))
+        rows.append((step, q["E"], tau_max, S_max, float(q["d2"].max())))
+        return tau_max
+
+    dt, rows, step = config.resolve_dt(grid), [], 0
+    field, q = mapf, evaluate(mapf)
+    tau_max = accept(0, field, q)
+    while tau_max > config.tension_tol and step < config.max_steps:
+        v = dt * q["tau"]
+        if grid.boundary_mask is not None:
+            v = np.where(grid.boundary_mask[..., None], 0.0, v)
+        try:
+            candidate = field.replace_values(target.exp(field.values, v))
+        except StepTooLargeError:
+            rejected = True
+        else:
+            q_c = evaluate(candidate)
+            rejected = q_c["E"] > q["E"]
+        if rejected:
+            dt *= 0.5
+            if dt < config.dt_min:
+                break
+            continue
+        step += 1
+        field, q = candidate, q_c
+        tau_max = accept(step, field, q)
+    return field.values, rows

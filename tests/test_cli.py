@@ -250,6 +250,32 @@ def test_non_finite_initial_flow_energy_exits_three(tmp_path):
     assert not (out / "flow.json").exists()
 
 
+def test_a_failed_run_leaves_no_outputs_of_an_earlier_run(tmp_path):
+    """A flow writes its three files; the same config at amplitude 1e200 has
+    an infinite initial energy and exits 3, and the directory then holds
+    none of the three, because a run removes them before it starts."""
+    out = tmp_path / "out"
+    flow = {"flow.json", "flow_trace.csv", "flow_final_map.csv"}
+    good = _write_config(tmp_path, _huge_sine_config(0.3, flow={}), "good.json")
+    assert cli.main(["flow", "--config", good, "--out", str(out)]) == 0
+    assert flow <= {p.name for p in out.iterdir()}
+    bad = _write_config(tmp_path, _huge_sine_config(1e200, flow={}), "bad.json")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["flow", "--config", bad, "--out", str(out)]) == 3
+    assert not flow & {p.name for p in out.iterdir()}
+
+
+def test_an_overflowing_energy_prints_only_its_runtime_error(tmp_path):
+    """|d_T phi|^2 ~ 1e400 overflows to inf without a numpy warning: the
+    flow exits 3 and stderr holds the one line of its runtime error."""
+    cfg = _write_config(tmp_path, _huge_sine_config(1e200, flow={}))
+    done = subprocess.run([sys.executable, "-m", "folharm.cli", "flow", "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stderr == "runtime error: energy inf at step 0 is not finite\n"
+
+
 def test_non_finite_tension_exits_three(tmp_path):
     # the map is finite, |tau|^2 ~ 1e614 is not
     cfg = _write_config(tmp_path, _huge_sine_config(1e307))

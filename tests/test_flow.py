@@ -127,18 +127,15 @@ def _patch_flow(**cfg):
 ])
 def test_block_reduced_trace_columns_equal_per_map_values(monkeypatch, flow_run, cfg,
                                                            termination):
-    """max_second_form and max_density are reduced in blocks (here of three
-    maps), and still equal, bit for bit, the per-map values, on a flat and
-    a curved target, also for a last block cut short by any termination."""
+    """max_second_form and max_density of each trace row equal, bit for bit,
+    the values of the map the row accepted, on a flat and a curved target,
+    for every termination."""
     import folharm.flow as flow
 
     accepted, energies = [], []
     sup_norm, energy = flow.tension_sup_norm, flow.transversal_energy
 
     def recording(m):           # called once per accepted map
-        if not accepted:
-            held = m.S.nbytes + flow._held_bytes(m.target_metric) + m.dT_norm_sq.nbytes
-            monkeypatch.setattr(flow, "_BLOCK_BYTES", 3 * held)
         accepted.append(m)
         return sup_norm(m)
 
@@ -158,24 +155,24 @@ def test_block_reduced_trace_columns_equal_per_map_values(monkeypatch, flow_run,
         assert d2_max == float(np.max(m.dT_norm_sq))
 
 
-def test_trace_blocks_count_only_the_memory_a_map_holds(monkeypatch):
-    """At n=128 an accepted circle map holds 1 KiB each of S and |d_T phi|^2;
-    its target metric is a broadcast view of one element, so a block of
-    128 KiB holds 64 maps, not the 43 that counting the view's full size
-    gives."""
-    import folharm.flow as flow
+@pytest.mark.parametrize("name", ["flow_circle_sine", "flow_rigidity_flat",
+                                  "flow_rigidity_hyperbolic"])
+def test_trace_and_final_map_equal_the_dense_route(name):
+    """50 steps of each shipped flow at its shipped resolution: the trace
+    columns and the final map of ``run_flow``, whose contractions are the
+    geometries' closed forms, equal exactly those of an oracle loop that
+    contracts the full metric and Christoffel arrays."""
+    from folharm.cli import Experiment, load_config
+    from oracles import dense_flow
 
-    lengths = []
-    record = flow._record_block
-
-    def counting(trace, block, metric_inv):
-        lengths.append(len(block))
-        record(trace, block, metric_inv)
-
-    monkeypatch.setattr(flow, "_record_block", counting)
-    _, trace = _circle_flow(n=128, tension_tol=1e-14, max_steps=150)
+    config = load_config(Path(__file__).parents[1] / "scripts" / "configs" / f"{name}.json")
+    exp = Experiment(config)
+    flow_config = fh.FlowConfig(**{**config["flow"], "max_steps": 50})
+    final, trace = fh.run_flow(exp.initial_map(), exp.struct, flow_config)
+    values, rows = dense_flow(exp.initial_map(), exp.struct, flow_config)
     assert trace.termination == "max_steps"
-    assert lengths == [64, 64, 23]      # step 0 and 150 accepted steps
+    assert trace.columns()[1] == [list(column) for column in zip(*rows)]
+    assert np.array_equal(final.values, values)
 
 
 def test_backtracking_recovers_from_large_dt():

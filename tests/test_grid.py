@@ -56,6 +56,21 @@ def test_hessian_is_symmetric(sphere):
     assert np.allclose(H, np.swapaxes(H, -1, -2), atol=1e-12)
 
 
+def test_one_pass_partials_equal_the_single_stencils(sphere):
+    """``derivatives`` takes the first and second partials of a vector field
+    in one pass, on a fixed and a periodic axis; each equals, bit for bit,
+    the stencil of that partial alone."""
+    grid = fh.build_grid(sphere, 24)
+    theta, phi = grid.points[..., 0], grid.points[..., 1]
+    f = np.stack([np.sin(theta) * np.cos(phi), np.cos(2 * theta) + np.sin(phi)], axis=-1)
+    first, second = fh.grid.derivatives(grid, f)
+    for a in range(2):
+        assert np.array_equal(first[..., a], diff1(grid, f, a))
+        for b in range(2):
+            assert np.array_equal(second[..., a, b], mixed_diff(grid, f, min(a, b), max(a, b)))
+    assert np.array_equal(first, fh.grad_B(grid, f))
+
+
 # -- differential operators ------------------------------------------------
 
 

@@ -3,12 +3,19 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import folharm as fh
 from conftest import interior_points
 from folharm.flow import _singular_values_2x2
 from folharm.serialize import fmt
-from oracles import loop_whitened_singular_values
+from oracles import (
+    dense_christoffel_term,
+    dense_dT_norm_sq,
+    dense_form_norm_sq,
+    dense_norm_sq,
+    loop_whitened_singular_values,
+)
 from folharm.verify import _neville_to_zero
 
 TWO_PI = 2 * np.pi
@@ -342,3 +349,44 @@ def test_closed_form_singular_values_match_the_loop_oracle(src, tgt, g00, g11, g
     tol = fh.RigidityTolerances().rank_tol_rel * np.max(want)
     assert np.array_equal(np.sum(sv > tol, axis=-1), np.sum(want > tol, axis=-1))
     assert np.array_equal(np.sum(want > tol, axis=-1), rank)
+
+
+# entries below 1e50: no product of the contractions overflows
+_ENTRY = st.floats(min_value=-1e50, max_value=1e50)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["sphere", "patch", "torus"]), st.integers(min_value=1, max_value=2),
+       st.booleans(), st.data())
+def test_closed_form_contractions_equal_the_dense_route(label, p, source_metric, data):
+    """At points anywhere in the sphere band, the hyperbolic patch and the
+    flat torus, the geometry's closed forms of |v|^2, |d_T phi|^2, |S|^2 and
+    the Christoffel term equal, bit for bit, the dense ``contract`` of its
+    full ``metric`` and ``christoffel`` arrays, for random finite v, D and S
+    and an identity or a random source metric_inv h.
+
+    ``np.array_equal`` counts -0.0 equal to 0.0: the closed forms leave out
+    the products with zero entries, which the dense route adds, so a result
+    that is zero may differ from it in the sign of that zero, and in nothing
+    else.  Entries stay below 1e50, because where a product overflows the
+    dense route's 0 * inf is nan and the closed form keeps the inf."""
+    geom = _geometry_from_label(label)
+    count, q = 5, geom.dim
+    bounds = np.asarray(geom.chart_bounds, dtype=float)
+    frac = data.draw(hnp.arrays(float, (count, q), elements=st.floats(0.0, 1.0)))
+    points = bounds[:, 0] + frac * (bounds[:, 1] - bounds[:, 0])
+    v = data.draw(hnp.arrays(float, (count, q), elements=_ENTRY))
+    D = data.draw(hnp.arrays(float, (count, q, p), elements=_ENTRY))
+    S = data.draw(hnp.arrays(float, (count, q, p, p), elements=_ENTRY))
+    h = data.draw(hnp.arrays(float, (count, p, p), elements=_ENTRY)) if source_metric else None
+    dense_h = np.broadcast_to(np.eye(p), (count, p, p)) if h is None else h
+
+    g = geom.metric_factor(points)
+    assert np.array_equal(geom.norm_sq(g, v), dense_norm_sq(geom, points, v))
+    assert np.array_equal(geom.dT_norm_sq(g, D, h), dense_dT_norm_sq(geom, points, D, dense_h))
+    assert np.array_equal(geom.form_norm_sq(g, S, h), dense_form_norm_sq(geom, points, S, dense_h))
+    term = geom.christoffel_term(points, D)
+    dense = dense_christoffel_term(geom, points, D)
+    assert np.array_equal(np.zeros_like(dense) if term is None else term, dense)
+    if term is not None:        # the base class's route, for symbols with no closed form
+        assert np.array_equal(fh.TransverseGeometry.christoffel_term(geom, points, D), dense)

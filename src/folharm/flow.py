@@ -25,7 +25,6 @@ from .errors import ConfigurationError, FlowDivergedError, PreconditionError, St
 from .foliation import FoliatedStructure
 from .grid import GridChart, integrate
 from .maps import FoliatedMapField, energy_density, second_form_norm_squared, tension_sup_norm
-from .tensor import contract
 
 __all__ = [
     "FlowConfig",
@@ -44,11 +43,9 @@ __all__ = [
 def cfl_step(grid: GridChart) -> float:
     """0.9 of the stability bound min_a h_a^2 / (2 q max g^{aa}) of the
     explicit flow."""
-    q = grid.dim
-    max_gaa = max(
-        float(np.max(grid.metric_inv[..., a, a])) for a in range(q)
-    )
-    return 0.9 * min(h**2 for h in grid.spacing) / (2 * q * max_gaa)
+    h = grid.metric_inv_factor
+    max_gaa = 1.0 if h is None else float(np.max(h))
+    return 0.9 * min(h**2 for h in grid.spacing) / (2 * grid.dim * max_gaa)
 
 
 @dataclass
@@ -219,29 +216,21 @@ class RigidityDiagnostics:
         }
 
 
-def _cholesky_2x2(g: np.ndarray) -> tuple:
-    """Entries (l00, l10, l11) of the lower Cholesky factor of stacked
-    symmetric positive definite 2x2 matrices."""
-    l00 = np.sqrt(g[..., 0, 0])
-    l10 = g[..., 1, 0] / l00
-    return l00, l10, np.sqrt(g[..., 1, 1] - l10 * l10)
+def _whitened(g: np.ndarray | None, gt: np.ndarray | None, D: np.ndarray) -> np.ndarray:
+    """The whitened Jacobian A = L'^T D L^{-T} (..., q', q), where L = diag(sqrt g_aa)
+    and L' = diag(sqrt g'_ss) for the metric factors g and g' (None: identity)."""
+    A = D if gt is None else np.sqrt(gt)[..., :, None] * D
+    return A if g is None else A / np.sqrt(g)[..., None, :]
 
 
-def _singular_values_2x2(g: np.ndarray, gt: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Singular values (sigma_max, sigma_min), stacked on the last axis, of
-    the whitened Jacobian A = L'^T D L^{-T} at each node, where g = L L^T
-    and g' = L' L'^T, without LAPACK.
+def _singular_values_2x2(A: np.ndarray) -> np.ndarray:
+    """Singular values (sigma_max, sigma_min) of 2x2 matrices A, stacked on the
+    last axis, without LAPACK.
 
     For A = [[a, b], [c, d]], sigma_max = (hypot(a+d, c-b) + hypot(a-d, c+b))/2
     and sigma_min = |ad - bc| / sigma_max (0 where sigma_max = 0).
     """
-    l00, l10, l11 = _cholesky_2x2(g)
-    m00, m10, m11 = _cholesky_2x2(gt)
-    # B = L'^T D, then A = B L^{-T} by forward substitution along each row
-    a = (m00 * D[..., 0, 0] + m10 * D[..., 1, 0]) / l00
-    b = (m00 * D[..., 0, 1] + m10 * D[..., 1, 1] - l10 * a) / l11
-    c = m11 * D[..., 1, 0] / l00
-    d = (m11 * D[..., 1, 1] - l10 * c) / l11
+    a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
     smax = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, c + b))
     smin = np.divide(np.abs(a * d - b * c), smax, out=np.zeros_like(smax), where=smax > 0)
     return np.stack((smax, smin), axis=-1)
@@ -254,12 +243,9 @@ def _whitened_singular_values(mapf: FoliatedMapField) -> np.ndarray:
     q, qt = mapf.grid.dim, mapf.target.dim
     if q == 1 or qt == 1:   # one singular value, |d_T phi|
         return np.sqrt(np.maximum(mapf.dT_norm_sq, 0.0))[..., None]
-    if q == qt == 2:
-        return _singular_values_2x2(mapf.grid.metric, mapf.target_metric, mapf.D)
-    L = np.linalg.cholesky(mapf.grid.metric)
-    Lt = np.linalg.cholesky(mapf.target_metric)
-    A = np.linalg.solve(L, contract("...ts,...ta->...as", Lt, mapf.D)).swapaxes(-1, -2)
-    return np.linalg.svd(A, compute_uv=False)
+    A = _whitened(mapf.grid.geometry.metric_factor(mapf.grid.points),
+                  mapf.target_metric_factor, mapf.D)
+    return _singular_values_2x2(A) if q == qt == 2 else np.linalg.svd(A, compute_uv=False)
 
 
 def rigidity_diagnostics(mapf: FoliatedMapField, struct: FoliatedStructure | None,
@@ -274,7 +260,8 @@ def rigidity_diagnostics(mapf: FoliatedMapField, struct: FoliatedStructure | Non
     constant ``curvature_constant`` for every catalog geometry, or 0 for a
     one-dimensional target (no 2-planes); rank_T is the grid maximum of the
     number of singular values of the whitened Jacobian L'^T d_T phi L^{-T}
-    (g = L L^T, g' = L' L'^T) above rank_tol_rel times their grid maximum.
+    (L, L' the square roots of the diagonal metrics g, g') above rank_tol_rel
+    times their grid maximum.
     Those come from closed forms when q = q' = 2 or either dimension is 1.
     Requires a near-harmonic map.
     """

@@ -29,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, StepTooLargeError
-from .tensor import contract
 
 __all__ = [
     "TransverseGeometry",
@@ -46,9 +45,11 @@ _CHART_TOL = 1e-9
 class TransverseGeometry:
     """Base class for the model geometry catalog.
 
-    Subclasses fill in ``metric`` and ``metric_inv`` (or ``metric_diagonal``),
-    ``sqrt_det``, ``christoffel`` and ``exp`` with closed forms; curvature comes
-    from the constant-curvature formula R_{abcd} = K (g_{bc} g_{ad} - g_{ac} g_{bd}).
+    Every catalog metric is diagonal in its chart.  Subclasses fill in
+    ``metric_diagonal`` (and ``metric_inv_diagonal`` where 1 / g_aa is not its
+    closed form), ``sqrt_det``, ``christoffel_symbols`` and ``exp`` with closed
+    forms; curvature comes from the constant-curvature formula
+    R_{abcd} = K (g_{bc} g_{ad} - g_{ac} g_{bd}).
     """
 
     kind: str
@@ -63,73 +64,83 @@ class TransverseGeometry:
     # True when ``metric`` and ``metric_inv`` are the identity everywhere, so
     # the metric factors of the contractions can be skipped
     metric_is_identity: bool = False
-    # True when the metric's off-diagonal entries vanish everywhere
-    metric_is_diagonal: bool = False
     # strict bounds of a coordinate within the chart box: axis -> (lo, hi)
     open_bounds: dict = {}
 
     # -- pointwise closed forms -------------------------------------------
 
+    def metric_inv_diagonal(self, points: np.ndarray) -> np.ndarray:
+        """g^aa (..., q) at ``points``: 1 / g_aa."""
+        return 1.0 / self.metric_diagonal(points)
+
     def metric(self, points: np.ndarray) -> np.ndarray:
-        """g_ab at ``points``; here that of a diagonal metric."""
-        out = np.zeros(np.shape(points)[:-1] + (self.dim, self.dim))
-        out[..., range(self.dim), range(self.dim)] = self.metric_diagonal(points)
-        return out
+        """g_ab at ``points``, from its diagonal."""
+        return self.metric_diagonal(points)[..., None] * np.eye(self.dim)
 
     def metric_inv(self, points: np.ndarray) -> np.ndarray:
-        """g^ab at ``points``; here that of a diagonal metric, 1 / g_aa."""
-        out = np.zeros(np.shape(points)[:-1] + (self.dim, self.dim))
-        out[..., range(self.dim), range(self.dim)] = 1.0 / self.metric_diagonal(points)
-        return out
+        """g^ab at ``points``, from its diagonal."""
+        return self.metric_inv_diagonal(points)[..., None] * np.eye(self.dim)
+
+    def christoffel_symbols(self, points: np.ndarray) -> dict:
+        """The symbols Gamma^c_{ab} that are not identically zero, as
+        {(c, a, b): values}, in index order; none where they vanish."""
+        return {}
 
     def christoffel(self, points: np.ndarray) -> np.ndarray:
-        """Gamma^c_{ab}, indexed [..., c, a, b]."""
-        raise NotImplementedError
+        """Gamma^c_{ab}, indexed [..., c, a, b], zeros included."""
+        out = np.zeros(np.shape(points)[:-1] + (self.dim,) * 3)
+        for index, value in self.christoffel_symbols(points).items():
+            out[(..., *index)] = value
+        return out
 
     def riemann(self, points: np.ndarray) -> np.ndarray:
         """Fully covariant R_{abcd}, indexed [..., a, b, c, d]."""
         g = self.metric(points)
-        return self.curvature_constant * (contract("...bc,...ad->...abcd", g, g)
-                                          - contract("...ac,...bd->...abcd", g, g))
+        return self.curvature_constant * (g[..., None, :, :, None] * g[..., :, None, None, :]
+                                          - g[..., :, None, :, None] * g[..., None, :, None, :])
 
     def ricci(self, points: np.ndarray) -> np.ndarray:
         """Ricci as a bilinear form, Ric_{bc} = g^{ad} R_{abcd}; for constant
         curvature K this contraction is (q - 1) K g."""
         return (self.dim - 1) * self.curvature_constant * self.metric(points)
 
-    # -- contractions: g is ``metric_factor``, h a grid's ``metric_inv_factor``;
-    # each adds its terms as the dense ``contract`` of ``metric`` and
-    # ``christoffel`` does, leaving out only the products with zero entries.
+    def sectional(self, point: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
+        """K(X, Y) at one point, from ``riemann`` and ``metric``."""
+        g, R = self.metric(point), self.riemann(point)
+        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+        return (R @ X @ Y @ Y @ X) / ((X @ g @ X) * (Y @ g @ Y) - (X @ g @ Y) ** 2)
+
+    # -- contractions: g is ``metric_factor`` and h a grid's ``metric_inv_factor``,
+    # None (identity) or the diagonal (..., q); each adds its terms in the index
+    # order of the dense sum over every entry of ``metric`` and ``christoffel``,
+    # leaving out only the products with the entries that are zero.
 
     def metric_factor(self, points: np.ndarray) -> np.ndarray | None:
-        """The metric at ``points``: None (identity), g_aa (..., q) if diagonal, else dense."""
-        if self.metric_is_identity:
-            return None
-        return self.metric_diagonal(points) if self.metric_is_diagonal else self.metric(points)
+        """The metric at ``points``: None (identity), or g_aa (..., q)."""
+        return None if self.metric_is_identity else self.metric_diagonal(points)
 
     def norm_sq(self, g: np.ndarray | None, v: np.ndarray) -> np.ndarray:
         """|v|_g^2 = g_st v^s v^t of vectors v (..., q)."""
-        if not self.metric_is_diagonal:
-            return contract("...s,...st,...t->...", v, g, v)
         return _sum_last((v if g is None else v * g) * v, 1)
+
+    def pairing(self, g: np.ndarray | None, E: np.ndarray, D: np.ndarray,
+                h: np.ndarray | None) -> np.ndarray:
+        """<E, D> = g_ts E^s_a h^ab D^t_b of E, D (..., q, p), one term at a time."""
+        gE = E if g is None else E * g[..., None]
+        return _total((gE[..., t, b] if h is None else gE[..., t, b] * h[..., b]) * D[..., t, b]
+                      for t, b in np.ndindex(D.shape[-2:]))
 
     def dT_norm_sq(self, g: np.ndarray | None, D: np.ndarray, h: np.ndarray | None) -> np.ndarray:
         """|D|^2 = g_ts D^s_a h^ab D^t_b of D (..., q, p); inf, with no warning, on overflow."""
         with np.errstate(over="ignore"):
-            if not self.metric_is_diagonal:
-                h = np.eye(D.shape[-1]) if h is None else h
-                return contract("...ts,...sa,...ab,...tb->...", g, D, h, D)
-            gD = D if g is None else D * g[..., None]
             if h is not None:
-                return contract("...ta,...ab,...tb->...", gD, h, D)
-            return _sum_last(gD * D, 2)
+                return self.pairing(g, D, D, h)
+            return _sum_last((D if g is None else D * g[..., None]) * D, 2)
 
     def form_norm_sq(self, g: np.ndarray | None, S: np.ndarray, h: np.ndarray | None) -> np.ndarray:
         """|S|^2 = g_gd (S^g h)_ac (S^d h)_ca of second forms S (..., q, p, p)."""
         if h is not None:
-            S = contract("...gab,...bc->...gac", S, h)
-        if not self.metric_is_diagonal:
-            return contract("...gac,...dca,...gd->...", S, S, g)
+            S = S * h[..., None, None, :]
         X = _sum_last(S * S.swapaxes(-1, -2), 2)          # the diagonal entries X_gg
         return _sum_last(X if g is None else X * g, 1)
 
@@ -137,16 +148,7 @@ class TransverseGeometry:
         """Gamma^g_st D^s_a D^t_b (..., q, p, p) of D (..., q, p); None if the symbols vanish."""
         if self.christoffel_vanishes:
             return None
-        return contract("...gst,...tb,...sa->...gab", self.christoffel(points), D, D)
-
-    def sectional(self, point: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
-        g = self.metric(point)
-        R = self.riemann(point)
-        num = contract("...abcd,...a,...b,...c,...d->...", R, X, Y, Y, X)
-        gXX = contract("...a,...ab,...b->...", X, g, X)
-        gYY = contract("...a,...ab,...b->...", Y, g, Y)
-        gXY = contract("...a,...ab,...b->...", X, g, Y)
-        return num / (gXX * gYY - gXY**2)
+        return quadratic_term(self.christoffel_symbols(points), D, D, self.dim)
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -213,6 +215,7 @@ class FlatTorus(TransverseGeometry):
 
     kind = "flat_torus"
     christoffel_vanishes = True
+    metric_is_identity = True
 
     def __init__(self, periods: Sequence[float], injectivity_cap: float | None = None):
         periods = tuple(float(p) for p in periods)
@@ -228,8 +231,6 @@ class FlatTorus(TransverseGeometry):
         self.injectivity_cap = (
             min(periods) / 4.0 if injectivity_cap is None else float(injectivity_cap)
         )
-        # not for a subclass with a (constant, still flat) metric of its own
-        self.metric_is_identity = self.metric_is_diagonal = type(self).metric is FlatTorus.metric
 
     # constant fields are read-only broadcast views, nothing grid-sized is allocated
     def metric(self, points):
@@ -261,7 +262,7 @@ def _last_indices(shape: tuple) -> tuple:
 
 
 def _sum_last(x: np.ndarray, k: int) -> np.ndarray:
-    """Sum of x over its last ``k`` axes, in index order as ``contract`` adds."""
+    """Sum of x over its last ``k`` axes, adding the components in index order."""
     index = _last_indices(x.shape[-k:])
     total = x[index[0]]
     for i in index[1:]:
@@ -269,17 +270,43 @@ def _sum_last(x: np.ndarray, k: int) -> np.ndarray:
     return total
 
 
-def _connection_term(Dt: np.ndarray, factors: tuple) -> np.ndarray:
-    """Gamma'^g_st D^s_a D^t_b = X_g[b] D^x_a + Y_g[b] D^y_a into a 2-chart, from Dt = D
-    indexed [t, b, ...] and factors (X_g, Y_g) indexed [b, ...] (None: vanishes)."""
-    p = Dt.shape[1]
-    out = np.empty((p, p) + Dt.shape[2:] + (2,))
-    for g, pair in enumerate(factors):
-        (X, Da), *rest = [(X, Dt[s]) for s, X in enumerate(pair) if X is not None]
-        np.multiply(X[None], Da[:, None], out=out[..., g])
-        for X, Da in rest:
-            out[..., g] += X[None] * Da[:, None]
+def _total(terms) -> np.ndarray:
+    """Sum of the fresh arrays ``terms`` yields, in order, each added in place into the first."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
+
+
+def quadratic_term(G: dict, D: np.ndarray, E: np.ndarray, q: int) -> np.ndarray:
+    """G^g_st D^s_a E^t_b (..., q, p, r) of D (..., n, p) and E (..., n, r), from the
+    entries {(g, s, t): values} of G that are not identically zero, in index order,
+    as the dense sum adds them: X_gs = sum_t G^g_st E^t_b, then sum_s X_gs D^s_a."""
+    Dt, Et = np.moveaxis(D, (-2, -1), (0, 1)), np.moveaxis(E, (-2, -1), (0, 1))
+    X = {}                                          # (g, s) -> X_gs, indexed [b, ...]
+    for (g, s, t), value in G.items():
+        X[g, s] = value * Et[t] if (g, s) not in X else X[g, s] + value * Et[t]
+    out = np.zeros(Dt.shape[1:2] + Et.shape[1:] + (q,))
+    started = set()                                 # the components written to
+    for (g, s), x in X.items():
+        if g in started:
+            out[..., g] += x[None] * Dt[s][:, None]
+        else:
+            np.multiply(x[None], Dt[s][:, None], out=out[..., g])
+            started.add(g)
     return out.transpose((*range(2, out.ndim), 0, 1))
+
+
+def lower_christoffel(G: dict, V: np.ndarray) -> np.ndarray:
+    """Gamma^c_{ab} V_c (..., q, q) of covectors V (..., q), or of each row of
+    V (..., n, q), from the nonzero symbols G {(c, a, b): values}; each
+    component adds its terms in order of c."""
+    q = V.shape[-1]
+    out = np.zeros(V.shape[:-1] + (q, q))
+    for (c, a, b), value in G.items():
+        out[..., a, b] += V[..., c] * value[(..., *(None,) * (V.ndim - 1 - value.ndim))]
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -292,7 +319,6 @@ class RoundSphere(TransverseGeometry):
     """Round 2-sphere of radius r, chart (theta, phi), polar caps excluded."""
 
     kind = "round_sphere"
-    metric_is_diagonal = True
     open_bounds = {0: (_CHART_TOL, np.pi - _CHART_TOL)}      # poles are never valid
 
     def __init__(self, radius: float = 1.0, cap_angle: float = 0.3,
@@ -325,22 +351,12 @@ class RoundSphere(TransverseGeometry):
         theta = np.asarray(points, dtype=float)[..., 0]
         return self.radius**2 * np.abs(np.sin(theta))
 
-    def christoffel(self, points):
-        points = np.asarray(points, dtype=float)
-        theta = points[..., 0]
-        out = np.zeros(points.shape[:-1] + (2, 2, 2))
-        out[..., 0, 1, 1] = -np.sin(theta) * np.cos(theta)   # Gamma^th_{ph ph}
-        cot = np.cos(theta) / np.sin(theta)
-        out[..., 1, 0, 1] = cot                              # Gamma^ph_{th ph}
-        out[..., 1, 1, 0] = cot
-        return out
-
-    def christoffel_term(self, points, D):
-        # Gamma^th_{ph ph} = -sin cos and Gamma^ph_{th ph} = Gamma^ph_{ph th} = cot
+    def christoffel_symbols(self, points):
         theta = np.asarray(points, dtype=float)[..., 0]
         sin, cos = np.sin(theta), np.cos(theta)
-        Dt, cot = np.moveaxis(D, (-2, -1), (0, 1)), cos / sin
-        return _connection_term(Dt, ((None, (-sin * cos) * Dt[1]), (cot * Dt[1], cot * Dt[0])))
+        cot = cos / sin
+        # Gamma^th_{ph ph} = -sin cos and Gamma^ph_{th ph} = Gamma^ph_{ph th} = cot
+        return {(0, 1, 1): -sin * cos, (1, 0, 1): cot, (1, 1, 0): cot}
 
     def embed(self, points):
         points = np.asarray(points, dtype=float)
@@ -384,7 +400,6 @@ class HyperbolicPatch(TransverseGeometry):
     """Rectangle in the upper half-plane with metric (dx^2 + dy^2)/y^2 (K = -1)."""
 
     kind = "hyperbolic_patch"
-    metric_is_diagonal = True
     open_bounds = {1: (_CHART_TOL, np.inf)}
 
     def __init__(self, x_bounds: Sequence[float], y_bounds: Sequence[float],
@@ -408,34 +423,18 @@ class HyperbolicPatch(TransverseGeometry):
     def metric_diagonal(self, points):       # conformal: 1 / y^2 on both axes
         return 1.0 / np.asarray(points, dtype=float)[..., (1, 1)] ** 2
 
-    def metric_inv(self, points):
-        points = np.asarray(points, dtype=float)
-        y = points[..., 1]
-        out = np.zeros(points.shape[:-1] + (2, 2))
-        out[..., 0, 0] = y**2
-        out[..., 1, 1] = y**2
-        return out
+    def metric_inv_diagonal(self, points):   # y^2 on both axes
+        return np.asarray(points, dtype=float)[..., (1, 1)] ** 2
 
     def sqrt_det(self, points):
         y = np.asarray(points, dtype=float)[..., 1]
         return 1.0 / y**2
 
-    def christoffel(self, points):
-        points = np.asarray(points, dtype=float)
-        y = points[..., 1]
-        inv_y = 1.0 / y
-        out = np.zeros(points.shape[:-1] + (2, 2, 2))
-        out[..., 0, 0, 1] = -inv_y      # Gamma^x_{xy}
-        out[..., 0, 1, 0] = -inv_y
-        out[..., 1, 0, 0] = inv_y       # Gamma^y_{xx}
-        out[..., 1, 1, 1] = -inv_y      # Gamma^y_{yy}
-        return out
-
-    def christoffel_term(self, points, D):
+    def christoffel_symbols(self, points):
+        inv_y = 1.0 / np.asarray(points, dtype=float)[..., 1]
+        m = -inv_y
         # Gamma^y_{xx} = 1/y and Gamma^x_{xy} = Gamma^x_{yx} = Gamma^y_{yy} = -1/y
-        inv_y, Dt = 1.0 / np.asarray(points, dtype=float)[..., 1], np.moveaxis(D, (-2, -1), (0, 1))
-        mDx, mDy = -inv_y * Dt[0], -inv_y * Dt[1]
-        return _connection_term(Dt, ((mDy, mDx), (inv_y * Dt[0], mDy)))
+        return {(0, 0, 1): m, (0, 1, 0): m, (1, 0, 0): inv_y, (1, 1, 1): m}
 
     def exp(self, points, v):
         # Work at the basepoint i: w -> (w - x)/y maps z to i isometrically and

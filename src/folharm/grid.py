@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UnsupportedDomainError
 from .foliation import FoliatedStructure
-from .geometry import TransverseGeometry
-from .tensor import contract
+from .geometry import TransverseGeometry, _sum_last, _total, lower_christoffel
 
 __all__ = [
     "GridChart",
@@ -40,6 +39,8 @@ __all__ = [
     "delta_B_scalar",
     "kappa_on_grid",
     "kappa_sharp",
+    "along",
+    "metric_trace",
     "integrate",
     "check_divergence_theorem",
 ]
@@ -71,21 +72,23 @@ class GridChart:
         return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
 
     @cached_property
-    def metric(self) -> np.ndarray:
-        return self.geometry.metric(self.points)
-
-    @cached_property
     def metric_inv(self) -> np.ndarray:
         return self.geometry.metric_inv(self.points)
 
     @cached_property
     def metric_inv_factor(self) -> np.ndarray | None:
-        """``metric_inv``, or None where it is the identity, as contractions take it."""
-        return None if self.geometry.metric_is_identity else self.metric_inv
+        """The inverse metric as contractions take it: None (identity), or g^aa (..., q)."""
+        return None if self.geometry.metric_is_identity else self.geometry.metric_inv_diagonal(
+            self.points)
 
     @cached_property
     def gamma(self) -> np.ndarray:
         return self.geometry.christoffel(self.points)
+
+    @cached_property
+    def christoffel_symbols(self) -> dict:
+        """The geometry's nonzero Christoffel symbols at the nodes."""
+        return self.geometry.christoffel_symbols(self.points)
 
     @cached_property
     def sqrt_det(self) -> np.ndarray:
@@ -255,7 +258,12 @@ def div_nabla(grid: GridChart, X: np.ndarray) -> np.ndarray:
     out = np.zeros(X.shape[:-1])
     for a in range(grid.dim):
         out += diff1(grid, X[..., a], a)
-    out += contract("...b,...b->...", contract("...aab->...b", grid.gamma), X)
+    trace = {}                                      # b -> Gamma^a_{ab}, summed over a
+    for (c, a, b), value in grid.christoffel_symbols.items():
+        if c == a:
+            trace[b] = value if b not in trace else trace[b] + value
+    if trace:
+        out += _total(value * X[..., b] for b, value in sorted(trace.items()))
     return out
 
 
@@ -274,7 +282,8 @@ def kappa_on_grid(grid: GridChart, struct: FoliatedStructure | None) -> np.ndarr
 
 def kappa_sharp(grid: GridChart, struct: FoliatedStructure | None) -> np.ndarray:
     """Mean-curvature vector kappa^a = g^{ab} kappa_b at the grid nodes."""
-    return contract("...ab,...b->...a", grid.metric_inv, kappa_on_grid(grid, struct))
+    kappa, h = kappa_on_grid(grid, struct), grid.metric_inv_factor
+    return kappa if h is None else h * kappa
 
 
 def delta_B_scalar(grid: GridChart, f: np.ndarray,
@@ -286,10 +295,31 @@ def delta_B_scalar(grid: GridChart, f: np.ndarray,
     Delta_B cos = cos.
     """
     grad, hess = derivatives(grid, f)
-    cov_hess = hess - contract("...c,...cab->...ab", grad, grid.gamma)
-    out = -contract("...ab,...ab->...", grid.metric_inv, cov_hess)
-    out += contract("...a,...a->...", kappa_sharp(grid, struct), grad)
+    if not grid.geometry.christoffel_vanishes:
+        hess = hess - lower_christoffel(grid.christoffel_symbols, grad)
+    out = -metric_trace(grid.metric_inv_factor, hess)
+    out += along(kappa_sharp(grid, struct), grad)
     return out
+
+
+def along(T: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """T(X) = T_{..a} X^a (..., *n) of a tensor T (..., *n, q) and vectors X (..., q),
+    as u_a X^a or D^g_a X^a: each component multiplied, then added, into its
+    block of the output, one term at a time in order of a."""
+    out = np.empty(T.shape[:-1])
+    for i in np.ndindex(T.shape[X.ndim - 1:-1]):
+        block = out[(..., *i)]
+        np.multiply(T[(..., *i, 0)], X[..., 0], out=block)
+        for a in range(1, X.shape[-1]):
+            block += T[(..., *i, a)] * X[..., a]
+    return out
+
+
+def metric_trace(h: np.ndarray | None, S: np.ndarray) -> np.ndarray:
+    """g^{ab} S_ab of S (..., q, q), or of each S^g of S (..., n, q, q), for a
+    grid's metric_inv_factor h (None: identity), in order of a."""
+    diagonal = S.diagonal(0, -2, -1)                # S_aa, indexed [..., a]
+    return _sum_last(diagonal, 1) if h is None else along(diagonal, h)
 
 
 def integrate(grid: GridChart, f: np.ndarray, weight: str = "base_volume",
@@ -317,6 +347,6 @@ def check_divergence_theorem(grid: GridChart, X: np.ndarray,
         )
     lhs = integrate(grid, div_nabla(grid, X), "manifold_volume", struct)
     kappa = kappa_on_grid(grid, struct)
-    g_X_kappa = contract("...a,...a->...", X, kappa)   # g(X, kappa#) = X^a kappa_a
+    g_X_kappa = along(X, kappa)                     # g(X, kappa#) = X^a kappa_a
     rhs = integrate(grid, g_X_kappa, "manifold_volume", struct)
     return abs(lhs - rhs)

@@ -7,8 +7,9 @@ matrix and P' the target periods.  Internally the lift splits into an exact
 linear part (slope W[alpha, a] * P'_alpha / P_a) plus a periodic remainder,
 which makes all stencils seam-free and keeps the homotopy class explicit.
 
-All tensor components live in coordinate frames; traces are taken with
-explicit g^{ab} contractions.
+All tensor components live in coordinate frames.  Contractions are closed
+forms on the diagonals of the catalog metrics and on the nonzero Christoffel
+symbols, each adding its terms in the index order of the dense sum.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import numpy as np
 
 from .errors import CompositionError, ConfigurationError, InvalidMapError
 from .foliation import FoliatedStructure
-from .geometry import TransverseGeometry
-from .grid import GridChart, derivatives, grad_B, kappa_sharp
-from .tensor import contract
+from .geometry import TransverseGeometry, _total, lower_christoffel, quadratic_term
+from .grid import GridChart, along, derivatives, grad_B, kappa_sharp, metric_trace
 
 __all__ = [
     "FoliatedMapField",
@@ -39,6 +39,7 @@ __all__ = [
     "compose",
     "delta_nabla_dT",
     "pullback_derivative",
+    "pullback_form",
 ]
 
 
@@ -59,6 +60,13 @@ class _cached_property(cached_property):
         if instance is None:
             return self
         return instance.__dict__.setdefault(self.attrname, self.func(instance))
+
+
+def _linear(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """coef_a x^a (...) of points x (..., q) for constant coefficients (q,): the
+    terms of the nonzero coefficients, added in order; 0 where there are none."""
+    terms = [c * x[..., a] for a, c in enumerate(coef) if c]
+    return _total(terms) if terms else np.zeros(x.shape[:-1])
 
 
 class _Lift:
@@ -102,7 +110,7 @@ class _Lift:
     @cached_property
     def values(self) -> np.ndarray:
         # node-major, like the map values it is subtracted from
-        return np.ascontiguousarray(contract("ca,...a->...c", self.slope, self.grid.points))
+        return np.stack([_linear(row, self.grid.points) for row in self.slope], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,8 +182,9 @@ class FoliatedMapField:
         return self.target.metric_factor(self.values)
 
     @_cached_property
-    def target_gamma(self) -> np.ndarray:
-        return self.target.christoffel(self.values)
+    def target_gamma(self) -> dict:
+        """The target's nonzero Christoffel symbols at the values."""
+        return self.target.christoffel_symbols(self.values)
 
     def replace_values(self, values: np.ndarray) -> "FoliatedMapField":
         """The field of ``values``, a fresh array it adopts, on this lift; it checks only those."""
@@ -231,7 +240,7 @@ class Mode(NamedTuple):
     def term(self, x: np.ndarray, order: int = 0) -> np.ndarray:
         """amp * wave^(order)(k . x + phase): the term's ``order``-th
         derivative along k, without its ``order`` factors of k."""
-        s = contract("a,...a->...", self.k, x) + self.phase
+        s = _linear(self.k, x) + self.phase
         return self.amp * _WAVE_CYCLE[_WAVE_START[self.wave] + order](s)
 
 
@@ -276,7 +285,7 @@ class AnalyticMap:
 
     def func(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        y = contract("ca,...a->...c", self.slope, x)
+        y = np.stack([_linear(row, x) for row in self.slope], axis=-1)
         y += self.offset
         for m in self.modes:
             y[..., m.comp] += m.term(x)
@@ -303,10 +312,10 @@ class AnalyticMap:
         y = self.func(points)
         J = self.jac(points)
         H = self.hess(points)
-        gamma_src = self.source.christoffel(points)
-        gamma_tgt = self.target.christoffel(y)
-        return (H - contract("...gc,...cab->...gab", J, gamma_src)
-                + contract("...gst,...tb,...sa->...gab", gamma_tgt, J, J))
+        if not self.source.christoffel_vanishes:
+            H = H - lower_christoffel(self.source.christoffel_symbols(points), J)
+        gamma_term = self.target.christoffel_term(y, J)
+        return H if gamma_term is None else H + gamma_term
 
     def realize(self, grid: GridChart) -> FoliatedMapField:
         if not same_chart(grid.geometry, self.source):
@@ -333,20 +342,14 @@ def second_fund_form(mapf: FoliatedMapField) -> np.ndarray:
     """
     D, S = mapf.D, mapf.partials[1]
     if not mapf.grid.geometry.christoffel_vanishes:
-        S = S - contract("...gc,...cab->...gab", D, mapf.grid.gamma)
+        S = S - lower_christoffel(mapf.grid.christoffel_symbols, D)
     gamma_term = mapf.target.christoffel_term(mapf.values, D)
     return S if gamma_term is None else S + gamma_term
 
 
 def tension(mapf: FoliatedMapField) -> np.ndarray:
     """Transversal tension field, tau^g = g^{ab} S^g_{ab}."""
-    S, h = mapf.S, mapf.grid.metric_inv_factor
-    if h is not None:
-        return contract("...ab,...gab->...g", h, S)
-    tau = S[..., 0, 0]                              # the trace S^g_aa
-    for a in range(1, mapf.grid.dim):
-        tau = tau + S[..., a, a]
-    return tau
+    return metric_trace(mapf.grid.metric_inv_factor, mapf.S)
 
 
 def tension_sup_norm(mapf: FoliatedMapField) -> float:
@@ -383,15 +386,22 @@ def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray) -> np.ndarray:
     ds = grad_B(mapf.grid, s)
     if mapf.target.christoffel_vanishes:
         return ds
-    ds += contract("...t,...gst,...sa->...ga", s, mapf.target_gamma, mapf.D)
+    ds += quadratic_term(mapf.target_gamma, mapf.D, s[..., None], mapf.target.dim)[..., 0]
     return ds
+
+
+def pullback_form(mapf: FoliatedMapField, B: np.ndarray) -> np.ndarray:
+    """phi* B (..., g, a, b) = B^g_st d_a phi^s d_b phi^t of a vector-valued
+    bilinear form B (..., g, s, t) on the target, sampled at the values."""
+    entries = {i: B[(..., *i)] for i in np.ndindex(B.shape[-3:])}
+    return quadratic_term(entries, mapf.D, mapf.D, B.shape[-3])
 
 
 def delta_nabla_dT(mapf: FoliatedMapField,
                    struct: FoliatedStructure | None = None) -> np.ndarray:
     """Codifferential of d_T phi as a pull-back section: -tau + i(kappa#) d_T phi."""
     kappa_up = kappa_sharp(mapf.grid, struct)
-    return -mapf.tau + contract("...ga,...a->...g", mapf.D, kappa_up)
+    return -mapf.tau + along(mapf.D, kappa_up)
 
 
 # -- composition ----------------------------------------------------------

@@ -28,16 +28,17 @@ import numpy as np
 from .errors import PreconditionError
 from .flow import transversal_energy
 from .foliation import FoliatedStructure
-from .grid import GridChart, delta_B_scalar, grad_B, kappa_on_grid, kappa_sharp
+from .geometry import _total
+from .grid import GridChart, along, delta_B_scalar, grad_B, kappa_on_grid, kappa_sharp, metric_trace
 from .maps import (
     AnalyticMap,
     FoliatedMapField,
     compose,
     delta_nabla_dT,
     pullback_derivative,
+    pullback_form,
     second_form_norm_squared,
 )
-from .tensor import contract
 
 __all__ = [
     "VariationSpec",
@@ -127,7 +128,8 @@ def check_first_variation(mapf: FoliatedMapField,
     ]
     fd = _neville_to_zero([t**2 for t in spec.fd_steps], derivs)
 
-    g_V_tau = contract("...a,...ab,...b->...", V, mapf.target_metric, mapf.tau)
+    g = mapf.target_metric_factor
+    g_V_tau = along(V if g is None else V * g, mapf.tau)        # g'(V, tau)
     rhs = -float(np.sum(g_V_tau * grid.weights))
     residual = abs(fd - rhs) / max(abs(rhs), abs(fd), 1e-6)
     return IdentityResidualReport(
@@ -152,15 +154,24 @@ def bochner_parts(mapf: FoliatedMapField) -> tuple[np.ndarray, np.ndarray]:
     with M = D g^{-1} D^T, the last form because the target has constant
     curvature K'.
     """
-    grid = mapf.grid
-    D, gi, gt = mapf.D, grid.metric_inv, mapf.target_metric
-    A = contract("...sa,...st,...tb->...ab", D, gt, D)
-    P = contract("...st,...ta,...ab,...ub->...su", gt, D, gi, D)
-    ric = grid.geometry.ricci(grid.points)
-    ric_term = contract("...ab,...bc,...cd,...da->...", A, gi, ric, gi)
-    tr_P = contract("...ss->...", P)
+    grid, D, qt = mapf.grid, mapf.D, mapf.target.dim
+    g, h = mapf.target_metric_factor, grid.metric_inv_factor
+    gD = D if g is None else D * g[..., None]       # g'_st D^t_a, indexed [s, a]
+    # Ric = (q - 1) K g: its diagonal (q - 1) K g_aa, or (q - 1) K on a flat chart
+    ric = (grid.dim - 1) * grid.geometry.curvature_constant
+    gs = grid.geometry.metric_factor(grid.points)
+
+    def ric_part(a):                                # A_aa g^aa Ric_aa g^aa
+        A_aa = along(gD[..., :, a], D[..., :, a])
+        ric_aa = ric if gs is None else ric * gs[..., a]
+        return A_aa * ric_aa if h is None else A_aa * h[..., a] * ric_aa * h[..., a]
+
+    ric_term = _total(ric_part(a) for a in range(grid.dim))
+    gDh = gD if h is None else gD * h[..., None, :]
+    P = {(s, u): along(gDh[..., s, :], D[..., u, :]) for s in range(qt) for u in range(qt)}
+    tr_P = sum(P[s, s] for s in range(qt))
     curv_term = mapf.target.curvature_constant * (
-        tr_P * tr_P - contract("...su,...us->...", P, P))
+        tr_P * tr_P - _total(P[s, u] * P[u, s] for s in range(qt) for u in range(qt)))
     return ric_term, curv_term
 
 
@@ -182,8 +193,8 @@ def weitzenbock_terms(mapf: FoliatedMapField,
     harmonic-map corollary
         1/2 Delta_B |d|^2 = -|S|^2 - <F d, d> + 1/2 kappa#(|d|^2).
     """
-    grid = mapf.grid
-    D, gi, gt = mapf.D, grid.metric_inv, mapf.target_metric
+    grid, D, target = mapf.grid, mapf.D, mapf.target
+    g, h = mapf.target_metric_factor, grid.metric_inv_factor
     e2 = mapf.dT_norm_sq
     lhs = 0.5 * delta_B_scalar(grid, e2, struct)
     S_sq = second_form_norm_squared(mapf)
@@ -191,7 +202,7 @@ def weitzenbock_terms(mapf: FoliatedMapField,
     kappa_up = kappa_sharp(grid, struct)
     terms = {"lhs": lhs, "second_form_sq": S_sq, "bochner": F}
     if mode == "harmonic":
-        kappa_drift = 0.5 * contract("...a,...a->...", kappa_up, grad_B(grid, e2))
+        kappa_drift = 0.5 * along(kappa_up, grad_B(grid, e2))
         terms["kappa_drift"] = kappa_drift
         terms["rhs"] = -S_sq - F + kappa_drift
         return terms
@@ -199,11 +210,10 @@ def weitzenbock_terms(mapf: FoliatedMapField,
         raise PreconditionError(f"mode: expected 'general' or 'harmonic', got {mode!r}")
     codiff = delta_nabla_dT(mapf, struct)           # -tau + i(kappa#) d
     laplacian_d = pullback_derivative(mapf, codiff)      # (..., g, a)
-    inner_lap = contract("...ts,...sa,...ab,...tb->...", gt, laplacian_d, gi, D)
-    ikd = contract("...ga,...a->...g", D, kappa_up)      # i(kappa#) d
-    a_form = -contract("...a,...gab->...gb", kappa_up, mapf.S) \
-        + pullback_derivative(mapf, ikd)
-    inner_a = contract("...ts,...sa,...ab,...tb->...", gt, a_form, gi, D)
+    inner_lap = target.pairing(g, laplacian_d, D, h)
+    ikd = along(D, kappa_up)                             # i(kappa#) d
+    a_form = -along(mapf.S.swapaxes(-1, -2), kappa_up) + pullback_derivative(mapf, ikd)
+    inner_a = target.pairing(g, a_form, D, h)
     terms["laplacian_pairing"] = inner_lap
     terms["kappa_operator_pairing"] = inner_a
     terms["rhs"] = inner_lap - S_sq - inner_a - F
@@ -239,12 +249,13 @@ def composition_residuals(phi: FoliatedMapField, psi: AnalyticMap
     """
     comp = compose(phi, psi)
     J_psi = psi.jac(phi.values)
-    pulled = contract("...gst,...tb,...sa->...gab",               # phi* S(psi)
-                      psi.second_form(phi.values), phi.D, phi.D)
-    rhs_full = contract("...gc,...cab->...gab", J_psi, phi.S) + pulled
+    pulled = pullback_form(phi, psi.second_form(phi.values))        # phi* S(psi)
+    rhs_full = np.empty(pulled.shape)                # d_T psi(S(phi)) + phi* S(psi)
+    for g in range(psi.target.dim):
+        rhs_full[..., g, :, :] = along(np.moveaxis(phi.S, -3, -1), J_psi[..., g, :])
+    rhs_full += pulled
     full = float(np.max(np.abs(comp.S - rhs_full)))
-    rhs_trace = (contract("...ga,...a->...g", J_psi, phi.tau)
-                 + contract("...ab,...gab->...g", phi.grid.metric_inv, pulled))
+    rhs_trace = along(J_psi, phi.tau) + metric_trace(phi.grid.metric_inv_factor, pulled)
     trace = float(np.max(np.abs(comp.tau - rhs_trace)))
     return {"second_form": full, "tension": trace}
 

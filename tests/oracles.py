@@ -2,20 +2,75 @@
 
 Everything here is deliberately written with explicit index loops and its own
 integrators so that it shares no contraction helpers with the package code
-it checks, except the dense route, which contracts full ``metric`` and
-``christoffel`` arrays with ``contract`` (checked against ``np.einsum`` by
-its own tests) and is the reference of the geometries' closed forms.
+it checks.  The dense reference is ``contract``: the left-to-right pairwise
+fold of ``np.einsum``'s sum over every entry of its operands, zeros
+included, which contracts the full ``metric`` and ``christoffel`` arrays and
+so checks the package's closed forms, which leave out the zero entries.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import isfinite, sqrt
 
 import numpy as np
 
 from folharm.errors import FlowDivergedError, StepTooLargeError
 from folharm.grid import grad_B, hessian_scalar, integrate
-from folharm.tensor import contract
+
+
+def contract(spec, *operands):
+    """np.einsum(spec, *operands) for float operands and explicit specs whose
+    ``...`` leads a term, as a left-to-right pairwise fold.
+
+    Each pairwise product keeps the indices that a later operand or the
+    output names, in the order they first appear, and sums the others, one
+    product of component views per term, adding the terms in index order.
+    A single operand is folded with an exact 1.  Malformed specs raise
+    ValueError.
+    """
+    inputs, arrow, output = spec.replace(" ", "").partition("->")
+    terms, out = inputs.split(","), output.removeprefix("...")
+    if len(operands) == 1:
+        terms, operands = terms + [""], (*operands, 1.0)
+    ops = [np.asarray(x, dtype=float) for x in operands]
+    if not arrow or len(terms) != len(ops):
+        raise ValueError(f"contract: {spec!r} needs '->' and one term per operand")
+    sizes, batches = {}, []
+    for term, x in zip(terms, ops):
+        letters = term.removeprefix("...")
+        batches.append(x.shape[:x.ndim - len(letters)])
+        if x.ndim < len(letters) or (batches[-1] and letters == term):
+            raise ValueError(f"contract: term {term!r} does not fit shape {x.shape}")
+        for c, n in zip(letters, x.shape[x.ndim - len(letters):]):
+            if sizes.setdefault(c, n) != n:
+                raise ValueError(f"contract: index {c!r} has sizes {sizes[c]} and {n}")
+    batch = np.broadcast_shapes(*batches)
+    if (batch and out == output) or not set(out) <= set(sizes):
+        raise ValueError(f"contract: bad output {output!r} for {spec!r}")
+
+    def components(term, x):      # {values of the distinct letters: component view}
+        letters = term.removeprefix("...")
+        uniq = tuple(dict.fromkeys(letters))
+        return uniq, {v: x[(..., *(v[uniq.index(c)] for c in letters))]
+                      for v in product(*(range(sizes[c]) for c in uniq))}
+
+    acc, A = components(terms[0], ops[0])
+    for k in range(1, len(terms)):
+        rhs, B = components(terms[k], ops[k])
+        both = acc + tuple(c for c in rhs if c not in acc)
+        later = set(out).union(*(t.removeprefix("...") for t in terms[k + 1:]))
+        keep = tuple(out) if k == len(terms) - 1 else tuple(c for c in both if c in later)
+        names, sums = keep + tuple(c for c in both if c not in keep), {}
+        for v in product(*(range(sizes[c]) for c in names)):
+            at = dict(zip(names, v))
+            p = A[tuple(at[c] for c in acc)] * B[tuple(at[c] for c in rhs)]
+            sums[v[:len(keep)]] = p if v[:len(keep)] not in sums else sums[v[:len(keep)]] + p
+        acc, A = keep, sums
+    result = np.empty(batch + tuple(sizes[c] for c in out))
+    for v, value in A.items():
+        result[(..., *v)] = value
+    return result
 
 
 def rk4_geodesic(geom, point, v, nsteps=200):
@@ -115,13 +170,14 @@ def loop_bochner(source, target, point, jac, value):
     return ric_part - curv_part
 
 
-def loop_whitened_singular_values(source, target, point, jac, value):
+def loop_whitened_singular_values(g, gt, jac):
     """Singular values, largest first, of the whitened Jacobian
-    L'^T jac L^{-T} at one point, where g = L L^T and g' = L' L'^T: LAPACK
-    Cholesky factors and SVD, the product by explicit index loops."""
-    q, qp = source.dim, target.dim
-    L_inv = np.linalg.inv(np.linalg.cholesky(source.metric(point)))
-    Lt = np.linalg.cholesky(target.metric(value))
+    L'^T jac L^{-T} at one point with source and target metrics g = L L^T
+    and g' = L' L'^T there: LAPACK Cholesky factors and SVD, the product by
+    explicit index loops."""
+    q, qp = g.shape[-1], gt.shape[-1]
+    L_inv = np.linalg.inv(np.linalg.cholesky(g))
+    Lt = np.linalg.cholesky(gt)
     A = np.zeros((qp, q))
     for s in range(qp):
         for a in range(q):

@@ -219,6 +219,29 @@ def test_exp_validates_basepoints(sphere, patch):
         patch.exp(np.array([0.0, 10.0]), np.zeros(2))
 
 
+def test_open_chart_bounds_are_strict():
+    """A point exactly on an open bound, theta = _CHART_TOL or pi - _CHART_TOL on
+    the sphere and y = _CHART_TOL on the patch, is refused by ``contains``,
+    ``exp`` and ``FoliatedMapField``, also where the closed chart box, with its
+    slack of _CHART_TOL, reaches the bound."""
+    tol = fh.geometry._CHART_TOL
+    sphere = fh.RoundSphere(radius=1.0, cap_angle=tol)
+    patch = fh.HyperbolicPatch([-1.0, 1.0], [tol, 2.0])
+    grid = fh.build_grid(fh.FlatTorus([2 * np.pi]), 8)
+    for geom, inside, edge in [(sphere, [1.0, 0.5], [tol, 0.5]),
+                               (sphere, [1.0, 0.5], [np.pi - tol, 0.5]),
+                               (patch, [0.0, 1.0], [0.0, tol])]:
+        inside, edge = np.array(inside), np.array(edge)
+        assert geom.contains(inside) and not geom.contains(edge)
+        with pytest.raises(fh.DomainError):
+            geom.exp(edge, np.zeros(2))
+        values = np.tile(inside, (8, 1))
+        fh.FoliatedMapField(grid, geom, values)
+        values[3] = edge
+        with pytest.raises(fh.InvalidMapError):
+            fh.FoliatedMapField(grid, geom, values)
+
+
 def test_local_geometry_at_sphere_equator(sphere):
     point = np.array([np.pi / 2, 0.3])
     assert np.allclose(sphere.metric(point), np.eye(2), atol=1e-14)

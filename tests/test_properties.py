@@ -1,15 +1,16 @@
 """Property-based invariants (hypothesis)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import folharm as fh
 from conftest import interior_points
-from folharm.flow import _singular_values_2x2
+from folharm.flow import _singular_values_2x2, _whitened
 from folharm.serialize import fmt
 from oracles import (
+    contract,
     dense_christoffel_term,
     dense_dT_norm_sq,
     dense_form_norm_sq,
@@ -167,14 +168,24 @@ def test_christoffel_vanishes_exactly_where_the_symbols_are_zero(label, fraction
                                            and (geom.metric_inv(points) == identity).all())
 
 
+def _every_catalog_pair(test):
+    """``test`` with one explicit example for each source/target pair of the catalog."""
+    for src in _CATALOG:
+        for tgt in _CATALOG:
+            test = example(src, tgt, 0)(test)
+    return test
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(_CATALOG)), st.sampled_from(sorted(_CATALOG)),
        st.integers(min_value=0, max_value=2**32 - 1))
+@_every_catalog_pair
 def test_small_matrix_contractions_match_einsum_definitions(src, tgt, seed):
-    """The contractions of maps and verify equal their einsum definitions,
-    on random map fields between catalog geometries."""
-    from folharm.tensor import contract
-
+    """The contractions of maps, grid and verify equal their einsum
+    definitions on random map fields between catalog geometries, and equal,
+    bit for bit, the dense fold of ``contract`` over the full metric and
+    Christoffel arrays, which adds the products with zero entries that the
+    closed forms leave out (``np.array_equal`` counts -0.0 equal to 0.0)."""
     source, target = _CATALOG[src], _CATALOG[tgt]
     grid = fh.build_grid(source, 8)
     rng = np.random.default_rng(seed)
@@ -183,20 +194,21 @@ def test_small_matrix_contractions_match_einsum_definitions(src, tgt, seed):
     hi = bounds[:, 1] - 0.1 * (bounds[:, 1] - bounds[:, 0])
     mapf = fh.FoliatedMapField(
         grid, target, rng.uniform(lo, hi, grid.shape + (target.dim,)))
-    D, S = mapf.D, mapf.S
-    gi, gt, gam_t = grid.metric_inv, mapf.target_metric, mapf.target_gamma
+    D, S, tau = mapf.D, mapf.S, mapf.tau
+    gi, gt, gam_t = grid.metric_inv, mapf.target_metric, target.christoffel(mapf.values)
     X = rng.standard_normal(D.shape)
     s = rng.standard_normal(mapf.values.shape)
+    kappa = rng.standard_normal(grid.shape + (grid.dim,))
+    struct = fh.FoliatedStructure(1, lambda b: np.ones(np.shape(b)[:-1]), lambda b: -kappa)
+    f = rng.standard_normal(grid.shape)
 
-    for spec, ops in [("...gst,...sa,...tb->...gab", (gam_t, D, D)),
-                      ("...gc,...cab->...gab", (D, grid.gamma)),
-                      ("...ab,...gab->...g", (gi, S)),
-                      ("...ab,...st,...sa,...tb->...", (gi, gt, X, D))]:
-        assert _matches(contract(spec, *ops), spec, *ops)
-    assert _matches(mapf.tau, "...ab,...gab->...g", gi, S)
+    assert _matches(tau, "...ab,...gab->...g", gi, S)
     assert _matches(mapf.dT_norm_sq, "...ab,...st,...sa,...tb->...", gi, gt, D, D)
     assert _matches(fh.second_form_norm_squared(mapf),
                     "...ax,...by,...gd,...gab,...dxy->...", gi, gi, gt, S, S)
+    n2 = np.einsum("...st,...s,...t->...", gt, tau, tau)
+    assert np.isclose(fh.tension_sup_norm(mapf) ** 2, np.max(n2), rtol=1e-12, atol=0)
+    assert _matches(target.norm(mapf.values, s) ** 2, "...ab,...a,...b->...", gt, s, s)
     ds = np.stack([fh.grid.diff1(grid, s, a) for a in range(grid.dim)], axis=-1)
     assert _matches(fh.maps.pullback_derivative(mapf, s) - ds,
                     "...gst,...sa,...t->...ga", gam_t, D, s)
@@ -217,61 +229,44 @@ def test_small_matrix_contractions_match_einsum_definitions(src, tgt, seed):
              + np.einsum("...gst,...sa,...tb->...gab", abs(gam_t), abs(D), abs(D)))
     assert np.max(np.abs(S - want)) <= 1e-13 * np.max(scale)
 
+    # the dense route: every entry of the metrics and the symbols, zeros included
+    def pullback(field):
+        return fh.grad_B(grid, field) + contract("...t,...gst,...sa->...ga", field, gam_t, D)
 
-class _SkewTorus(fh.FlatTorus):
-    """Flat 2-torus with a constant metric that is not diagonal."""
-
-    def __init__(self, periods, g):
-        super().__init__(periods)
-        self.g = np.asarray(g, dtype=float)
-
-    def metric(self, points):
-        shape = np.shape(points)[:-1] + self.g.shape
-        return np.broadcast_to(self.g, shape).copy()
-
-    def metric_inv(self, points):
-        return np.linalg.inv(self.metric(points))
-
-    def sqrt_det(self, points):
-        return np.sqrt(np.linalg.det(self.metric(points)))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.floats(min_value=0.5, max_value=2.0), st.floats(min_value=0.5, max_value=2.0),
-       st.floats(min_value=-0.45, max_value=0.45),
-       st.integers(min_value=0, max_value=2**32 - 1))
-def test_contractions_keep_off_diagonal_metric_terms(g00, g11, g01, seed):
-    """Every catalog metric is diagonal, so its off-diagonal terms vanish.
-    On a torus with a constant skew metric the unrolled contractions and
-    the exp step's norm still equal their einsum definitions.  So they do
-    between flat tori of dimensions 1 and 2, which skip their identity
-    metrics; the skew torus, though flat, must not skip its metric."""
-    torus = _SkewTorus([TWO_PI, 3.0], [[g00, g01], [g01, g11]])
-    assert torus.christoffel_vanishes and not torus.metric_is_identity
-    grid = fh.build_grid(torus, 8)
-    rng = np.random.default_rng(seed)
-    mapf = fh.FoliatedMapField(grid, torus, rng.uniform(0.0, 3.0, grid.shape + (2,)))
-    gi, gt, D, S, tau = grid.metric_inv, mapf.target_metric, mapf.D, mapf.S, mapf.tau
-    assert _matches(tau, "...ab,...gab->...g", gi, S)
-    assert _matches(mapf.dT_norm_sq, "...ab,...st,...sa,...tb->...", gi, gt, D, D)
-    assert _matches(fh.second_form_norm_squared(mapf),
-                    "...ax,...by,...gd,...gab,...dxy->...", gi, gi, gt, S, S)
-    n2 = np.einsum("...st,...s,...t->...", gt, tau, tau)
-    assert np.isclose(fh.tension_sup_norm(mapf) ** 2, np.max(n2), rtol=1e-12, atol=0)
-    v = rng.standard_normal(mapf.values.shape)
-    assert _matches(torus.norm(mapf.values, v) ** 2, "...ab,...a,...b->...", gt, v, v)
-
-    for q, qp in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        source, target = fh.FlatTorus([TWO_PI, 3.0][:q]), fh.FlatTorus([3.0, TWO_PI][:qp])
-        grid = fh.build_grid(source, 8)
-        mapf = fh.FoliatedMapField(grid, target, rng.uniform(0.0, 3.0, grid.shape + (qp,)))
-        gi, gt, D, S, tau = grid.metric_inv, mapf.target_metric, mapf.D, mapf.S, mapf.tau
-        assert _matches(tau, "...ab,...gab->...g", gi, S)
-        assert _matches(mapf.dT_norm_sq, "...ab,...st,...sa,...tb->...", gi, gt, D, D)
-        n2 = np.einsum("...st,...s,...t->...", gt, tau, tau)
-        assert np.isclose(fh.tension_sup_norm(mapf) ** 2, np.max(n2), rtol=1e-12, atol=0)
-        v = rng.standard_normal(mapf.values.shape)
-        assert _matches(target.norm(mapf.values, v) ** 2, "...ab,...a,...b->...", gt, v, v)
+    kappa_up = contract("...ab,...b->...a", gi, kappa)
+    grad, hess = fh.grid.derivatives(grid, f)
+    cov_hess = hess - contract("...c,...cab->...ab", grad, grid.gamma)
+    lap = -contract("...ab,...ab->...", gi, cov_hess) + contract("...a,...a->...", kappa_up, grad)
+    A = contract("...sa,...st,...tb->...ab", D, gt, D)
+    P = contract("...st,...ta,...ab,...ub->...su", gt, D, gi, D)
+    tr_P = contract("...ss->...", P)
+    codiff = -tau + contract("...ga,...a->...g", D, kappa_up)
+    a_form = (-contract("...a,...gab->...gb", kappa_up, S)
+              + pullback(contract("...ga,...a->...g", D, kappa_up)))
+    terms = fh.weitzenbock_terms(mapf, struct, "general")
+    B = rng.standard_normal(grid.shape + (2, target.dim, target.dim))
+    div = sum(fh.grid.diff1(grid, X[..., 0, a], a) for a in range(grid.dim)) \
+        + contract("...b,...b->...", contract("...aab->...b", grid.gamma), X[..., 0, :])
+    psi = fh.AnalyticMap(source, target, np.mean(bounds, axis=1), 0.1 * X[(0,) * grid.dim],
+                         (fh.maps.Mode(0, np.ones(grid.dim), 0.1),))
+    y, J = psi.func(grid.points), psi.jac(grid.points)
+    psi_S = (psi.hess(grid.points) - contract("...gc,...cab->...gab", J, grid.gamma)
+             + contract("...gst,...tb,...sa->...gab", target.christoffel(y), J, J))
+    for got, want in [
+            (tau, contract("...ab,...gab->...g", gi, S)),
+            (fh.grid.kappa_sharp(grid, struct), kappa_up),
+            (fh.delta_B_scalar(grid, f, struct), lap),
+            (ric_term, contract("...ab,...bc,...cd,...da->...", A, gi, ric, gi)),
+            (curv_term, target.curvature_constant
+             * (tr_P * tr_P - contract("...su,...us->...", P, P))),
+            (terms["laplacian_pairing"],
+             contract("...ts,...sa,...ab,...tb->...", gt, pullback(codiff), gi, D)),
+            (terms["kappa_operator_pairing"],
+             contract("...ts,...sa,...ab,...tb->...", gt, a_form, gi, D)),
+            (fh.maps.pullback_form(mapf, B), contract("...gst,...tb,...sa->...gab", B, D, D)),
+            (fh.div_nabla(grid, X[..., 0, :]), div),
+            (psi.second_form(grid.points), psi_S)]:
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -319,21 +314,14 @@ def test_analytic_map_derivatives_match_central_differences(q, qp, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["sphere", "patch", "torus", "skew"]),
-       st.sampled_from(["sphere", "patch", "torus", "skew"]),
-       st.floats(min_value=0.5, max_value=2.0), st.floats(min_value=0.5, max_value=2.0),
-       st.floats(min_value=-0.45, max_value=0.45),
+@given(st.sampled_from(["sphere", "patch", "torus"]), st.sampled_from(["sphere", "patch", "torus"]),
        st.integers(min_value=0, max_value=2**32 - 1))
-def test_closed_form_singular_values_match_the_loop_oracle(src, tgt, g00, g11, g01, seed):
-    """The 2x2 closed-form singular values of the whitened Jacobian equal
-    per-node LAPACK ones to 1e-13 of sigma_max, and give the same rank,
-    for full-rank, rank-1 and zero Jacobians on diagonal and skew metrics."""
-    def geometry(label):
-        if label == "skew":
-            return _SkewTorus([TWO_PI, 3.0], [[g00, g01], [g01, g11]])
-        return _geometry_from_label(label)
-
-    source, target = geometry(src), geometry(tgt)
+def test_closed_form_singular_values_match_the_loop_oracle(src, tgt, seed):
+    """The 2x2 closed-form singular values of the whitened Jacobian, from
+    the diagonal metric factors, equal per-node LAPACK ones from the full
+    metrics to 1e-13 of sigma_max, and give the same rank, for full-rank,
+    rank-1 and zero Jacobians."""
+    source, target = _geometry_from_label(src), _geometry_from_label(tgt)
     rng = np.random.default_rng(seed)
     count = 24
     x, y = interior_points(source, rng, count), interior_points(target, rng, count)
@@ -341,9 +329,9 @@ def test_closed_form_singular_values_match_the_loop_oracle(src, tgt, g00, g11, g
     rank = rng.integers(0, 3, count)               # the Jacobian's rank at each node
     jac[rank == 1] = jac[rank == 1, :, :1] * rng.standard_normal((np.sum(rank == 1), 1, 2))
     jac[rank == 0] = 0.0
-    sv = _singular_values_2x2(source.metric(x), target.metric(y), jac)
-    want = np.array([loop_whitened_singular_values(source, target, x[i], jac[i], y[i])
-                     for i in range(count)])
+    sv = _singular_values_2x2(_whitened(source.metric_factor(x), target.metric_factor(y), jac))
+    g, gt = source.metric(x), target.metric(y)
+    want = np.array([loop_whitened_singular_values(g[i], gt[i], jac[i]) for i in range(count)])
     assert np.all(np.abs(sv - want) <= 1e-13 * want[:, :1])
     assert np.all(sv[rank == 0] == 0.0)
     tol = fh.RigidityTolerances().rank_tol_rel * np.max(want)
@@ -363,7 +351,8 @@ def test_closed_form_contractions_equal_the_dense_route(label, p, source_metric,
     flat torus, the geometry's closed forms of |v|^2, |d_T phi|^2, |S|^2 and
     the Christoffel term equal, bit for bit, the dense ``contract`` of its
     full ``metric`` and ``christoffel`` arrays, for random finite v, D and S
-    and an identity or a random source metric_inv h.
+    and an identity or a random diagonal source metric_inv h, whose dense
+    side is the full matrix.
 
     ``np.array_equal`` counts -0.0 equal to 0.0: the closed forms leave out
     the products with zero entries, which the dense route adds, so a result
@@ -378,8 +367,8 @@ def test_closed_form_contractions_equal_the_dense_route(label, p, source_metric,
     v = data.draw(hnp.arrays(float, (count, q), elements=_ENTRY))
     D = data.draw(hnp.arrays(float, (count, q, p), elements=_ENTRY))
     S = data.draw(hnp.arrays(float, (count, q, p, p), elements=_ENTRY))
-    h = data.draw(hnp.arrays(float, (count, p, p), elements=_ENTRY)) if source_metric else None
-    dense_h = np.broadcast_to(np.eye(p), (count, p, p)) if h is None else h
+    h = data.draw(hnp.arrays(float, (count, p), elements=_ENTRY)) if source_metric else None
+    dense_h = np.eye(p) * (1.0 if h is None else h[..., None, :])
 
     g = geom.metric_factor(points)
     assert np.array_equal(geom.norm_sq(g, v), dense_norm_sq(geom, points, v))
@@ -388,5 +377,3 @@ def test_closed_form_contractions_equal_the_dense_route(label, p, source_metric,
     term = geom.christoffel_term(points, D)
     dense = dense_christoffel_term(geom, points, D)
     assert np.array_equal(np.zeros_like(dense) if term is None else term, dense)
-    if term is not None:        # the base class's route, for symbols with no closed form
-        assert np.array_equal(fh.TransverseGeometry.christoffel_term(geom, points, D), dense)

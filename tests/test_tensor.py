@@ -1,11 +1,12 @@
-"""contract against np.einsum on drawn specs (hypothesis)."""
+"""The dense reference fold ``oracles.contract`` against np.einsum on drawn
+specs (hypothesis)."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from folharm.tensor import contract
+from oracles import contract
 
 LETTERS = "abcde"
 
@@ -89,24 +90,6 @@ def test_contract_folds_constant_operands(case, seed):
         assert np.array_equal(x, y)
         assert not np.shares_memory(got, x)
     assert not np.shares_memory(got, again)
-
-
-def test_zero_constant_entries_contribute_nothing_against_non_finite_factors():
-    identity = np.broadcast_to(np.eye(2), (3, 2, 2))
-    v = np.array([[1.0, np.inf], [np.nan, -2.0], [-0.0, 3.0]])
-    got = contract("...ab,...b->...a", identity, v)
-    assert np.array_equal(got, v, equal_nan=True)      # einsum: nan beside every non-finite
-    assert not np.shares_memory(got, v)
-    assert np.array_equal(contract("...a,...a->...", np.broadcast_to([0.0, 1.0], (3, 2)), v),
-                          v[:, 1])
-
-
-def test_contract_writes_one_fresh_component_major_block_per_output_component():
-    x = np.arange(12.0).reshape(3, 2, 2)
-    got = contract("...ab->...ba", x)
-    assert np.array_equal(got, np.swapaxes(x, -1, -2))
-    assert not np.shares_memory(got, x)
-    assert got[..., 1, 0].flags.c_contiguous
 
 
 @pytest.mark.parametrize("spec, shapes", [

@@ -11,8 +11,8 @@ draft-07 validator (``_schema``, no ``jsonschema`` import); unknown keys and
 numbers that are not finite are rejected.  The output directory resolves as
 ``--out`` flag, then the ``FOLHARM_OUT`` environment variable, then the
 config's ``out`` key, then ``./folharm_out``.  Before it runs, a subcommand
-removes from that directory every output file name of ``_OUTPUTS``, its own
-included, and touches no other file.
+removes from that directory every output file name of ``_SUBCOMMANDS``, its
+own included, and touches no other file.
 
 Exit codes: 0 all selected checks pass, 1 a numerical check failed,
 2 configuration/schema error, 3 runtime failure, including an energy,
@@ -33,8 +33,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-_SUBCOMMANDS = ("tension", "energy", "flow", "verify", "report")
 
 
 def _set_thread_limit(n: int) -> None:
@@ -244,15 +242,13 @@ def _verify_reports(exp: Experiment) -> list[dict]:
     resolutions = exp.config.get("resolutions")
     reports = []
     for check in vcfg["checks"]:
-        bind, default_tol = _CHECKS[check]
-        residual = bind(exp)
+        residual, default_tol = _CHECKS[check]
         if resolutions and check != "first_variation":
-            rep = refinement_report(
-                check, resolutions, residual, order_tol, tolerances.get(check)
-            )
+            rep = refinement_report(check, resolutions, lambda n: residual(exp, n),
+                                    order_tol, tolerances.get(check))
         else:
             tol = tolerances.get(check, default_tol)
-            r = residual(exp.resolution)
+            r = residual(exp, exp.resolution)
             rep = IdentityResidualReport(
                 check, [list(exp.grid.shape)], [r],
                 tolerance=tol, passed=(tol is None or r <= tol),
@@ -263,9 +259,10 @@ def _verify_reports(exp: Experiment) -> list[dict]:
     return reports
 
 
-def _write_verify_outputs(reports: list[dict], out: Path) -> bool:
+def run_verify(exp: Experiment, out: Path) -> tuple[int, dict]:
     from . import serialize
 
+    reports = _verify_reports(exp)
     serialize.dump_json(out / "verify.json", {"reports": reports})
     serialize.write_csv(
         out / "verify_summary.csv",
@@ -283,12 +280,6 @@ def _write_verify_outputs(reports: list[dict], out: Path) -> bool:
     if not ok:
         failing = [r["identity"] for r in reports if not r["pass"]]
         print(f"failing identities: {', '.join(failing)}", file=sys.stderr)
-    return ok
-
-
-def run_verify(exp: Experiment, out: Path) -> tuple[int, dict]:
-    reports = _verify_reports(exp)
-    ok = _write_verify_outputs(reports, out)
     return (EXIT_OK if ok else EXIT_CHECK_FAILED), {"reports": reports}
 
 
@@ -300,7 +291,7 @@ def run_report(exp: Experiment, out: Path) -> tuple[int, dict]:
     selected_by = {"energy": ("map",), "flow": ("flow", "rigidity"), "verify": ("verify",)}
     for part, keys in selected_by.items():      # the parts the config selects, in order
         if any(key in exp.config for key in keys):
-            code, payload[part] = _RUNNERS[part](exp, out)
+            code, payload[part] = _SUBCOMMANDS[part][0](exp, out)
             codes.append(code)
     payload["pass"] = all(c == EXIT_OK for c in codes)
     serialize.dump_json(out / "report.json", payload)
@@ -308,17 +299,17 @@ def run_report(exp: Experiment, out: Path) -> tuple[int, dict]:
 
 
 def _clear_stale_outputs(out: Path) -> None:
-    """Remove from ``out`` every file named in ``_OUTPUTS``, so that a run's
-    results never sit beside an older run's, and a run that fails leaves
-    none.  No other file is touched."""
-    for name in set().union(*_OUTPUTS.values()):
+    """Remove from ``out`` every output file named in ``_SUBCOMMANDS``, so that
+    a run's results never sit beside an older run's, and a run that fails
+    leaves none.  No other file is touched."""
+    for name in {name for _, names in _SUBCOMMANDS.values() for name in names}:
         (out / name).unlink(missing_ok=True)
 
 
 # -- identity checks -------------------------------------------------------
-# Each binder turns an experiment into residual(n), the check's residual on
-# the grid of resolution n.  Binders import from the package when called, so
-# this module loads without numpy and sees the package's current functions.
+# Each check is residual(exp, n), its residual on the grid of resolution n.
+# Checks import from the package when called, so this module loads without
+# numpy and sees the package's current functions.
 
 
 def _require_foliation(exp: Experiment, check: str):
@@ -329,30 +320,24 @@ def _require_foliation(exp: Experiment, check: str):
     return exp.struct
 
 
-def _bind_first_variation(exp: Experiment):
+def _first_variation(exp: Experiment, n: int) -> float:
     from . import VariationSpec, check_first_variation, variation_field
 
     var = dict(exp.config.get("variation", {}))
-    fd_steps = tuple(var.pop("fd_steps", (1e-2, 5e-3, 2.5e-3)))
-
-    def residual(n):
-        grid = exp.grid_at(n)
-        spec = VariationSpec(variation_field(grid, exp.target, var), fd_steps)
-        return check_first_variation(exp.initial_map(grid), exp.struct, spec).residuals[0]
-
-    return residual
+    fd_steps = tuple(var.pop("fd_steps", VariationSpec.fd_steps))
+    grid = exp.grid_at(n)
+    spec = VariationSpec(variation_field(grid, exp.target, var), fd_steps)
+    return check_first_variation(exp.initial_map(grid), exp.struct, spec).residuals[0]
 
 
-def _bind_weitzenbock(exp: Experiment):
+def _weitzenbock(exp: Experiment, n: int) -> float:
     from . import weitzenbock_residual
 
     mode = exp.config["verify"].get("weitzenbock_mode", "general")
-    return lambda n: weitzenbock_residual(
-        exp.initial_map(exp.grid_at(n)), exp.struct, mode
-    )
+    return weitzenbock_residual(exp.initial_map(exp.grid_at(n)), exp.struct, mode)
 
 
-def _bind_lemma_volume(exp: Experiment):
+def _lemma_volume(exp: Experiment, n: int) -> float:
     from . import FoliatedStructure, check_lemma_volume
 
     struct = _require_foliation(exp, "lemma_volume")
@@ -360,24 +345,20 @@ def _bind_lemma_volume(exp: Experiment):
         # exercise the finite-difference route by withholding the closed-form
         # derivative
         struct = FoliatedStructure(struct.leaf_dimension, struct.vol, None)
-    return lambda n: check_lemma_volume(exp.grid_at(n), struct)
+    return check_lemma_volume(exp.grid_at(n), struct)
 
 
-def _bind_divergence(exp: Experiment):
+def _divergence(exp: Experiment, n: int) -> float:
     from . import check_divergence_theorem, variation_field
 
     struct = _require_foliation(exp, "divergence")
+    grid = exp.grid_at(n)
     field_spec = exp.config["verify"].get("divergence_field", {})
-
-    def residual(n):
-        grid = exp.grid_at(n)
-        X = variation_field(grid, grid.geometry, field_spec, wave="cos")
-        return check_divergence_theorem(grid, X, struct)
-
-    return residual
+    X = variation_field(grid, grid.geometry, field_spec, wave="cos")
+    return check_divergence_theorem(grid, X, struct)
 
 
-def _bind_composition(exp: Experiment):
+def _composition(exp: Experiment, n: int) -> float:
     from . import build_geometry, composition_residuals, make_family
     from .errors import ConfigurationError
 
@@ -388,37 +369,25 @@ def _bind_composition(exp: Experiment):
         comp_cfg["family"], exp.target, build_geometry(comp_cfg["target"]),
         comp_cfg.get("params"),
     )
-
-    def residual(n):
-        return max(composition_residuals(exp.initial_map(exp.grid_at(n)), psi).values())
-
-    return residual
+    return max(composition_residuals(exp.initial_map(exp.grid_at(n)), psi).values())
 
 
-# check name -> (binder, default tolerance of the single-grid report)
+# check name -> (residual, default tolerance of the single-grid report)
 _CHECKS = {
-    "first_variation": (_bind_first_variation, 1e-3),
-    "weitzenbock": (_bind_weitzenbock, None),
-    "lemma_volume": (_bind_lemma_volume, 1e-12),
-    "divergence": (_bind_divergence, 1e-8),
-    "composition": (_bind_composition, 1e-2),
+    "first_variation": (_first_variation, 1e-3),
+    "weitzenbock": (_weitzenbock, None),
+    "lemma_volume": (_lemma_volume, 1e-12),
+    "divergence": (_divergence, 1e-8),
+    "composition": (_composition, 1e-2),
 }
 
-# subcommand -> the file names it writes into the output directory
-_OUTPUTS = {
-    "tension": ("tension.csv", "tension.json"),
-    "energy": ("energy.json",),
-    "flow": ("flow_trace.csv", "flow_final_map.csv", "flow.json"),
-    "verify": ("verify.json", "verify_summary.csv"),
-    "report": ("report.json",),
-}
-
-_RUNNERS = {
-    "tension": run_tension,
-    "energy": run_energy,
-    "flow": run_flow_cmd,
-    "verify": run_verify,
-    "report": run_report,
+# subcommand -> (runner, the file names it writes into the output directory)
+_SUBCOMMANDS = {
+    "tension": (run_tension, ("tension.csv", "tension.json")),
+    "energy": (run_energy, ("energy.json",)),
+    "flow": (run_flow_cmd, ("flow_trace.csv", "flow_final_map.csv", "flow.json")),
+    "verify": (run_verify, ("verify.json", "verify_summary.csv")),
+    "report": (run_report, ("report.json",)),
 }
 
 
@@ -442,21 +411,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
+    for flag, value, least in (("threads", args.threads, 1), ("seed", args.seed, 0)):
+        if value is not None and value < least:
+            print(f"error: --{flag} must be >= {least}", file=sys.stderr)
             return EXIT_CONFIG
+    if args.threads is not None:
         _set_thread_limit(args.threads)
 
-    from .errors import FolharmError
-    from .errors import ConfigurationError
+    from .errors import ConfigurationError, FolharmError
 
     try:
         config = load_config(args.config)
         exp = Experiment(config, seed=args.seed)
         out = _resolve_out(args, config)
         _clear_stale_outputs(out)
-        code, _ = _RUNNERS[args.subcommand](exp, out)
+        code, _ = _SUBCOMMANDS[args.subcommand][0](exp, out)
         return code
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 Every family is one parameter set (offset, slope, sinusoidal modes,
 winding) of the closed form ``maps.AnalyticMap``, whose exact Jacobian and
 Hessian let tests and identity checks compare finite-difference quantities
-against exact ones.  The shipped names (usable from experiment configs) are:
+against exact ones.  Each builder pops the parameters it takes, and
+``make_family`` rejects any left over.  The names usable in configs are:
 
 * ``identity``          chart identity between identical charts
 * ``linear``            integer-winding linear map between flat tori
@@ -27,8 +28,6 @@ __all__ = ["make_family", "variation_field", "FAMILY_NAMES"]
 
 
 def _identity(source, target, params):
-    if params:
-        raise ConfigurationError(f"identity: unknown params {params}")
     if not same_chart(source, target):
         raise ConfigurationError("identity: source and target charts must match")
     q = source.dim
@@ -40,8 +39,6 @@ def _linear(source, target, params):
         raise ConfigurationError("linear: needs flat tori on both sides")
     matrix = np.asarray(params.pop("matrix", np.eye(target.dim, source.dim)), dtype=float)
     offset = params.pop("offset", np.zeros(target.dim))
-    if params:
-        raise ConfigurationError(f"linear: unknown params {params}")
     if matrix.shape != (target.dim, source.dim):
         raise ConfigurationError(
             f"linear: matrix must be {(target.dim, source.dim)}, got {matrix.shape}"
@@ -89,15 +86,11 @@ def _sine_perturbation(source, target, params):
         )
     q = source.dim
     modes = _parse_modes(params, source, default_amplitude=0.1)
-    if params:
-        raise ConfigurationError(f"sine_perturbation: unknown params {params}")
     return np.zeros(q), np.eye(q), modes, np.eye(q, dtype=int)
 
 
 def _latitude_circle(source, target, params):
     theta_c = float(params.pop("theta", np.pi / 4))
-    if params:
-        raise ConfigurationError(f"latitude_circle: unknown params {params}")
     if not isinstance(source, FlatTorus) or source.dim != 1:
         raise ConfigurationError("latitude_circle: source must be a 1-torus")
     if not isinstance(target, RoundSphere):
@@ -110,8 +103,6 @@ def _band_wave(source, target, params):
     theta_c = float(params.pop("theta", np.pi / 2))
     amp = float(params.pop("amplitude", 0.3))
     kvec = params.pop("kvec", [1, 1])
-    if params:
-        raise ConfigurationError(f"band_wave: unknown params {params}")
     if not isinstance(source, FlatTorus) or source.dim != 2:
         raise ConfigurationError("band_wave: source must be a 2-torus")
     if not isinstance(target, RoundSphere):
@@ -124,8 +115,6 @@ def _band_wave(source, target, params):
 def _sine_into_patch(source, target, params):
     center = params.pop("center", [0.0, 1.5])
     a1, a12, a2 = (float(v) for v in params.pop("amplitudes", [0.3, 0.1, 0.2]))
-    if params:
-        raise ConfigurationError(f"sine_into_patch: unknown params {params}")
     if not isinstance(source, FlatTorus) or source.dim != 2:
         raise ConfigurationError("sine_into_patch: source must be a 2-torus")
     if not isinstance(target, HyperbolicPatch):
@@ -139,8 +128,6 @@ def _sine_into_patch(source, target, params):
 
 def _constant(source, target, params):
     point = params.pop("point", None)
-    if params:
-        raise ConfigurationError(f"constant: unknown params {params}")
     if point is None:
         point = np.mean(target.chart_bounds, axis=1)
     point = np.asarray(point, dtype=float)
@@ -170,7 +157,10 @@ def make_family(name: str, source: TransverseGeometry,
         raise ConfigurationError(
             f"map family: expected one of {sorted(_FAMILIES)}, got {name!r}"
         )
-    offset, slope, modes, winding = _FAMILIES[name](source, target, dict(params or {}))
+    params = dict(params or {})
+    offset, slope, modes, winding = _FAMILIES[name](source, target, params)
+    if params:
+        raise ConfigurationError(f"{name}: unknown params {params}")
     return AnalyticMap(source, target, offset, slope, modes, winding)
 
 

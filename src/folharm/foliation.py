@@ -74,6 +74,17 @@ def _coordinate(b, axis: int) -> np.ndarray:
     return b[..., axis]
 
 
+def _axis_profile(leaf_dimension: int, axis: int, vol, dlog) -> FoliatedStructure:
+    """The profile vol(b_axis), whose d log vol is dlog(b_axis) on that axis."""
+
+    def dlog_vol(b):
+        out = np.zeros(np.shape(b))
+        out[..., axis] = dlog(_coordinate(b, axis))
+        return out
+
+    return FoliatedStructure(leaf_dimension, lambda b: vol(_coordinate(b, axis)), dlog_vol)
+
+
 def named_profile(name: str, leaf_dimension: int, params: dict | None = None
                   ) -> FoliatedStructure:
     """Named leaf-volume profiles available from experiment configs.
@@ -90,40 +101,19 @@ def named_profile(name: str, leaf_dimension: int, params: dict | None = None
     params = dict(params or {})
     axis = int(params.pop("axis", 0))
     if name == "constant":
-        if params:
-            raise ConfigurationError(f"profile constant: unknown params {params}")
-        return FoliatedStructure.trivial(leaf_dimension)
-    if name == "cosine_offset":
+        struct = FoliatedStructure.trivial(leaf_dimension)
+    elif name == "cosine_offset":
         c = float(params.pop("offset", 2.0))
-        if params:
-            raise ConfigurationError(f"profile cosine_offset: unknown params {params}")
         if c <= 1.0:
             raise ConfigurationError(f"offset: must exceed 1 for positivity, got {c}")
-
-        def vol(b, c=c, axis=axis):
-            return c + np.cos(_coordinate(b, axis))
-
-        def dlog(b, c=c, axis=axis):
-            x = _coordinate(b, axis)
-            out = np.zeros(np.shape(b))
-            out[..., axis] = -np.sin(x) / (c + np.cos(x))
-            return out
-
-        return FoliatedStructure(leaf_dimension, vol, dlog)
-    if name == "warped_sine":
-        amp = float(params.pop("amplitude", 0.1))
-        if params:
-            raise ConfigurationError(f"profile warped_sine: unknown params {params}")
-        p = leaf_dimension
-
-        def vol(b, amp=amp, p=p, axis=axis):
-            return np.exp(p * amp * np.sin(_coordinate(b, axis)))
-
-        def dlog(b, amp=amp, p=p, axis=axis):
-            x = _coordinate(b, axis)
-            out = np.zeros(np.shape(b))
-            out[..., axis] = p * amp * np.cos(x)
-            return out
-
-        return FoliatedStructure(leaf_dimension, vol, dlog)
-    raise ConfigurationError(f"profile: unknown name {name!r}")
+        struct = _axis_profile(leaf_dimension, axis, lambda x: c + np.cos(x),
+                               lambda x: -np.sin(x) / (c + np.cos(x)))
+    elif name == "warped_sine":
+        pa = leaf_dimension * float(params.pop("amplitude", 0.1))
+        struct = _axis_profile(leaf_dimension, axis, lambda x: np.exp(pa * np.sin(x)),
+                               lambda x: pa * np.cos(x))
+    else:
+        raise ConfigurationError(f"profile: unknown name {name!r}")
+    if params:
+        raise ConfigurationError(f"profile {name}: unknown params {params}")
+    return struct

@@ -232,16 +232,10 @@ class FlatTorus(TransverseGeometry):
             min(periods) / 4.0 if injectivity_cap is None else float(injectivity_cap)
         )
 
-    # constant fields are read-only broadcast views, nothing grid-sized is allocated
-    def metric(self, points):
-        return _identity_field(self.dim, np.shape(points)[:-1])
+    def metric_diagonal(self, points):
+        return np.ones(np.shape(points)[:-1] + (self.dim,))
 
-    def metric_inv(self, points):
-        return self.metric(points)
-
-    def christoffel(self, points):
-        return np.broadcast_to(0.0, np.shape(points)[:-1] + (self.dim,) * 3)
-
+    # read-only broadcast views: nothing grid-sized is allocated
     def sqrt_det(self, points):
         return np.broadcast_to(1.0, np.shape(points)[:-1])
 
@@ -307,12 +301,6 @@ def lower_christoffel(G: dict, V: np.ndarray) -> np.ndarray:
     for (c, a, b), value in G.items():
         out[..., a, b] += V[..., c] * value[(..., *(None,) * (V.ndim - 1 - value.ndim))]
     return out
-
-
-@lru_cache(maxsize=64)
-def _identity_field(q: int, shape: tuple) -> np.ndarray:
-    """The (q, q) identity at nodes of ``shape``: one read-only view per shape."""
-    return np.broadcast_to(np.eye(q), shape + (q, q))
 
 
 class RoundSphere(TransverseGeometry):

@@ -1,5 +1,6 @@
 """Command-line runner: config validation, subcommands, exit codes, outputs."""
 
+import argparse
 import dataclasses
 import json
 import subprocess
@@ -325,6 +326,27 @@ def test_schema_flow_and_rigidity_keys_are_the_dataclass_fields():
         f.name for f in dataclasses.fields(RigidityTolerances)} | {"rank_cap"}
 
 
+def test_schema_enums_are_the_code_tables():
+    """A name the schema allows but no table holds would pass validation and
+    then fail as a KeyError (exit 3) instead of a config error (exit 2)."""
+    from folharm.families import FAMILY_NAMES
+    from folharm.foliation import named_profile
+
+    schema = json.loads(
+        resources.files("folharm").joinpath("config_schema.json").read_text())
+    verify = schema["properties"]["verify"]["properties"]
+    assert set(verify["checks"]["items"]["enum"]) == set(cli._CHECKS)
+    assert set(verify["tolerances"]["properties"]) == set(cli._CHECKS)
+    map_family = schema["definitions"]["map"]["oneOf"][0]["properties"]["family"]
+    for family in (map_family, verify["compose_with"]["properties"]["family"]):
+        assert set(family["enum"]) == set(FAMILY_NAMES)
+    for profile in schema["properties"]["foliation"]["properties"]["profile"]["enum"]:
+        named_profile(profile, 1)
+    [subcommands] = [action.choices for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert set(subcommands) == set(cli._SUBCOMMANDS)
+
+
 def test_out_dir_resolution_env_var(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, _base_config())
     env_dir = tmp_path / "from_env"
@@ -410,6 +432,17 @@ def test_threads_flag_validation(tmp_path):
                      "--out", str(tmp_path / "out")]) == 2
     assert cli.main(["energy", "--config", cfg, "--threads", "2",
                      "--out", str(tmp_path / "out")]) == 0
+
+
+def test_seed_flag_validation(tmp_path, capsys):
+    """The config's seed has minimum 0, and so has --seed."""
+    cfg = _write_config(tmp_path, _base_config())
+    out = tmp_path / "out"
+    assert cli.main(["energy", "--config", cfg, "--seed", "-3", "--out", str(out)]) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["energy", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+    assert json.loads((out / "energy.json").read_text())["seed"] == 0
 
 
 def test_map_csv_round_trip_through_cli(tmp_path):

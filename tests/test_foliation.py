@@ -54,8 +54,9 @@ def test_profile_validation():
         fh.named_profile("cosine_offset", 1, {"offset": 0.5})   # dips negative
     with pytest.raises(fh.ConfigurationError):
         fh.named_profile("no_such_profile", 1)
-    with pytest.raises(fh.ConfigurationError):
-        fh.named_profile("constant", 1, {"stray": 1})
+    for name in ("constant", "cosine_offset", "warped_sine"):
+        with pytest.raises(fh.ConfigurationError, match=f"^profile {name}: unknown params"):
+            fh.named_profile(name, 1, {"axis": 0, "stray": 1})
     with pytest.raises(fh.ConfigurationError):
         fh.FoliatedStructure(-1, lambda b: np.ones(np.asarray(b).shape[:-1]))
 

@@ -162,13 +162,16 @@ def test_exp_rejects_steps_beyond_injectivity_cap(sphere):
 
 
 def test_flat_torus_constants_are_read_only(torus2):
+    """``sqrt_det`` and ``riemann`` are read-only broadcast views; the dense
+    metric, inverse and Christoffel fields come from the base class."""
     points = np.zeros((5, 3, 2))
-    for field, want in [(torus2.metric(points), np.eye(2)),
-                        (torus2.metric_inv(points), np.eye(2)),
-                        (torus2.christoffel(points), np.zeros((2, 2, 2))),
-                        (torus2.sqrt_det(points), 1.0)]:
+    for field, want, view in [(torus2.metric(points), np.eye(2), False),
+                              (torus2.metric_inv(points), np.eye(2), False),
+                              (torus2.christoffel(points), np.zeros((2, 2, 2)), False),
+                              (torus2.sqrt_det(points), 1.0, True),
+                              (torus2.riemann(points), np.zeros((2,) * 4), True)]:
         assert field.shape == (5, 3) + np.shape(want)
-        assert not field.flags.writeable
+        assert field.flags.writeable is not view
         assert np.array_equal(field, np.broadcast_to(want, field.shape))
 
 

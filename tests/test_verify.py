@@ -1,13 +1,18 @@
 """Identity checks: first variation, curvature identity, reductions."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import folharm as fh
+from folharm import cli, maps
 from folharm.verify import _neville_to_zero
 from oracles import loop_bochner
 
 TWO_PI = 2 * np.pi
+CONFIGS = Path(__file__).parents[1] / "scripts" / "configs"
 
 
 def _circle_sine(n, amp=0.1):
@@ -179,3 +184,55 @@ def test_report_dict_shape():
     d = rep.to_dict()
     assert set(d) == {"identity", "grids", "residuals", "orders",
                       "tolerance", "order_tolerance", "pass"}
+
+
+# -- every identity check can fail -------------------------------------------
+
+
+def _scaled_cache(name, factor):
+    """Plant: every map field reads its cached derivative ``name`` times ``factor``."""
+    cached = maps.FoliatedMapField.__dict__[name]
+
+    def read(field):
+        if name not in field.__dict__:
+            cached.__get__(field)
+        return factor * field.__dict__[name]
+
+    return maps.FoliatedMapField, name, property(read)
+
+
+def _scaled_second_form(factor):
+    """Plant: every closed-form map's second form, times ``factor``."""
+    second_form = maps.AnalyticMap.second_form
+    return maps.AnalyticMap, "second_form", lambda psi, points: factor * second_form(psi, points)
+
+
+# check -> (shipped config, one wrong input); the composed map itself takes
+# only psi's values, so a wrong second form of psi shows on one side alone
+_PLANTS = {
+    "first_variation": ("verify_core_identities", _scaled_cache("tau", 1.1)),
+    "weitzenbock": ("verify_weitzenbock_refinement", _scaled_cache("S", 1.01)),
+    "composition": ("verify_composition_chain", _scaled_second_form(1.01)),
+}
+
+
+def _run_shipped_check(tmp_path, config, check):
+    """Exit code and report of ``check`` alone, at the shipped config's
+    resolutions, tolerance and order tolerance."""
+    doc = json.loads((CONFIGS / f"{config}.json").read_text())
+    doc["verify"]["checks"] = [check]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+    [report] = json.loads((tmp_path / "out" / "verify.json").read_text())["reports"]
+    return code, report
+
+
+@pytest.mark.parametrize("check", sorted(_PLANTS))
+def test_identity_check_fails_on_a_planted_error(tmp_path, monkeypatch, capsys, check):
+    config, plant = _PLANTS[check]
+    assert _run_shipped_check(tmp_path, config, check)[0] == 0
+    monkeypatch.setattr(*plant)
+    code, report = _run_shipped_check(tmp_path, config, check)
+    assert code == 1 and report["pass"] is False
+    assert f"FAIL {check}" in capsys.readouterr().out

@@ -126,13 +126,7 @@ class Experiment:
 
 
 def _resolve_out(args, config: dict) -> Path:
-    if args.out:
-        out = args.out
-    elif os.environ.get("FOLHARM_OUT"):
-        out = os.environ["FOLHARM_OUT"]
-    else:
-        out = config.get("out", "folharm_out")
-    path = Path(out)
+    path = Path(args.out or os.environ.get("FOLHARM_OUT") or config.get("out", "folharm_out"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 

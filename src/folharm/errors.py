@@ -1,5 +1,7 @@
 """Exception hierarchy for folharm."""
 
+from contextlib import contextmanager
+
 
 class FolharmError(Exception):
     """Base class for all folharm errors."""
@@ -35,3 +37,15 @@ class PreconditionError(FolharmError, ValueError):
 
 class FlowDivergedError(FolharmError, RuntimeError):
     """The heat flow energy blew up past the divergence guard."""
+
+
+@contextmanager
+def parameter_errors(name: str):
+    """Raise a TypeError or ValueError of the block as a ConfigurationError
+    that names ``name``; a FolharmError passes unchanged."""
+    try:
+        yield
+    except FolharmError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid parameters for {name}: {exc}") from exc

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, parameter_errors
 from .geometry import FlatTorus, HyperbolicPatch, RoundSphere, TransverseGeometry
 from .grid import GridChart
 from .maps import AnalyticMap, Mode, same_chart
@@ -51,11 +51,16 @@ def _linear(source, target, params):
 
 
 def _wavevector(source, kvec):
-    """Angular wavevector kvec * 2 pi / period; 0 on fixed source axes."""
+    """Angular wavevector kvec * 2 pi / period; 0 on fixed source axes.
+    A periodic axis takes whole waves only, so the field has no seam."""
     kvec = np.asarray(kvec, dtype=float)
     if kvec.shape != (source.dim,):
         raise ConfigurationError(f"mode wavevector must have {source.dim} entries")
     periods = source.axis_periods()
+    if np.any((kvec != np.round(kvec)) & (periods > 0)):
+        raise ConfigurationError(
+            f"mode wavevector {kvec.tolist()}: entries on periodic axes must be integers"
+        )
     return kvec * np.divide(2 * np.pi, periods, out=np.zeros(source.dim),
                             where=periods > 0)
 
@@ -75,7 +80,9 @@ def _parse_modes(params, source, default_amplitude):
         elif len(m) == 3:
             m += [0.0]
         comp, kvec, amp, phase = m
-        parsed.append(Mode(int(comp), _wavevector(source, kvec), amp, phase))
+        if comp != int(comp):
+            raise ValueError(f"mode component {comp!r} is not an integer")
+        parsed.append(Mode(int(comp), _wavevector(source, kvec), float(amp), float(phase)))
     return tuple(parsed)
 
 
@@ -158,10 +165,11 @@ def make_family(name: str, source: TransverseGeometry,
             f"map family: expected one of {sorted(_FAMILIES)}, got {name!r}"
         )
     params = dict(params or {})
-    offset, slope, modes, winding = _FAMILIES[name](source, target, params)
-    if params:
-        raise ConfigurationError(f"{name}: unknown params {params}")
-    return AnalyticMap(source, target, offset, slope, modes, winding)
+    with parameter_errors(name):
+        offset, slope, modes, winding = _FAMILIES[name](source, target, params)
+        if params:
+            raise ConfigurationError(f"{name}: unknown params {params}")
+        return AnalyticMap(source, target, offset, slope, modes, winding)
 
 
 def variation_field(grid: GridChart, target: TransverseGeometry,

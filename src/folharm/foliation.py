@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, parameter_errors
 
 __all__ = ["FoliatedStructure", "named_profile"]
 
@@ -99,21 +99,25 @@ def named_profile(name: str, leaf_dimension: int, params: dict | None = None
     ``axis`` raises ``ConfigurationError``.
     """
     params = dict(params or {})
-    axis = int(params.pop("axis", 0))
-    if name == "constant":
-        struct = FoliatedStructure.trivial(leaf_dimension)
-    elif name == "cosine_offset":
-        c = float(params.pop("offset", 2.0))
-        if c <= 1.0:
-            raise ConfigurationError(f"offset: must exceed 1 for positivity, got {c}")
-        struct = _axis_profile(leaf_dimension, axis, lambda x: c + np.cos(x),
-                               lambda x: -np.sin(x) / (c + np.cos(x)))
-    elif name == "warped_sine":
-        pa = leaf_dimension * float(params.pop("amplitude", 0.1))
-        struct = _axis_profile(leaf_dimension, axis, lambda x: np.exp(pa * np.sin(x)),
-                               lambda x: pa * np.cos(x))
-    else:
-        raise ConfigurationError(f"profile: unknown name {name!r}")
-    if params:
-        raise ConfigurationError(f"profile {name}: unknown params {params}")
-    return struct
+    with parameter_errors(f"profile {name}"):
+        axis = params.pop("axis", 0)
+        if axis != int(axis):
+            raise ValueError(f"axis {axis!r} is not an integer")
+        axis = int(axis)
+        if name == "constant":
+            struct = FoliatedStructure.trivial(leaf_dimension)
+        elif name == "cosine_offset":
+            c = float(params.pop("offset", 2.0))
+            if c <= 1.0:
+                raise ConfigurationError(f"offset: must exceed 1 for positivity, got {c}")
+            struct = _axis_profile(leaf_dimension, axis, lambda x: c + np.cos(x),
+                                   lambda x: -np.sin(x) / (c + np.cos(x)))
+        elif name == "warped_sine":
+            pa = leaf_dimension * float(params.pop("amplitude", 0.1))
+            struct = _axis_profile(leaf_dimension, axis, lambda x: np.exp(pa * np.sin(x)),
+                                   lambda x: pa * np.cos(x))
+        else:
+            raise ConfigurationError(f"profile: unknown name {name!r}")
+        if params:
+            raise ConfigurationError(f"profile {name}: unknown params {params}")
+        return struct

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, StepTooLargeError
+from .errors import ConfigurationError, DomainError, StepTooLargeError, parameter_errors
 
 __all__ = [
     "TransverseGeometry",
@@ -467,8 +467,6 @@ def build_geometry(spec: dict) -> TransverseGeometry:
             f"kind: expected one of {sorted(_GEOMETRY_KINDS)}, got {kind!r}"
         )
     cls = _GEOMETRY_KINDS[kind]
-    try:
+    with parameter_errors(kind):
         return cls(**spec)
-    except TypeError as exc:
-        raise ConfigurationError(f"invalid parameters for {kind}: {exc}") from exc
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -112,40 +111,6 @@ def map_to_csv(path, mapf: FoliatedMapField) -> None:
     _write_node_table(path, mapf.grid, {_MAP_FIELD: mapf.values}, winding)
 
 
-def _parse(path, line: int, cells, kind=float) -> list:
-    try:
-        return [kind(v) for v in cells]
-    except ValueError as exc:
-        raise InvalidMapError(f"{path}:{line}: {exc}") from exc
-
-
-def _parse_block(path, first: int, lines: list, width: int, count: int,
-                 n_nodes: int) -> np.ndarray:
-    """The node rows among ``lines`` (file lines ``first`` on) of a table
-    that holds ``count`` of its ``n_nodes`` rows so far.  A block that
-    ``np.loadtxt`` refuses, or with rows of another width or beyond the last
-    node, is parsed again row by row, which names the first bad line."""
-    with warnings.catch_warnings():     # a block of blank lines holds no data
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            # comments=None: the default '#' would drop a row or cell
-            cells = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-            if cells.shape[1] == width and count + len(cells) <= n_nodes:
-                return cells
-        except ValueError:
-            pass
-    rows = []
-    for line, row in enumerate(csv.reader(lines), start=first):
-        if not row:
-            continue
-        if count + len(rows) == n_nodes or len(row) != width:
-            raise InvalidMapError(
-                f"{path}:{line}: expected {n_nodes} node rows of {width} cells"
-            )
-        rows.append(_parse(path, line, row))
-    return np.array(rows).reshape(-1, width)
-
-
 def map_from_csv(path, grid: GridChart, target: TransverseGeometry
                  ) -> FoliatedMapField:
     """Load a map written by ``map_to_csv`` onto ``grid``.
@@ -157,18 +122,20 @@ def map_from_csv(path, grid: GridChart, target: TransverseGeometry
     q, qp = grid.dim, target.dim
     columns = _node_columns(q, {_MAP_FIELD: qp})
     n_nodes = int(np.prod(grid.shape))
-    table = np.empty((n_nodes, len(columns)))
-    winding_rows, header, count = [], None, 0
+    winding_rows, header = [], None
     with open(path, newline="") as fh:
-        for line, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
+        reader = csv.reader(fh)
+        for row in filter(None, reader):
             if row[0] != "# winding":
                 header = row
                 break
+            where = f"{path}:{reader.line_num}"
             if len(row) != q + 1:
-                raise InvalidMapError(f"{path}:{line}: winding row needs {q} entries")
-            winding_rows.append(_parse(path, line, row[1:], int))
+                raise InvalidMapError(f"{where}: winding row needs {q} entries")
+            try:
+                winding_rows.append([int(v) for v in row[1:]])
+            except ValueError as exc:
+                raise InvalidMapError(f"{where}: {exc}") from exc
         if header is None:
             raise InvalidMapError(f"{path}: no header row found")
         if header != columns:
@@ -176,13 +143,21 @@ def map_from_csv(path, grid: GridChart, target: TransverseGeometry
                 f"{path}: columns {header} do not match {columns} "
                 "of this grid and target"
             )
-        while block := list(islice(fh, _CHUNK_ROWS)):
-            cells = _parse_block(path, line + 1, block, len(columns), count, n_nodes)
-            table[count:count + len(cells)] = cells
-            count += len(cells)
-            line += len(block)
-    if count != n_nodes:
-        raise InvalidMapError(f"{path}: {count} node rows, the grid has {n_nodes}")
+        expected = (f"{path}: expected {n_nodes} node rows of {len(columns)} "
+                    f"cells after line {reader.line_num}")
+        with warnings.catch_warnings():     # no node rows: counted below
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                # comments=None: the default '#' would drop a row or cell
+                table = np.loadtxt(fh, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=2)
+            except ValueError as exc:
+                raise InvalidMapError(f"{expected}: {exc}") from exc
+    if len(table) != n_nodes:
+        raise InvalidMapError(f"{path}: {len(table)} node rows, the grid has {n_nodes}")
+    # loadtxt takes a table that is a cell wider or narrower in every row
+    if table.shape[1] != len(columns):
+        raise InvalidMapError(expected)
     index = table[:, :q]
     if not (np.all(index == np.round(index)) and np.all(index >= 0)
             and np.all(index < grid.shape)):

@@ -236,6 +236,65 @@ def test_foliation_axis_outside_the_chart_exits_two(tmp_path, capsys, subcommand
     assert not out.exists() or not any(out.iterdir())
 
 
+_CIRCLE = {"kind": "flat_torus", "periods": [TWO_PI]}
+_SPHERE = {"kind": "round_sphere", "radius": 1.0, "cap_angle": 0.4}
+_PATCH = {"kind": "hyperbolic_patch", "x_bounds": [-2.0, 2.0], "y_bounds": [0.5, 3.0]}
+
+
+def _family(name, params, **extra):
+    return _base_config(map={"family": name, "params": params}, **extra)
+
+
+def _profile(name, params):
+    return _base_config(source=_CIRCLE, foliation={"profile": name, "params": params})
+
+
+# a config whose family or profile params are malformed -> the name in its error
+_BAD_PARAMS = [
+    *[(_family("sine_perturbation", {"modes": modes}, source=_CIRCLE), "sine_perturbation")
+      for modes in ([[0]], [[0, [1], 0.5, 0.0, 9]], [["a", [1]]], [[0, [1], "x"]],
+                    [[0.5, [1]]])],
+    (_family("band_wave", {"theta": "x"}, target=_SPHERE), "band_wave"),
+    (_family("sine_into_patch", {"amplitudes": [1, 2]}, target=_PATCH), "sine_into_patch"),
+    (_family("linear", {"matrix": [["a", 0], [0, 1]]}), "linear"),
+    (_family("constant", {"point": ["a", 1]}), "constant"),
+    (_profile("cosine_offset", {"offset": "x"}), "cosine_offset"),
+    (_profile("warped_sine", {"axis": 0.5}), "warped_sine"),
+]
+
+
+@pytest.mark.parametrize("config, name", _BAD_PARAMS)
+def test_malformed_family_or_profile_params_exit_two(tmp_path, capsys, config, name):
+    cfg = _write_config(tmp_path, config)
+    assert cli.main(["energy", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and name in err
+
+
+def test_fractional_wavevector_on_a_periodic_axis_exits_two(tmp_path, capsys):
+    """Half a wave on the circle jumps at the seam."""
+    cfg = _write_config(tmp_path, _family("sine_perturbation", {"modes": [[0, [0.5], 0.5]]},
+                                          source=_CIRCLE, resolution=64))
+    assert cli.main(["tension", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "periodic axes must be integers" in capsys.readouterr().err
+
+
+def test_output_directory_precedence(tmp_path, monkeypatch):
+    """--out, then FOLHARM_OUT, then the config's out, then ./folharm_out;
+    an empty FOLHARM_OUT counts as unset."""
+    monkeypatch.chdir(tmp_path)
+    with_out = _write_config(tmp_path, _base_config(out="config_out"), name="with_out.json")
+    levels = [(with_out, ["--out", "flag_out"], "env_out", "flag_out"),
+              (with_out, [], "env_out", "env_out"),
+              (with_out, [], "", "config_out"),
+              (_write_config(tmp_path, _base_config()), [], "", "folharm_out")]
+    for cfg, flag, env, expected in levels:
+        monkeypatch.setenv("FOLHARM_OUT", env)
+        assert cli.main(["energy", "--config", cfg, *flag]) == 0
+        assert [p.parent.name for p in tmp_path.glob("*/energy.json")] == [expected]
+        (tmp_path / expected / "energy.json").unlink()
+
+
 def _huge_sine_config(amplitude, **extra):
     return _base_config(map={"family": "sine_perturbation",
                              "params": {"modes": [[0, [1, 0], amplitude, 0.0]]}}, **extra)

@@ -256,11 +256,13 @@ def test_family_registry_errors(torus1, torus2, sphere, patch):
         ("sine_perturbation", torus2, sphere, None),
         ("sine_perturbation", torus2, torus2, {"modes": [[2, [1, 0]]]}),
         ("sine_perturbation", torus2, torus2, {"modes": [[0, [1, 0, 0]]]}),
+        ("sine_perturbation", torus2, torus2, {"modes": [[0, [0.5, 0]]]}),
         ("latitude_circle", torus2, sphere, None),
         ("latitude_circle", torus1, torus1, None),
         ("band_wave", torus1, sphere, None),
         ("band_wave", torus2, torus2, None),
         ("band_wave", torus2, sphere, {"kvec": [1, 1, 1]}),
+        ("band_wave", torus2, sphere, {"kvec": [1, 1.5]}),
         ("sine_into_patch", torus1, patch, None),
         ("sine_into_patch", torus2, sphere, None),
         ("constant", torus2, sphere, {"point": [1.0, 2.0, 3.0]}),
@@ -273,7 +275,7 @@ def test_family_registry_errors(torus1, torus2, sphere, patch):
         with pytest.raises(fh.ConfigurationError, match=f"^{name}: unknown params .*stray"):
             fh.make_family(name, source, target, {**(params or {}), "stray": 1})
     grid = fh.build_grid(torus2, 8)
-    for spec in ({"kvec": [1]}, {"component": 2}, {"stray": 1}):
+    for spec in ({"kvec": [1]}, {"kvec": [1, 0.5]}, {"component": 2}, {"stray": 1}):
         with pytest.raises(fh.ConfigurationError):
             fh.variation_field(grid, torus2, spec)
 
@@ -312,9 +314,10 @@ def test_family_derivatives_match_central_differences(family):
 
 
 def test_variation_field_is_constant_along_fixed_axes(sphere):
-    """omega is 2 pi / period on periodic axes and 0 on fixed ones."""
+    """omega is 2 pi / period on periodic axes and 0 on fixed ones, whose
+    wavevector entry need not be an integer."""
     grid = fh.build_grid(sphere, 16)      # theta fixed, phi periodic
-    V = fh.variation_field(grid, sphere, {"component": 1, "kvec": [3, 2],
+    V = fh.variation_field(grid, sphere, {"component": 1, "kvec": [2.5, 2],
                                           "amplitude": 0.5, "phase": 0.1})
     phi = grid.points[..., 1]
     assert np.allclose(V[..., 1], 0.5 * np.sin(2 * phi + 0.1), atol=1e-14)

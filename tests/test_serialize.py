@@ -5,6 +5,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,6 +152,23 @@ def test_map_csv_reader_takes_blank_lines_and_quoted_cells(tmp_path, torus2):
     path.write_text("\n".join(lines) + "\n")
     back = serialize.map_from_csv(path, grid, torus2)
     assert np.array_equal(back.values, mapf.values)
+
+
+@pytest.mark.parametrize("edit", [lambda c: c + ["0.0"], lambda c: c[:-1]],
+                         ids=["one cell more", "one cell fewer"])
+def test_map_csv_rows_of_another_width_are_refused(tmp_path, torus2, edit):
+    """``np.loadtxt`` takes a table whose every row has the same wrong
+    width; the reader refuses it against the header's six cells."""
+    grid = fh.build_grid(torus2, 8)
+    mapf = fh.FoliatedMapField(grid, torus2, np.random.default_rng(6).random(grid.shape + (2,)))
+    path = tmp_path / "map.csv"
+    serialize.map_to_csv(path, mapf)
+    lines = path.read_text().splitlines()
+    start = sum(line.startswith("# winding") for line in lines) + 1
+    lines[start:] = [",".join(edit(line.split(","))) for line in lines[start:]]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(fh.InvalidMapError, match="node rows of 6 cells"):
+        serialize.map_from_csv(path, grid, torus2)
 
 
 def test_trace_csv(tmp_path, torus1):

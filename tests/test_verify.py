@@ -207,11 +207,14 @@ def _scaled_second_form(factor):
     return maps.AnalyticMap, "second_form", lambda psi, points: factor * second_form(psi, points)
 
 
-# check -> (shipped config, one wrong input); the composed map itself takes
-# only psi's values, so a wrong second form of psi shows on one side alone
+# check [mode] -> (shipped config, one wrong input); the composed map itself
+# takes only psi's values, so a wrong second form of psi shows on one side
+# alone.  Harmonic-mode Weitzenboeck on the totally geodesic identity of the
+# sphere has S = 0 and a constant |d_T phi|^2, so it shows a wrong D only.
 _PLANTS = {
     "first_variation": ("verify_core_identities", _scaled_cache("tau", 1.1)),
     "weitzenbock": ("verify_weitzenbock_refinement", _scaled_cache("S", 1.01)),
+    "weitzenbock harmonic": ("report_sphere_identity", _scaled_cache("D", 1.01)),
     "composition": ("verify_composition_chain", _scaled_second_form(1.01)),
 }
 
@@ -228,9 +231,10 @@ def _run_shipped_check(tmp_path, config, check):
     return code, report
 
 
-@pytest.mark.parametrize("check", sorted(_PLANTS))
-def test_identity_check_fails_on_a_planted_error(tmp_path, monkeypatch, capsys, check):
-    config, plant = _PLANTS[check]
+@pytest.mark.parametrize("case", sorted(_PLANTS))
+def test_identity_check_fails_on_a_planted_error(tmp_path, monkeypatch, capsys, case):
+    config, plant = _PLANTS[case]
+    check = case.split()[0]
     assert _run_shipped_check(tmp_path, config, check)[0] == 0
     monkeypatch.setattr(*plant)
     code, report = _run_shipped_check(tmp_path, config, check)

@@ -2,9 +2,9 @@
 between model foliated Riemannian manifolds, with identity-verification
 oracles.
 
-The public names below load with their submodule on first access (PEP 562),
-so ``import folharm.cli`` leaves numpy unloaded until the CLI has applied
-its thread caps.
+The public names below, and the submodules that hold them, load on first
+access (PEP 562), so ``import folharm.cli`` leaves numpy unloaded until the
+CLI has applied its thread caps.
 """
 
 from importlib import import_module as _import_module
@@ -41,11 +41,14 @@ _EXPORTS = {
                "composition_residuals", "refinement_report",
                "weitzenbock_residual", "weitzenbock_terms"),
     "families": ("make_family", "variation_field"),
+    "serialize": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name):
+    if name in _EXPORTS:                # a submodule
+        return _import_module(f".{name}", __name__)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(_import_module(f".{_HOME[name]}", __name__), name)

@@ -29,6 +29,14 @@ import os
 import sys
 from pathlib import Path
 
+# ``fh.<name>`` loads its submodule on first use (PEP 562), so this module
+# loads without numpy, before ``--threads`` is applied, and calls the
+# package's current functions.
+import folharm as fh
+
+from ._schema import Schema
+from .errors import ConfigurationError, FolharmError, InvalidMapError
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
@@ -48,8 +56,6 @@ def load_config(path) -> dict:
     ``-Infinity``, or a literal such as ``1e309`` or ``1`` followed by 400
     zeros that overflows) is rejected while parsing.
     """
-    from ._schema import Schema
-    from .errors import ConfigurationError
 
     def number(token: str) -> int | float:
         value = float(token)
@@ -78,39 +84,28 @@ class Experiment:
     """Geometries, foliation, grid and initial map built from a config."""
 
     def __init__(self, config: dict, seed: int | None = None):
-        from . import (
-            build_geometry,
-            build_grid,
-            named_profile,
-        )
-
         self.config = config
         self.seed = config.get("seed", 0) if seed is None else seed
-        self.source = build_geometry(config["source"])
+        self.source = fh.build_geometry(config["source"])
         self.target = (
-            build_geometry(config["target"]) if "target" in config else self.source
+            fh.build_geometry(config["target"]) if "target" in config else self.source
         )
         self.struct = None
         if "foliation" in config:
             fol = config["foliation"]
-            self.struct = named_profile(
+            self.struct = fh.named_profile(
                 fol["profile"], fol.get("leaf_dimension", 1), fol.get("params")
             )
             # one sample at a chart corner: a profile that does not fit the
             # chart fails here, before any subcommand work
             self.struct.vol_at(self.source.chart_bounds[:, 0])
         self.resolution = config["resolution"]
-        self.grid = build_grid(self.source, self.resolution)
+        self.grid = fh.build_grid(self.source, self.resolution)
 
     def grid_at(self, n: int):
-        from . import build_grid
-
-        return build_grid(self.source, n)
+        return fh.build_grid(self.source, n)
 
     def initial_map(self, grid=None):
-        from . import make_family, serialize
-        from .errors import ConfigurationError
-
         grid = self.grid if grid is None else grid
         spec = self.config.get("map")
         if spec is None:
@@ -118,8 +113,8 @@ class Experiment:
                 "this subcommand needs a 'map' entry in the config"
             )
         if "csv" in spec:
-            return serialize.map_from_csv(spec["csv"], grid, self.target)
-        fam = make_family(
+            return fh.serialize.map_from_csv(spec["csv"], grid, self.target)
+        fam = fh.make_family(
             spec["family"], self.source, self.target, spec.get("params")
         )
         return fam.realize(grid)
@@ -135,17 +130,12 @@ def _resolve_out(args, config: dict) -> Path:
 
 
 def run_tension(exp: Experiment, out: Path) -> tuple[int, dict]:
-    import numpy as np
-
-    from . import serialize, tension_sup_norm
-    from .errors import InvalidMapError
-
     mapf = exp.initial_map()
     tau = mapf.tau
-    max_tension, mean_abs = tension_sup_norm(mapf), float(np.mean(np.abs(tau)))
-    if not np.isfinite([max_tension, mean_abs]).all():
+    max_tension, mean_abs = fh.tension_sup_norm(mapf), float(abs(tau).mean())
+    if not (math.isfinite(max_tension) and math.isfinite(mean_abs)):
         raise InvalidMapError(f"tension field is not finite: max |tau| = {max_tension!r}")
-    serialize.scalar_field_to_csv(out / "tension.csv", exp.grid, {"tau": tau})
+    fh.serialize.scalar_field_to_csv(out / "tension.csv", exp.grid, {"tau": tau})
     payload = {
         "subcommand": "tension",
         "resolution": list(exp.grid.shape),
@@ -154,16 +144,13 @@ def run_tension(exp: Experiment, out: Path) -> tuple[int, dict]:
         "seed": exp.seed,
         "pass": True,
     }
-    serialize.dump_json(out / "tension.json", payload)
+    fh.serialize.dump_json(out / "tension.json", payload)
     return EXIT_OK, payload
 
 
 def run_energy(exp: Experiment, out: Path) -> tuple[int, dict]:
-    from . import serialize, transversal_energy
-    from .errors import InvalidMapError
-
     mapf = exp.initial_map()
-    E = transversal_energy(mapf, exp.struct, check_cancellation=exp.struct is not None)
+    E = fh.transversal_energy(mapf, exp.struct, check_cancellation=exp.struct is not None)
     if not math.isfinite(E):
         raise InvalidMapError(f"transversal energy E_B = {E!r} is not finite")
     payload = {
@@ -173,26 +160,17 @@ def run_energy(exp: Experiment, out: Path) -> tuple[int, dict]:
         "seed": exp.seed,
         "pass": True,
     }
-    serialize.dump_json(out / "energy.json", payload)
+    fh.serialize.dump_json(out / "energy.json", payload)
     print(f"E_B = {E!r}")
     return EXIT_OK, payload
 
 
 def run_flow_cmd(exp: Experiment, out: Path) -> tuple[int, dict]:
-    from . import (
-        FlowConfig,
-        RigidityTolerances,
-        rigidity_diagnostics,
-        run_flow,
-        serialize,
-        tension_sup_norm,
-    )
-
-    flow_cfg = FlowConfig(**exp.config.get("flow", {}))
+    flow_cfg = fh.FlowConfig(**exp.config.get("flow", {}))
     mapf = exp.initial_map()
-    final, trace = run_flow(mapf, exp.struct, flow_cfg)
-    serialize.trace_to_csv(out / "flow_trace.csv", trace)
-    serialize.map_to_csv(out / "flow_final_map.csv", final)
+    final, trace = fh.run_flow(mapf, exp.struct, flow_cfg)
+    fh.serialize.trace_to_csv(out / "flow_trace.csv", trace)
+    fh.serialize.map_to_csv(out / "flow_final_map.csv", final)
     converged = trace.termination == "tension_tol"
     payload = {
         "subcommand": "flow",
@@ -201,7 +179,7 @@ def run_flow_cmd(exp: Experiment, out: Path) -> tuple[int, dict]:
         "steps": trace.steps[-1],
         "initial_energy": trace.energy[0],
         "final_energy": trace.energy[-1],
-        "final_max_tension": tension_sup_norm(final),
+        "final_max_tension": trace.max_tension[-1],    # recorded when final was accepted
         "monotone_energy": all(
             b <= a + 1e-14 for a, b in zip(trace.energy, trace.energy[1:])
         ),
@@ -211,11 +189,11 @@ def run_flow_cmd(exp: Experiment, out: Path) -> tuple[int, dict]:
     if "rigidity" in exp.config and converged:
         rig = dict(exp.config["rigidity"])
         rank_cap = rig.pop("rank_cap")
-        diag = rigidity_diagnostics(
-            final, exp.struct, rank_cap, RigidityTolerances(**rig)
+        diag = fh.rigidity_diagnostics(
+            final, exp.struct, rank_cap, fh.RigidityTolerances(**rig)
         )
         payload["rigidity"] = diag.to_dict()
-    serialize.dump_json(out / "flow.json", payload)
+    fh.serialize.dump_json(out / "flow.json", payload)
     return (EXIT_OK if converged else EXIT_CHECK_FAILED), payload
 
 
@@ -226,10 +204,6 @@ def _verify_reports(exp: Experiment) -> list[dict]:
     at ``resolution``.  The first variation always runs once: its finite
     differences are in the variation parameter, not in the grid spacing.
     """
-    from . import refinement_report
-    from .errors import InvalidMapError
-    from .verify import IdentityResidualReport
-
     vcfg = exp.config["verify"]
     tolerances = vcfg.get("tolerances", {})
     order_tol = vcfg.get("order_tolerance", 1.7)
@@ -238,12 +212,12 @@ def _verify_reports(exp: Experiment) -> list[dict]:
     for check in vcfg["checks"]:
         residual, default_tol = _CHECKS[check]
         if resolutions and check != "first_variation":
-            rep = refinement_report(check, resolutions, lambda n: residual(exp, n),
+            rep = fh.refinement_report(check, resolutions, lambda n: residual(exp, n),
                                     order_tol, tolerances.get(check))
         else:
             tol = tolerances.get(check, default_tol)
             r = residual(exp, exp.resolution)
-            rep = IdentityResidualReport(
+            rep = fh.IdentityResidualReport(
                 check, [list(exp.grid.shape)], [r],
                 tolerance=tol, passed=(tol is None or r <= tol),
             )
@@ -254,16 +228,14 @@ def _verify_reports(exp: Experiment) -> list[dict]:
 
 
 def run_verify(exp: Experiment, out: Path) -> tuple[int, dict]:
-    from . import serialize
-
     reports = _verify_reports(exp)
-    serialize.dump_json(out / "verify.json", {"reports": reports})
-    serialize.write_csv(
+    fh.serialize.dump_json(out / "verify.json", {"reports": reports})
+    fh.serialize.write_csv(
         out / "verify_summary.csv",
         ["identity", "finest_residual", "min_order", "pass"],
         [[rep["identity"] for rep in reports],
-         [serialize.fmt(rep["residuals"][-1]) for rep in reports],
-         [serialize.fmt(min(rep["orders"])) if rep["orders"] else "" for rep in reports],
+         [fh.serialize.fmt(rep["residuals"][-1]) for rep in reports],
+         [fh.serialize.fmt(min(rep["orders"])) if rep["orders"] else "" for rep in reports],
          [str(rep["pass"]).lower() for rep in reports]],
     )
     ok = True
@@ -278,8 +250,6 @@ def run_verify(exp: Experiment, out: Path) -> tuple[int, dict]:
 
 
 def run_report(exp: Experiment, out: Path) -> tuple[int, dict]:
-    from . import serialize
-
     payload: dict = {"subcommand": "report", "seed": exp.seed}
     codes = []
     selected_by = {"energy": ("map",), "flow": ("flow", "rigidity"), "verify": ("verify",)}
@@ -288,7 +258,7 @@ def run_report(exp: Experiment, out: Path) -> tuple[int, dict]:
             code, payload[part] = _SUBCOMMANDS[part][0](exp, out)
             codes.append(code)
     payload["pass"] = all(c == EXIT_OK for c in codes)
-    serialize.dump_json(out / "report.json", payload)
+    fh.serialize.dump_json(out / "report.json", payload)
     return (EXIT_OK if payload["pass"] else EXIT_CHECK_FAILED), payload
 
 
@@ -302,68 +272,53 @@ def _clear_stale_outputs(out: Path) -> None:
 
 # -- identity checks -------------------------------------------------------
 # Each check is residual(exp, n), its residual on the grid of resolution n.
-# Checks import from the package when called, so this module loads without
-# numpy and sees the package's current functions.
 
 
 def _require_foliation(exp: Experiment, check: str):
-    from .errors import ConfigurationError
-
     if exp.struct is None:
         raise ConfigurationError(f"{check} check needs a foliation")
     return exp.struct
 
 
 def _first_variation(exp: Experiment, n: int) -> float:
-    from . import VariationSpec, check_first_variation, variation_field
-
     var = dict(exp.config.get("variation", {}))
-    fd_steps = tuple(var.pop("fd_steps", VariationSpec.fd_steps))
+    fd_steps = tuple(var.pop("fd_steps", fh.VariationSpec.fd_steps))
     grid = exp.grid_at(n)
-    spec = VariationSpec(variation_field(grid, exp.target, var), fd_steps)
-    return check_first_variation(exp.initial_map(grid), exp.struct, spec).residuals[0]
+    spec = fh.VariationSpec(fh.variation_field(grid, exp.target, var), fd_steps)
+    return fh.check_first_variation(exp.initial_map(grid), exp.struct, spec).residuals[0]
 
 
 def _weitzenbock(exp: Experiment, n: int) -> float:
-    from . import weitzenbock_residual
-
     mode = exp.config["verify"].get("weitzenbock_mode", "general")
-    return weitzenbock_residual(exp.initial_map(exp.grid_at(n)), exp.struct, mode)
+    return fh.weitzenbock_residual(exp.initial_map(exp.grid_at(n)), exp.struct, mode)
 
 
 def _lemma_volume(exp: Experiment, n: int) -> float:
-    from . import FoliatedStructure, check_lemma_volume
-
     struct = _require_foliation(exp, "lemma_volume")
     if exp.config.get("resolutions"):
         # exercise the finite-difference route by withholding the closed-form
         # derivative
-        struct = FoliatedStructure(struct.leaf_dimension, struct.vol, None)
-    return check_lemma_volume(exp.grid_at(n), struct)
+        struct = fh.FoliatedStructure(struct.leaf_dimension, struct.vol, None)
+    return fh.check_lemma_volume(exp.grid_at(n), struct)
 
 
 def _divergence(exp: Experiment, n: int) -> float:
-    from . import check_divergence_theorem, variation_field
-
     struct = _require_foliation(exp, "divergence")
     grid = exp.grid_at(n)
     field_spec = exp.config["verify"].get("divergence_field", {})
-    X = variation_field(grid, grid.geometry, field_spec, wave="cos")
-    return check_divergence_theorem(grid, X, struct)
+    X = fh.variation_field(grid, grid.geometry, field_spec, wave="cos")
+    return fh.check_divergence_theorem(grid, X, struct)
 
 
 def _composition(exp: Experiment, n: int) -> float:
-    from . import build_geometry, composition_residuals, make_family
-    from .errors import ConfigurationError
-
     comp_cfg = exp.config["verify"].get("compose_with")
     if comp_cfg is None:
         raise ConfigurationError("composition check needs verify.compose_with")
-    psi = make_family(
-        comp_cfg["family"], exp.target, build_geometry(comp_cfg["target"]),
+    psi = fh.make_family(
+        comp_cfg["family"], exp.target, fh.build_geometry(comp_cfg["target"]),
         comp_cfg.get("params"),
     )
-    return max(composition_residuals(exp.initial_map(exp.grid_at(n)), psi).values())
+    return max(fh.composition_residuals(exp.initial_map(exp.grid_at(n)), psi).values())
 
 
 # check name -> (residual, default tolerance of the single-grid report)
@@ -399,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=None,
                        help="worker thread cap for numerical kernels")
         p.add_argument("--seed", type=int, default=None,
-                       help="random seed (recorded in reports)")
+                       help="a label recorded in the reports; nothing is drawn at random")
     return parser
 
 
@@ -411,9 +366,6 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
     if args.threads is not None:
         _set_thread_limit(args.threads)
-
-    from .errors import ConfigurationError, FolharmError
-
     try:
         config = load_config(args.config)
         exp = Experiment(config, seed=args.seed)

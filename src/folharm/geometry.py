@@ -58,9 +58,6 @@ class TransverseGeometry:
     chart_bounds: np.ndarray      # (q, 2)
     periodic: tuple[bool, ...]    # per-axis boundary tag
     injectivity_cap: float
-    # True when the chart's Christoffel symbols vanish identically, so the
-    # connection terms of the map derivatives can be skipped
-    christoffel_vanishes: bool = False
     # True when ``metric`` and ``metric_inv`` are the identity everywhere, so
     # the metric factors of the contractions can be skipped
     metric_is_identity: bool = False
@@ -146,9 +143,8 @@ class TransverseGeometry:
 
     def christoffel_term(self, points: np.ndarray, D: np.ndarray) -> np.ndarray | None:
         """Gamma^g_st D^s_a D^t_b (..., q, p, p) of D (..., q, p); None if the symbols vanish."""
-        if self.christoffel_vanishes:
-            return None
-        return quadratic_term(self.christoffel_symbols(points), D, D, self.dim)
+        symbols = self.christoffel_symbols(points)
+        return quadratic_term(symbols, D, D, self.dim) if symbols else None
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -214,7 +210,6 @@ class FlatTorus(TransverseGeometry):
     """Flat torus R^q / (P_1 Z x ... x P_q Z) with the Euclidean metric."""
 
     kind = "flat_torus"
-    christoffel_vanishes = True
     metric_is_identity = True
 
     def __init__(self, periods: Sequence[float], injectivity_cap: float | None = None):

@@ -295,7 +295,7 @@ def delta_B_scalar(grid: GridChart, f: np.ndarray,
     Delta_B cos = cos.
     """
     grad, hess = derivatives(grid, f)
-    if not grid.geometry.christoffel_vanishes:
+    if grid.christoffel_symbols:
         hess = hess - lower_christoffel(grid.christoffel_symbols, grad)
     out = -metric_trace(grid.metric_inv_factor, hess)
     out += along(kappa_sharp(grid, struct), grad)

@@ -312,8 +312,9 @@ class AnalyticMap:
         y = self.func(points)
         J = self.jac(points)
         H = self.hess(points)
-        if not self.source.christoffel_vanishes:
-            H = H - lower_christoffel(self.source.christoffel_symbols(points), J)
+        symbols = self.source.christoffel_symbols(points)
+        if symbols:
+            H = H - lower_christoffel(symbols, J)
         gamma_term = self.target.christoffel_term(y, J)
         return H if gamma_term is None else H + gamma_term
 
@@ -338,10 +339,10 @@ def second_fund_form(mapf: FoliatedMapField) -> np.ndarray:
     S^g_{ab} = d_a d_b phi^g - Gamma^c_{ab} d_c phi^g
              + Gamma'^g_{st}(phi) d_a phi^s d_b phi^t.
 
-    A Christoffel term is skipped where its geometry says the symbols vanish.
+    A Christoffel term is skipped where its geometry has no nonzero symbols.
     """
     D, S = mapf.D, mapf.partials[1]
-    if not mapf.grid.geometry.christoffel_vanishes:
+    if mapf.grid.christoffel_symbols:
         S = S - lower_christoffel(mapf.grid.christoffel_symbols, D)
     gamma_term = mapf.target.christoffel_term(mapf.values, D)
     return S if gamma_term is None else S + gamma_term
@@ -384,9 +385,8 @@ def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray) -> np.ndarray:
     Christoffel symbols vanish.
     """
     ds = grad_B(mapf.grid, s)
-    if mapf.target.christoffel_vanishes:
-        return ds
-    ds += quadratic_term(mapf.target_gamma, mapf.D, s[..., None], mapf.target.dim)[..., 0]
+    if mapf.target_gamma:
+        ds += quadratic_term(mapf.target_gamma, mapf.D, s[..., None], mapf.target.dim)[..., 0]
     return ds
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import importlib
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import folharm
 from folharm import cli
 from folharm.errors import ConfigurationError
 
@@ -269,6 +271,27 @@ def test_malformed_family_or_profile_params_exit_two(tmp_path, capsys, config, n
     assert cli.main(["energy", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and name in err
+
+
+# subcommand, config, exit code, words of the error
+_ERROR_PATHS = {
+    **{f"{sub} without a map": (sub, {"source": _CIRCLE, "resolution": 16}, 2,
+                                "needs a 'map' entry") for sub in ("energy", "tension", "flow")},
+    **{f"{check} without a foliation": ("verify", _base_config(verify={"checks": [check]}), 2,
+                                        f"{check} check needs a foliation")
+       for check in ("lemma_volume", "divergence")},
+    "composition without compose_with": (
+        "verify", _base_config(verify={"checks": ["composition"]}), 2,
+        "composition check needs verify.compose_with"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ERROR_PATHS))
+def test_error_paths_exit_with_their_code_and_words(tmp_path, capsys, case):
+    subcommand, config, code, words = _ERROR_PATHS[case]
+    cfg = _write_config(tmp_path, config)
+    assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    assert words in capsys.readouterr().err
 
 
 def test_fractional_wavevector_on_a_periodic_axis_exits_two(tmp_path, capsys):
@@ -546,6 +569,15 @@ def test_cold_start_loads_neither_jsonschema_nor_numpy():
     assert done.stdout.strip() == "[]"
 
 
+def test_submodules_resolve_through_the_package_namespace(monkeypatch):
+    """``folharm.<module>`` works before anything has imported the module, as
+    the CLI's ``fh.serialize`` needs on a cold start."""
+    for name in folharm._EXPORTS:
+        module = importlib.import_module(f"folharm.{name}")
+        monkeypatch.delattr(folharm, name)
+        assert getattr(folharm, name) is module
+
+
 def _truncate(lines):
     return lines[:len(lines) // 2]
 
@@ -565,6 +597,10 @@ def _winding_only(lines):
 
 def _short_winding_row(lines):
     return [lines[0].rsplit(",", 1)[0]] + lines[1:]
+
+
+def _non_integer_winding_cell(lines):
+    return ["# winding,x," + lines[0].rsplit(",", 1)[1]] + lines[1:]
 
 
 # the node rows start after two winding rows and the header
@@ -596,6 +632,7 @@ _CSV_FAULTS = {
     _drop_phi_column: "do not match",
     _winding_only: "no header row",
     _short_winding_row: "winding row needs 2 entries",
+    _non_integer_winding_cell: "broken.csv:1: invalid literal for int()",
     _non_numeric_cell: "could not convert",
     _extra_cell: "node rows of 6 cells",
     _index_outside_grid: "node indices outside",

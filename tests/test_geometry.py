@@ -226,14 +226,20 @@ def test_open_chart_bounds_are_strict():
     """A point exactly on an open bound, theta = _CHART_TOL or pi - _CHART_TOL on
     the sphere and y = _CHART_TOL on the patch, is refused by ``contains``,
     ``exp`` and ``FoliatedMapField``, also where the closed chart box, with its
-    slack of _CHART_TOL, reaches the bound."""
+    slack of _CHART_TOL, reaches the bound or past it; a point 2e-9 from the
+    pole or from y = 0 is taken there."""
     tol = fh.geometry._CHART_TOL
     sphere = fh.RoundSphere(radius=1.0, cap_angle=tol)
     patch = fh.HyperbolicPatch([-1.0, 1.0], [tol, 2.0])
+    wide_sphere = fh.RoundSphere(cap_angle=1e-12)
+    low_patch = fh.HyperbolicPatch([-1.0, 1.0], [1e-10, 1.0])
     grid = fh.build_grid(fh.FlatTorus([2 * np.pi]), 8)
     for geom, inside, edge in [(sphere, [1.0, 0.5], [tol, 0.5]),
                                (sphere, [1.0, 0.5], [np.pi - tol, 0.5]),
-                               (patch, [0.0, 1.0], [0.0, tol])]:
+                               (patch, [0.0, 1.0], [0.0, tol]),
+                               (wide_sphere, [2e-9, 0.5], [1e-9, 0.5]),
+                               (wide_sphere, [np.pi - 2e-9, 0.5], [np.pi - 1e-9, 0.5]),
+                               (low_patch, [0.0, 2e-9], [0.0, 1e-9])]:
         inside, edge = np.array(inside), np.array(edge)
         assert geom.contains(inside) and not geom.contains(edge)
         with pytest.raises(fh.DomainError):

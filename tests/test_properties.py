@@ -154,15 +154,15 @@ def _matches(got, spec, *operands):
        st.lists(st.lists(st.floats(min_value=0.05, max_value=0.95),
                          min_size=2, max_size=2), min_size=1, max_size=5))
 def test_christoffel_vanishes_exactly_where_the_symbols_are_zero(label, fractions):
-    """The geometry flag that lets the map derivatives skip Christoffel terms
-    is set exactly when Gamma^c_{ab} is zero at points across the chart, and
-    the one that lets them skip metric factors exactly when g is the
-    identity there."""
+    """The map derivatives skip Christoffel terms where ``christoffel_symbols``
+    is empty, which it is exactly when Gamma^c_{ab} is zero at points across
+    the chart; they skip metric factors where the geometry flags g as the
+    identity, which it does exactly when g is the identity there."""
     geom = _CATALOG[label]
     bounds = np.asarray(geom.chart_bounds, dtype=float)
     frac = np.asarray(fractions)[:, :geom.dim]
     points = bounds[:, 0] + frac * (bounds[:, 1] - bounds[:, 0])
-    assert geom.christoffel_vanishes == (not geom.christoffel(points).any())
+    assert (geom.christoffel_symbols(points) == {}) == (not geom.christoffel(points).any())
     identity = np.eye(geom.dim)
     assert geom.metric_is_identity == bool((geom.metric(points) == identity).all()
                                            and (geom.metric_inv(points) == identity).all())

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time explicit heat-flow steps in-process, as ``run_flow`` pays for them.
+"""Time heat-flow steps in-process, as ``run_flow`` pays for them.
 
     python3 scripts/step_time.py [--config C] [--resolution N] [--attempts K]
 
@@ -9,8 +9,10 @@ settings, ``tension_tol=0`` and ``max_steps=K``: the initial map's energy
 and tension, K steps with their energies, rejections and trace statistics.
 Each of five runs starts from a freshly built initial map.  Prints one JSON
 line with the median and quartiles over the runs of the milliseconds per
-accepted step.  With no ``--config`` it does so for each shipped flow
-config at its shipped resolution, one line each.  Set
+accepted step, and the step route the source grid selects: ``fft`` (the
+preconditioned step of a flat torus) or ``explicit``; per-step figures of
+the two routes are not comparable.  With no ``--config`` it does so for
+each shipped flow config at its shipped resolution, one line each.  Set
 OPENBLAS_NUM_THREADS=1 for figures comparable with the benchmark.
 """
 
@@ -54,6 +56,7 @@ def time_steps(path: Path, resolution: int | None, attempts: int) -> dict:
     q1, med, q3 = np.percentile(per_step, [25, 50, 75])
     return {
         "config": path.name, "resolution": list(mapf.grid.shape),
+        "route": "fft" if flow._preconditioned(mapf.grid) else "explicit",
         "attempts": attempts, "steps": steps, "termination": trace.termination,
         "runs": RUNS, "dt": flow_config.resolve_dt(mapf.grid),
         "median_ms": round(float(med), 3), "q1_ms": round(float(q1), 3),

@@ -1,12 +1,27 @@
 """Transversal energy and the transversal heat flow (gradient descent).
 
-The flow updates phi_new(b) = exp_{phi(b)}(dt * tau_b(phi)(b)) with the
-target exponential map, which is steepest descent of the transversal energy
-in the L^2(mu_M / vol_L) inner product; critical points are exactly the
-transversally harmonic maps.  Explicit Euler from a CFL step, halved
-whenever a candidate's energy rises or ``exp`` refuses the step, so accepted
-energies never rise; fixed-boundary source nodes are frozen.  Every energy
-the flow holds, the initial one included, must be finite.
+The flow updates phi_new(b) = exp_{phi(b)}(v(b)) with the target
+exponential map along a step v built from the tension tau = tau_b(phi);
+critical points are exactly the transversally harmonic maps.  The source
+grid selects the step, and the rule of the default dt:
+
+* on a flat, fully periodic source (a flat torus) the step is
+  semi-implicit, v = (I - dt Delta_h)^{-1} (dt tau), with Delta_h the
+  stencil Laplacian sum_a diff2: one FFT pair over the source axes divides
+  each Fourier mode by 1 + dt times the symbol ``GridChart.diff2_symbol``
+  (Chen & Shen 1998).  The default dt is 1 / lambda_1, lambda_1 =
+  min_a (2 pi / P_a)^2 the torus's first eigenvalue, so the step count
+  does not grow with the resolution;
+* on every other source it is explicit Euler, v = dt tau, which is steepest
+  descent of the transversal energy in the L^2(mu_M / vol_L) inner
+  product, with fixed-boundary source nodes frozen.  The default dt is 0.9
+  of the CFL bound.
+
+Both routes share the step-size policy: dt is halved whenever a
+candidate's energy rises, ``exp`` refuses the step or the candidate leaves
+the target chart, and it never grows, so accepted energies never rise.
+Fixed points are exactly tau = 0 on both.  Every energy the flow holds,
+the initial one included, must be finite.
 
 Each attempt takes the candidate's partials in one stencil pass and its
 energy from the target geometry's closed-form |d_T phi|^2; an accepted
@@ -21,7 +36,13 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .errors import ConfigurationError, FlowDivergedError, PreconditionError, StepTooLargeError
+from .errors import (
+    ConfigurationError,
+    FlowDivergedError,
+    InvalidMapError,
+    PreconditionError,
+    StepTooLargeError,
+)
 from .foliation import FoliatedStructure
 from .grid import GridChart, integrate
 from .maps import FoliatedMapField, energy_density, second_form_norm_squared, tension_sup_norm
@@ -48,17 +69,28 @@ def cfl_step(grid: GridChart) -> float:
     return 0.9 * min(h**2 for h in grid.spacing) / (2 * grid.dim * max_gaa)
 
 
+def _preconditioned(grid: GridChart) -> bool:
+    """Whether the flow takes the FFT-preconditioned step on this source grid:
+    a flat, fully periodic one."""
+    return grid.fully_periodic and grid.geometry.metric_is_identity
+
+
 @dataclass
 class FlowConfig:
     """Step size, iteration budget and stopping rule for the heat flow."""
 
-    dt: float | None = None            # None: the grid's CFL step
+    dt: float | None = None            # None: the step route's rule (resolve_dt)
     max_steps: int = 100_000
     tension_tol: float = 1e-6
     dt_min: float = 1e-12
 
     def resolve_dt(self, grid: GridChart) -> float:
+        """The configured dt, or by default 1 / lambda_1 on a flat torus (the
+        FFT-preconditioned step), lambda_1 = min_a (2 pi / P_a)^2 for its
+        periods P_a = n_a h_a, and the CFL step elsewhere."""
         if self.dt is None:
+            if _preconditioned(grid):
+                return 1 / min((2 * np.pi / (n * h)) ** 2 for n, h in zip(grid.shape, grid.spacing))
             return cfl_step(grid)
         dt = float(self.dt)
         if not 0 < dt < np.inf:
@@ -112,12 +144,25 @@ def transversal_energy(mapf: FoliatedMapField,
     return value
 
 
+def _resolvent(grid: GridChart, v: np.ndarray, dt: float) -> np.ndarray:
+    """(I - dt Delta_h)^{-1} v on a fully periodic grid, Delta_h = sum_a diff2:
+    one FFT pair over the source axes, dividing each mode by 1 + dt times
+    the stencil symbol."""
+    axes = tuple(range(grid.dim))
+    v_hat = np.fft.fftn(v, axes=axes)
+    v_hat /= (1 + dt * grid.diff2_symbol)[..., None]
+    return np.fft.ifftn(v_hat, axes=axes).real
+
+
 def flow_step(mapf: FoliatedMapField, dt: float) -> FoliatedMapField:
-    """One explicit Euler step phi -> exp_phi(dt * tau_b(phi))."""
+    """One step phi -> exp_phi(v): v = (I - dt Delta_h)^{-1} (dt tau) on a
+    flat torus, v = dt tau with fixed-boundary nodes frozen elsewhere."""
+    grid = mapf.grid
     v = dt * mapf.tau
-    mask = mapf.grid.boundary_mask
-    if mask is not None:
-        v = np.where(mask[..., None], 0.0, v)
+    if _preconditioned(grid):
+        v = _resolvent(grid, v, dt)
+    elif grid.boundary_mask is not None:
+        v = np.where(grid.boundary_mask[..., None], 0.0, v)
     return mapf.replace_values(mapf.target.exp(mapf.values, v))
 
 
@@ -153,7 +198,7 @@ def run_flow(mapf: FoliatedMapField, struct: FoliatedStructure | None,
             break
         try:
             candidate = flow_step(mapf, dt)
-        except StepTooLargeError:       # exp refused a step beyond its cap
+        except (StepTooLargeError, InvalidMapError):   # beyond exp's cap, or the target chart
             rejected = True
         else:
             E_c = transversal_energy(candidate, struct)

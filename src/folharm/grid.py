@@ -8,6 +8,11 @@ are exact on fields that are polynomials of degree <= 1 in the chart
 coordinates of a flat chart.  ``derivatives`` takes the first and second
 partials of one field in one pass, wrapping each periodic axis once.
 
+The discrete Fourier modes of a periodic axis have the angular wavenumbers
+``GridChart.wavenumbers``; they give the exact symbol of the stencil
+Laplacian (``diff2_symbol``) and a spectral first derivative
+(``spectral_diff1``).  ``numpy.fft`` is loaded only when one is used.
+
 Integration is a weighted Riemann sum against the base volume element
 w(i) = sqrt(det g(b_i)) * prod_a h_a, with composite-trapezoid end weights on
 fixed axes.  The measure factorization mu_M = vol_L * mu_B is the concrete
@@ -32,6 +37,7 @@ __all__ = [
     "build_grid",
     "diff1",
     "diff2",
+    "spectral_diff1",
     "mixed_diff",
     "grad_B",
     "derivatives",
@@ -105,6 +111,24 @@ class GridChart:
                     w[tuple(edge)] = w[tuple(edge)] * 0.5
         return w
 
+    @cached_property
+    def wavenumbers(self) -> tuple[np.ndarray, ...]:
+        """Angular wavenumbers 2 pi fftfreq(n_a, h_a) of each axis, in the
+        order of ``numpy.fft``: those of the discrete Fourier modes of a
+        periodic axis."""
+        return tuple(2 * np.pi * np.fft.fftfreq(n, h) for n, h in zip(self.shape, self.spacing))
+
+    @cached_property
+    def diff2_symbol(self) -> np.ndarray:
+        """sum_a (4 / h_a^2) sin^2(k_a h_a / 2) at each Fourier mode k, added
+        in order of a: on a fully periodic grid the stencil Laplacian
+        sum_a diff2 multiplies mode k by minus this."""
+        total = np.zeros(self.shape)
+        for a, (k, h) in enumerate(zip(self.wavenumbers, self.spacing)):
+            s = np.sin(k * h / 2)
+            total += _along_axis(4 / h**2 * s * s, self.dim, a)
+        return total
+
     @property
     def fully_periodic(self) -> bool:
         return all(self.periodic)
@@ -163,6 +187,11 @@ def _sl(ndim: int, axis: int, s) -> tuple:
     return tuple(idx)
 
 
+def _along_axis(x: np.ndarray, ndim: int, axis: int) -> np.ndarray:
+    """A 1-D array x as an array of ``ndim`` axes that runs along ``axis``."""
+    return x.reshape([x.size if b == axis else 1 for b in range(ndim)])
+
+
 @lru_cache(maxsize=None)
 def _axis_slices(ndim: int, axis: int) -> tuple:
     """Index tuples along ``axis``: [-1:], [:1], [2:], [1:-1] and [:-2]."""
@@ -211,6 +240,19 @@ def diff2(grid: GridChart, f: np.ndarray, axis: int) -> np.ndarray:
     """Second partial derivative along one axis, second order."""
     _partials_into(grid, f, axis, None, out := np.empty(f.shape))
     return out
+
+
+def spectral_diff1(grid: GridChart, f: np.ndarray, axis: int) -> np.ndarray:
+    """First partial derivative along a periodic axis by one FFT pair: exact,
+    up to rounding, on trigonometric polynomials below the Nyquist mode,
+    whose derivative it takes as zero."""
+    if not grid.periodic[axis]:
+        raise UnsupportedDomainError(f"spectral derivative needs a periodic axis, got axis {axis}")
+    n, k = grid.shape[axis], grid.wavenumbers[axis].copy()
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    f_hat = np.fft.fft(f, axis=axis) * (1j * _along_axis(k, f.ndim, axis))
+    return np.fft.ifft(f_hat, axis=axis).real
 
 
 def mixed_diff(grid: GridChart, f: np.ndarray, a: int, b: int) -> np.ndarray:

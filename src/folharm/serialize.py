@@ -143,8 +143,7 @@ def map_from_csv(path, grid: GridChart, target: TransverseGeometry
                 f"{path}: columns {header} do not match {columns} "
                 "of this grid and target"
             )
-        expected = (f"{path}: expected {n_nodes} node rows of {len(columns)} "
-                    f"cells after line {reader.line_num}")
+        header_line = reader.line_num
         with warnings.catch_warnings():     # no node rows: counted below
             warnings.simplefilter("ignore", UserWarning)
             try:
@@ -152,12 +151,14 @@ def map_from_csv(path, grid: GridChart, target: TransverseGeometry
                 table = np.loadtxt(fh, delimiter=",", comments=None,
                                    quotechar='"', ndmin=2)
             except ValueError as exc:
-                raise InvalidMapError(f"{expected}: {exc}") from exc
+                raise InvalidMapError(
+                    _node_row_fault(path, header_line, len(columns), exc)) from exc
     if len(table) != n_nodes:
         raise InvalidMapError(f"{path}: {len(table)} node rows, the grid has {n_nodes}")
     # loadtxt takes a table that is a cell wider or narrower in every row
     if table.shape[1] != len(columns):
-        raise InvalidMapError(expected)
+        raise InvalidMapError(_node_row_fault(path, header_line, len(columns),
+                                              f"node rows of {table.shape[1]} cells"))
     index = table[:, :q]
     if not (np.all(index == np.round(index)) and np.all(index >= 0)
             and np.all(index < grid.shape)):
@@ -172,6 +173,34 @@ def map_from_csv(path, grid: GridChart, target: TransverseGeometry
     values[flat] = table[:, 2 * q:]
     winding = np.array(winding_rows, dtype=int) if winding_rows else None
     return FoliatedMapField(grid, target, values.reshape(grid.shape + (qp,)), winding)
+
+
+def _is_number(cell: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``cell`` as a float: the text ``float``
+    takes, less underscores and non-ASCII digits, which numpy refuses."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return cell.isascii() and "_" not in cell
+
+
+def _node_row_fault(path, header_line: int, width: int, cause) -> str:
+    """'PATH:LINE: ...' naming, by its 1-based line in the file, the first
+    node row after line ``header_line`` that is not ``width`` numbers, or
+    'PATH: cause' if ``csv`` reads every row as such."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if reader.line_num <= header_line or not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != width:
+                return f"{where}: expected node rows of {width} cells, got {len(row)}"
+            for column, cell in enumerate(row, 1):
+                if not _is_number(cell):
+                    return f"{where}: could not convert cell {column} {cell!r} to a number"
+    return f"{path}: {cause}"
 
 
 def trace_to_csv(path, trace) -> None:

@@ -29,7 +29,16 @@ from .errors import PreconditionError
 from .flow import transversal_energy
 from .foliation import FoliatedStructure
 from .geometry import _total
-from .grid import GridChart, along, delta_B_scalar, grad_B, kappa_on_grid, kappa_sharp, metric_trace
+from .grid import (
+    GridChart,
+    along,
+    delta_B_scalar,
+    grad_B,
+    kappa_on_grid,
+    kappa_sharp,
+    metric_trace,
+    spectral_diff1,
+)
 from .maps import (
     AnalyticMap,
     FoliatedMapField,
@@ -228,13 +237,19 @@ def weitzenbock_residual(mapf: FoliatedMapField,
 
 
 def check_lemma_volume(grid: GridChart, struct: FoliatedStructure) -> float:
-    """Max-norm of d_B vol_L + vol_L kappa_B over the grid."""
+    """Max-norm of d_B vol_L + vol_L kappa_B over the grid.
+
+    With a closed-form kappa, d_B vol is the spectral derivative of vol on a
+    periodic axis, so that a wrong closed form shows; a fixed axis takes
+    vol times the closed-form d log vol.  Without one (the refined route)
+    d_B vol and kappa are both central differences, of vol and log vol.
+    """
     vol = struct.vol_at(grid.points)
     kappa = kappa_on_grid(grid, struct)
     if struct.has_closed_form_kappa:
-        dvol = vol[..., None] * np.asarray(
-            struct.dlog_vol(grid.points), dtype=float
-        )
+        dlog = np.asarray(struct.dlog_vol(grid.points), dtype=float)
+        dvol = np.stack([spectral_diff1(grid, vol, a) if grid.periodic[a] else vol * dlog[..., a]
+                         for a in range(grid.dim)], axis=-1)
     else:
         dvol = grad_B(grid, vol)
     return float(np.max(np.abs(dvol + vol[..., None] * kappa)))

@@ -15,7 +15,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from folharm.errors import FlowDivergedError, StepTooLargeError
+from folharm.errors import FlowDivergedError, InvalidMapError, StepTooLargeError
 from folharm.grid import grad_B, hessian_scalar, integrate
 
 
@@ -261,11 +261,32 @@ def dense_christoffel_term(geom, points, D):
     return contract("...gst,...tb,...sa->...gab", geom.christoffel(points), D, D)
 
 
-def dense_flow(mapf, struct, config):
+def stencil_symbol(grid):
+    """sum_a (4 / h_a^2) sin^2(k_a h_a / 2) at each Fourier mode of a periodic
+    grid, k_a = 2 pi fftfreq(n_a, h_a), one node at a time, added in order
+    of a."""
+    per_axis = []
+    for n, h in zip(grid.shape, grid.spacing):
+        s = np.sin(2 * np.pi * np.fft.fftfreq(n, h) * h / 2)
+        per_axis.append(4 / h**2 * s * s)
+    out = np.empty(grid.shape)
+    for i in np.ndindex(grid.shape):
+        total = 0.0
+        for a, j in enumerate(i):
+            total += per_axis[a][j]
+        out[i] = total
+    return out
+
+
+def dense_flow(mapf, struct, config, preconditioned=False):
     """``run_flow``'s iteration, step size policy and checks, with every
-    contraction on the dense route.  Returns the final map values and the
+    contraction on the dense route.  With ``preconditioned`` each step
+    vector dt tau is divided, mode by mode of one FFT over the source axes,
+    by 1 + dt ``stencil_symbol``.  Returns the final map values and the
     trace rows (step, E, max|tau|, max|S|, max|d_T phi|^2)."""
     grid, target, h = mapf.grid, mapf.target, mapf.grid.metric_inv
+    axes = tuple(range(grid.dim))
+    symbol = stencil_symbol(grid) if preconditioned else None
 
     def evaluate(field):
         values, f = field.values, field.periodic_part
@@ -289,11 +310,14 @@ def dense_flow(mapf, struct, config):
     tau_max = accept(0, field, q)
     while tau_max > config.tension_tol and step < config.max_steps:
         v = dt * q["tau"]
-        if grid.boundary_mask is not None:
+        if preconditioned:
+            v = np.fft.ifftn(np.fft.fftn(v, axes=axes) / (1 + dt * symbol)[..., None],
+                             axes=axes).real
+        elif grid.boundary_mask is not None:
             v = np.where(grid.boundary_mask[..., None], 0.0, v)
         try:
             candidate = field.replace_values(target.exp(field.values, v))
-        except StepTooLargeError:
+        except (StepTooLargeError, InvalidMapError):
             rejected = True
         else:
             q_c = evaluate(candidate)

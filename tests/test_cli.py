@@ -633,8 +633,8 @@ _CSV_FAULTS = {
     _winding_only: "no header row",
     _short_winding_row: "winding row needs 2 entries",
     _non_integer_winding_cell: "broken.csv:1: invalid literal for int()",
-    _non_numeric_cell: "could not convert",
-    _extra_cell: "node rows of 6 cells",
+    _non_numeric_cell: "broken.csv:4: could not convert cell 6 'north'",
+    _extra_cell: "broken.csv:4: expected node rows of 6 cells, got 7",
     _index_outside_grid: "node indices outside",
     _moved_chart_coordinates: "chart coordinates do not match",
 }

@@ -1,5 +1,6 @@
 """Heat flow: descent, convergence, stopping rules, rigidity diagnostics."""
 
+import json
 import warnings
 from pathlib import Path
 
@@ -9,6 +10,34 @@ import pytest
 import folharm as fh
 
 TWO_PI = 2 * np.pi
+CONFIGS = Path(__file__).parents[1] / "scripts" / "configs"
+
+
+def _shipped(name, resolution=None):
+    """The flow settings and the experiment of a shipped config, at its own
+    resolution or the one given."""
+    from folharm.cli import Experiment, load_config
+
+    config = load_config(CONFIGS / f"{name}.json")
+    if resolution is not None:
+        config["resolution"] = resolution
+    return config["flow"], Experiment(config)
+
+
+SHIPPED_FLOWS = ["flow_circle_sine", "flow_rigidity_flat", "flow_rigidity_hyperbolic"]
+
+
+def _take_explicit_route(monkeypatch):
+    """Make every source grid take the explicit Euler step and its CFL dt, the
+    reference the FFT-preconditioned step of flat tori is tested against."""
+    import folharm.flow as flow
+
+    monkeypatch.setattr(flow, "_preconditioned", lambda grid: False)
+
+
+@pytest.fixture
+def explicit_route(monkeypatch):
+    _take_explicit_route(monkeypatch)
 
 
 def _circle_flow(n=64, amp=0.5, **cfg):
@@ -22,6 +51,76 @@ def test_cfl_step_flat_grid():
     grid = fh.build_grid(fh.FlatTorus([TWO_PI]), 64)
     h = TWO_PI / 64
     assert np.isclose(fh.cfl_step(grid), 0.9 * h * h / 2)
+
+
+@pytest.mark.parametrize("periods, dt", [([TWO_PI], 1.0), ([TWO_PI, TWO_PI], 1.0),
+                                         ([1.0, 2.0], 1 / np.pi**2)])
+def test_default_dt_on_a_flat_torus_is_one_over_its_first_eigenvalue(periods, dt):
+    """lambda_1 = min_a (2 pi / P_a)^2, so dt = 1 on the shipped 2 pi periods."""
+    grid = fh.build_grid(fh.FlatTorus(periods), 16)
+    assert fh.FlowConfig().resolve_dt(grid) == pytest.approx(dt, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("source", ["sphere", "patch"])
+def test_curved_or_bounded_sources_take_the_explicit_step(request, monkeypatch, torus2,
+                                                          source):
+    """A round-sphere source and a source with fixed axes take the explicit
+    step v = dt tau, frozen on the boundary, bit for bit, from the CFL dt,
+    and never call numpy's FFT."""
+    geometry = request.getfixturevalue(source)
+    grid = fh.build_grid(geometry, 16)
+    values = 0.3 * np.random.default_rng(5).standard_normal(grid.shape + (2,))
+    mapf = fh.FoliatedMapField(grid, torus2, values)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("FFT called on the explicit route")
+
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    dt = fh.FlowConfig().resolve_dt(grid)
+    assert dt == fh.cfl_step(grid)
+    v = np.where(grid.boundary_mask[..., None], 0.0, dt * mapf.tau)
+    assert np.array_equal(fh.flow_step(mapf, dt).values, torus2.exp(values, v))
+    _, trace = fh.run_flow(mapf, None, fh.FlowConfig(max_steps=3, tension_tol=1e-14))
+    assert trace.termination == "max_steps"
+
+
+def _shipped_flow_steps(name, resolution):
+    settings, exp = _shipped(name, resolution)
+    _, trace = fh.run_flow(exp.initial_map(), exp.struct, fh.FlowConfig(**settings))
+    assert trace.termination == "tension_tol"
+    return trace.steps[-1]
+
+
+def test_fft_step_count_does_not_grow_with_the_resolution(monkeypatch):
+    """flow_rigidity_flat takes as many FFT-preconditioned steps at n = 16,
+    32 and 64; explicit steps, whose dt is proportional to h^2, grow about
+    4x from n = 16 to n = 32."""
+    fft = [_shipped_flow_steps("flow_rigidity_flat", n) for n in (16, 32, 64)]
+    assert fft[0] == fft[1] == fft[2] <= 20
+    _take_explicit_route(monkeypatch)
+    explicit = [_shipped_flow_steps("flow_rigidity_flat", n) for n in (16, 32)]
+    assert 3.5 <= explicit[1] / explicit[0] <= 4.5
+
+
+@pytest.mark.parametrize("name", SHIPPED_FLOWS)
+def test_fft_and_explicit_routes_reach_the_same_limit(tmp_path, monkeypatch, name):
+    """Each shipped flow ends with the same termination and verdict on both
+    routes, and final energies equal to 1e-10 relative, or 1e-6 absolute
+    on the hyperbolic flow, whose limit energy is 0."""
+    from folharm import cli
+
+    def run(out):
+        assert cli.main(["flow", "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)]) == 0
+        return json.loads((out / "flow.json").read_text())
+
+    fft = run(tmp_path / "fft")
+    _take_explicit_route(monkeypatch)
+    explicit = run(tmp_path / "explicit")
+    assert fft["termination"] == explicit["termination"] == "tension_tol"
+    assert fft.get("rigidity", {}).get("verdict") == explicit.get("rigidity", {}).get("verdict")
+    assert fft["steps"] < explicit["steps"]
+    tolerance = 1e-6 if name == "flow_rigidity_hyperbolic" else 1e-10 * explicit["final_energy"]
+    assert abs(fft["final_energy"] - explicit["final_energy"]) <= tolerance
 
 
 def test_energy_decreases_monotonically():
@@ -61,7 +160,7 @@ def test_max_steps_termination():
     assert trace.steps[-1] == 5
 
 
-def test_steps_beyond_the_injectivity_cap_are_halved():
+def test_steps_beyond_the_injectivity_cap_are_halved(explicit_route):
     """exp refuses the CFL step on a circle with a tiny injectivity cap; the
     flow halves dt once and converges at half the step size."""
     def flow(cap):
@@ -80,25 +179,34 @@ def test_steps_beyond_the_injectivity_cap_are_halved():
     assert 1.9 * free.steps[-1] <= capped.steps[-1] <= 2.1 * free.steps[-1]
 
 
-@pytest.mark.parametrize("name", ["flow_circle_sine", "flow_rigidity_flat",
-                                  "flow_rigidity_hyperbolic"])
-def test_refused_huge_steps_warn_nothing(name):
+@pytest.mark.parametrize("name", SHIPPED_FLOWS)
+def test_refused_huge_steps_warn_nothing(explicit_route, name):
     """dt = 1e300 makes |v| overflow in exp's cap test; the length is inf,
     silently, so the step is refused and dt halved without a numpy
     warning, down to steps the flow accepts."""
-    from folharm.cli import Experiment, load_config
+    assert _huge_step_flow(name).termination == "max_steps"
 
-    config = load_config(Path(__file__).parents[1] / "scripts" / "configs" / f"{name}.json")
-    config["resolution"] = 16
-    exp = Experiment(config)
+
+@pytest.mark.parametrize("name", SHIPPED_FLOWS)
+def test_refused_huge_steps_warn_nothing_on_the_fft_route(name):
+    """The preconditioned step keeps the mean of dt tau undivided, so exp
+    refuses it at dt = 1e300; the halvings warn nothing, and the flow then
+    converges within the five steps."""
+    assert _huge_step_flow(name).termination == "tension_tol"
+
+
+def _huge_step_flow(name):
+    """The trace of five steps from dt = 1e300 of a shipped flow at n = 16,
+    with every numpy warning an error."""
+    _, exp = _shipped(name, 16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, trace = fh.run_flow(exp.initial_map(), exp.struct,
                                fh.FlowConfig(dt=1e300, max_steps=5))
-    assert trace.termination == "max_steps"
+    return trace
 
 
-def test_rejections_below_dt_min_end_in_dt_underflow():
+def test_rejections_below_dt_min_end_in_dt_underflow(explicit_route):
     """dt = 2.5 scales the sine mode by about -1.5, so the energy rises; one
     halving lands below dt_min and the flow stops on its initial map."""
     grid = fh.build_grid(fh.FlatTorus([TWO_PI]), 32)
@@ -155,24 +263,36 @@ def test_block_reduced_trace_columns_equal_per_map_values(monkeypatch, flow_run,
         assert d2_max == float(np.max(m.dT_norm_sq))
 
 
-@pytest.mark.parametrize("name", ["flow_circle_sine", "flow_rigidity_flat",
-                                  "flow_rigidity_hyperbolic"])
-def test_trace_and_final_map_equal_the_dense_route(name):
-    """50 steps of each shipped flow at its shipped resolution: the trace
-    columns and the final map of ``run_flow``, whose contractions are the
-    geometries' closed forms, equal exactly those of an oracle loop that
+@pytest.mark.parametrize("name", SHIPPED_FLOWS)
+def test_trace_and_final_map_equal_the_dense_route(explicit_route, name):
+    """50 explicit steps of each shipped flow at its shipped resolution: the
+    trace columns and the final map of ``run_flow``, whose contractions are
+    the geometries' closed forms, equal exactly those of an oracle loop that
     contracts the full metric and Christoffel arrays."""
-    from folharm.cli import Experiment, load_config
+    assert _flow_and_dense_route(name, 50, preconditioned=False) == "max_steps"
+
+
+@pytest.mark.parametrize("name", SHIPPED_FLOWS)
+def test_trace_and_final_map_equal_the_dense_route_on_the_fft_route(name):
+    """Each whole shipped flow on its flat torus, FFT-preconditioned: trace
+    and final map equal exactly those of the oracle loop, which divides by
+    its own node-by-node stencil symbol."""
+    assert _flow_and_dense_route(name, None, preconditioned=True) == "tension_tol"
+
+
+def _flow_and_dense_route(name, max_steps, preconditioned):
+    """Run a shipped flow and the dense oracle loop, require equal traces and
+    final maps, and return the termination."""
     from oracles import dense_flow
 
-    config = load_config(Path(__file__).parents[1] / "scripts" / "configs" / f"{name}.json")
-    exp = Experiment(config)
-    flow_config = fh.FlowConfig(**{**config["flow"], "max_steps": 50})
+    settings, exp = _shipped(name)
+    flow_config = fh.FlowConfig(**settings if max_steps is None
+                                else {**settings, "max_steps": max_steps})
     final, trace = fh.run_flow(exp.initial_map(), exp.struct, flow_config)
-    values, rows = dense_flow(exp.initial_map(), exp.struct, flow_config)
-    assert trace.termination == "max_steps"
+    values, rows = dense_flow(exp.initial_map(), exp.struct, flow_config, preconditioned)
     assert trace.columns()[1] == [list(column) for column in zip(*rows)]
     assert np.array_equal(final.values, values)
+    return trace.termination
 
 
 def test_backtracking_recovers_from_large_dt():
@@ -180,6 +300,22 @@ def test_backtracking_recovers_from_large_dt():
     final, trace = _circle_flow(n=32, amp=0.3, dt=0.05, tension_tol=1e-5)
     assert trace.termination == "tension_tol"
     assert all(b <= a + 1e-14 for a, b in zip(trace.energy, trace.energy[1:]))
+
+
+@pytest.mark.parametrize("explicit, dt", [(False, 16.0), (True, 3.0)], ids=["fft", "explicit"])
+def test_steps_that_leave_the_target_chart_are_halved(monkeypatch, explicit, dt):
+    """On a patch whose chart ends at y = 1.8 the first step of the given dt
+    leaves it; the flow halves dt, as for a step beyond exp's cap, and
+    converges."""
+    if explicit:
+        _take_explicit_route(monkeypatch)
+    grid = fh.build_grid(fh.FlatTorus([TWO_PI, TWO_PI]), 8)
+    patch = fh.HyperbolicPatch(x_bounds=(-2.0, 2.0), y_bounds=(0.5, 1.8))
+    mapf = fh.make_family("sine_into_patch", grid.geometry, patch).realize(grid)
+    with pytest.raises(fh.InvalidMapError, match="leave the target chart"):
+        fh.flow_step(mapf, dt)
+    _, trace = fh.run_flow(mapf, None, fh.FlowConfig(dt=dt, tension_tol=1e-4))
+    assert trace.termination == "tension_tol"
 
 
 def test_fixed_boundary_nodes_do_not_move(patch):
@@ -248,7 +384,7 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_one_derivative_pass_per_flow_attempt(monkeypatch):
+def test_one_derivative_pass_per_flow_attempt(explicit_route, monkeypatch):
     """Each candidate map computes d_T once, rejected (backtracked) ones too."""
     import folharm.flow as flow
     import folharm.maps as maps

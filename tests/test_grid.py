@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import folharm as fh
-from folharm.grid import diff1, diff2, hessian_scalar, mixed_diff
+from folharm.grid import diff1, diff2, hessian_scalar, mixed_diff, spectral_diff1
 from oracles import seam_diff1, seam_diff2
 
 TWO_PI = 2 * np.pi
@@ -12,6 +12,33 @@ TWO_PI = 2 * np.pi
 
 def _circle_grid(n=64):
     return fh.build_grid(fh.FlatTorus([TWO_PI]), n)
+
+
+# -- Fourier modes ---------------------------------------------------------
+
+
+def test_diff2_symbol_is_the_stencil_laplacian_of_each_fourier_mode():
+    """On a fully periodic grid with axes of even and odd n, sum_a diff2 of a
+    random field is minus the symbol times each of its Fourier modes."""
+    grid = fh.build_grid(fh.FlatTorus([TWO_PI, 3.0]), (12, 9))
+    f = np.random.default_rng(11).standard_normal(grid.shape)
+    laplacian = diff2(grid, f, 0) + diff2(grid, f, 1)
+    spectral = np.fft.ifftn(-grid.diff2_symbol * np.fft.fftn(f)).real
+    assert np.max(np.abs(laplacian - spectral)) <= 1e-12 * np.max(np.abs(laplacian))
+
+
+def test_spectral_derivative_is_exact_below_the_nyquist_mode(patch):
+    """sin(3x) cos(4wy) + cos(8x) on a 16 x 9 grid: cos(8x) is the Nyquist
+    mode of the x axis, whose derivative -8 sin(8x) vanishes at the nodes."""
+    grid = fh.build_grid(fh.FlatTorus([TWO_PI, 3.0]), (16, 9))
+    x, y, w = grid.points[..., 0], grid.points[..., 1], TWO_PI / 3.0
+    f = np.sin(3 * x) * np.cos(4 * w * y) + np.cos(8 * x)
+    assert np.max(np.abs(spectral_diff1(grid, f, 0)
+                         - 3 * np.cos(3 * x) * np.cos(4 * w * y))) <= 1e-12
+    assert np.max(np.abs(spectral_diff1(grid, f, 1)
+                         + 4 * w * np.sin(3 * x) * np.sin(4 * w * y))) <= 1e-12
+    with pytest.raises(fh.UnsupportedDomainError, match="periodic axis"):
+        spectral_diff1(fh.build_grid(patch, 16), f, 0)
 
 
 # -- stencil accuracy ------------------------------------------------------

@@ -171,6 +171,40 @@ def test_map_csv_rows_of_another_width_are_refused(tmp_path, torus2, edit):
         serialize.map_from_csv(path, grid, torus2)
 
 
+# edit of a node row's cells -> the words after PATH:LINE: of the error
+_NODE_ROW_FAULTS = {
+    "not a number": (lambda c: c[:-1] + ["north"], "could not convert cell 6 'north' to a number"),
+    "underscore": (lambda c: c[:-1] + ["1_0"], "could not convert cell 6 '1_0' to a number"),
+    "non-ASCII digit": (lambda c: c[:-1] + ["\uff11"], "could not convert cell 6 '\uff11'"),
+    "one cell more": (lambda c: c + ["0.0"], "expected node rows of 6 cells, got 7"),
+    "one cell fewer": (lambda c: c[:-1], "expected node rows of 6 cells, got 5"),
+}
+
+
+@pytest.mark.parametrize("every_row", [False, True], ids=["third row", "every row"])
+@pytest.mark.parametrize("fault", list(_NODE_ROW_FAULTS))
+def test_map_csv_faults_name_their_line_in_the_file(tmp_path, torus2, fault, every_row):
+    """A node row that is not six numbers is reported as PATH:LINE, the line
+    of the file counted from 1, blank lines included: the third node row
+    after a blank line, or the first when every row has the fault (which
+    ``np.loadtxt`` takes when it is a uniform width)."""
+    edit, words = _NODE_ROW_FAULTS[fault]
+    grid = fh.build_grid(torus2, 8)
+    mapf = fh.FoliatedMapField(grid, torus2, np.random.default_rng(7).random(grid.shape + (2,)))
+    path = tmp_path / "map.csv"
+    serialize.map_to_csv(path, mapf)
+    lines = path.read_text().splitlines()
+    start = sum(line.startswith("# winding") for line in lines) + 1
+    lines.insert(start, "")
+    edited = range(start + 1, len(lines)) if every_row else [start + 3]
+    for i in edited:
+        lines[i] = ",".join(edit(lines[i].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(fh.InvalidMapError) as err:
+        serialize.map_from_csv(path, grid, torus2)
+    assert str(err.value).startswith(f"{path}:{edited[0] + 1}: {words}")
+
+
 def test_trace_csv(tmp_path, torus1):
     trace = fh.FlowTrace()
     trace.record(0, 1.0, 0.5, 0.25, 2.0)

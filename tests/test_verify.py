@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import folharm as fh
-from folharm import cli, maps
+from folharm import cli, foliation, maps
 from folharm.verify import _neville_to_zero
 from oracles import loop_bochner
 
@@ -207,6 +207,16 @@ def _scaled_second_form(factor):
     return maps.AnalyticMap, "second_form", lambda psi, points: factor * second_form(psi, points)
 
 
+def _scaled_profile_derivative(factor):
+    """Plant: every named axis profile's closed-form d log vol, times ``factor``."""
+    axis_profile = foliation._axis_profile
+
+    def planted(leaf_dimension, axis, vol, dlog):
+        return axis_profile(leaf_dimension, axis, vol, lambda x: factor * dlog(x))
+
+    return foliation, "_axis_profile", planted
+
+
 # check [mode] -> (shipped config, one wrong input); the composed map itself
 # takes only psi's values, so a wrong second form of psi shows on one side
 # alone.  Harmonic-mode Weitzenboeck on the totally geodesic identity of the
@@ -216,6 +226,7 @@ _PLANTS = {
     "weitzenbock": ("verify_weitzenbock_refinement", _scaled_cache("S", 1.01)),
     "weitzenbock harmonic": ("report_sphere_identity", _scaled_cache("D", 1.01)),
     "composition": ("verify_composition_chain", _scaled_second_form(1.01)),
+    "lemma_volume": ("verify_core_identities", _scaled_profile_derivative(-3.0)),
 }
 
 

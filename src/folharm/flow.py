@@ -64,8 +64,7 @@ __all__ = [
 def cfl_step(grid: GridChart) -> float:
     """0.9 of the stability bound min_a h_a^2 / (2 q max g^{aa}) of the
     explicit flow."""
-    h = grid.metric_inv_factor
-    max_gaa = 1.0 if h is None else float(np.max(h))
+    max_gaa = float(np.max(grid.metric_inv_factor))
     return 0.9 * min(h**2 for h in grid.spacing) / (2 * grid.dim * max_gaa)
 
 
@@ -261,11 +260,10 @@ class RigidityDiagnostics:
         }
 
 
-def _whitened(g: np.ndarray | None, gt: np.ndarray | None, D: np.ndarray) -> np.ndarray:
+def _whitened(g: np.ndarray, gt: np.ndarray, D: np.ndarray) -> np.ndarray:
     """The whitened Jacobian A = L'^T D L^{-T} (..., q', q), where L = diag(sqrt g_aa)
-    and L' = diag(sqrt g'_ss) for the metric factors g and g' (None: identity)."""
-    A = D if gt is None else np.sqrt(gt)[..., :, None] * D
-    return A if g is None else A / np.sqrt(g)[..., None, :]
+    and L' = diag(sqrt g'_ss) for the metric diagonals g and g'."""
+    return np.sqrt(gt)[..., :, None] * D / np.sqrt(g)[..., None, :]
 
 
 def _singular_values_2x2(A: np.ndarray) -> np.ndarray:
@@ -288,7 +286,7 @@ def _whitened_singular_values(mapf: FoliatedMapField) -> np.ndarray:
     q, qt = mapf.grid.dim, mapf.target.dim
     if q == 1 or qt == 1:   # one singular value, |d_T phi|
         return np.sqrt(np.maximum(mapf.dT_norm_sq, 0.0))[..., None]
-    A = _whitened(mapf.grid.geometry.metric_factor(mapf.grid.points),
+    A = _whitened(mapf.grid.geometry.metric_diagonal(mapf.grid.points),
                   mapf.target_metric_factor, mapf.D)
     return _singular_values_2x2(A) if q == qt == 2 else np.linalg.svd(A, compute_uv=False)
 

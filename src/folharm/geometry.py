@@ -58,8 +58,7 @@ class TransverseGeometry:
     chart_bounds: np.ndarray      # (q, 2)
     periodic: tuple[bool, ...]    # per-axis boundary tag
     injectivity_cap: float
-    # True when ``metric`` and ``metric_inv`` are the identity everywhere, so
-    # the metric factors of the contractions can be skipped
+    # True when ``metric`` and ``metric_inv`` are the identity everywhere
     metric_is_identity: bool = False
     # strict bounds of a coordinate within the chart box: axis -> (lo, hi)
     open_bounds: dict = {}
@@ -107,39 +106,31 @@ class TransverseGeometry:
         X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
         return (R @ X @ Y @ Y @ X) / ((X @ g @ X) * (Y @ g @ Y) - (X @ g @ Y) ** 2)
 
-    # -- contractions: g is ``metric_factor`` and h a grid's ``metric_inv_factor``,
-    # None (identity) or the diagonal (..., q); each adds its terms in the index
-    # order of the dense sum over every entry of ``metric`` and ``christoffel``,
-    # leaving out only the products with the entries that are zero.
+    # -- contractions: g is ``metric_diagonal`` g_aa (..., q) of this geometry and
+    # h a grid's ``metric_inv_factor`` g^aa (..., p); each adds its terms in the
+    # index order of the dense sum over every entry of ``metric`` and
+    # ``christoffel``, leaving out only the products with the entries that are zero.
 
-    def metric_factor(self, points: np.ndarray) -> np.ndarray | None:
-        """The metric at ``points``: None (identity), or g_aa (..., q)."""
-        return None if self.metric_is_identity else self.metric_diagonal(points)
-
-    def norm_sq(self, g: np.ndarray | None, v: np.ndarray) -> np.ndarray:
+    def norm_sq(self, g: np.ndarray, v: np.ndarray) -> np.ndarray:
         """|v|_g^2 = g_st v^s v^t of vectors v (..., q)."""
-        return _sum_last((v if g is None else v * g) * v, 1)
+        return _sum_last(v * g * v, 1)
 
-    def pairing(self, g: np.ndarray | None, E: np.ndarray, D: np.ndarray,
-                h: np.ndarray | None) -> np.ndarray:
+    def pairing(self, g: np.ndarray, E: np.ndarray, D: np.ndarray, h: np.ndarray) -> np.ndarray:
         """<E, D> = g_ts E^s_a h^ab D^t_b of E, D (..., q, p), one term at a time."""
-        gE = E if g is None else E * g[..., None]
-        return _total((gE[..., t, b] if h is None else gE[..., t, b] * h[..., b]) * D[..., t, b]
+        gE = E * g[..., None]
+        return _total(gE[..., t, b] * h[..., b] * D[..., t, b]
                       for t, b in np.ndindex(D.shape[-2:]))
 
-    def dT_norm_sq(self, g: np.ndarray | None, D: np.ndarray, h: np.ndarray | None) -> np.ndarray:
+    def dT_norm_sq(self, g: np.ndarray, D: np.ndarray, h: np.ndarray) -> np.ndarray:
         """|D|^2 = g_ts D^s_a h^ab D^t_b of D (..., q, p); inf, with no warning, on overflow."""
         with np.errstate(over="ignore"):
-            if h is not None:
-                return self.pairing(g, D, D, h)
-            return _sum_last((D if g is None else D * g[..., None]) * D, 2)
+            return self.pairing(g, D, D, h)
 
-    def form_norm_sq(self, g: np.ndarray | None, S: np.ndarray, h: np.ndarray | None) -> np.ndarray:
+    def form_norm_sq(self, g: np.ndarray, S: np.ndarray, h: np.ndarray) -> np.ndarray:
         """|S|^2 = g_gd (S^g h)_ac (S^d h)_ca of second forms S (..., q, p, p)."""
-        if h is not None:
-            S = S * h[..., None, None, :]
+        S = S * h[..., None, None, :]
         X = _sum_last(S * S.swapaxes(-1, -2), 2)          # the diagonal entries X_gg
-        return _sum_last(X if g is None else X * g, 1)
+        return _sum_last(X * g, 1)
 
     def christoffel_term(self, points: np.ndarray, D: np.ndarray) -> np.ndarray | None:
         """Gamma^g_st D^s_a D^t_b (..., q, p, p) of D (..., q, p); None if the symbols vanish."""
@@ -181,10 +172,8 @@ class TransverseGeometry:
 
     def norm(self, points: np.ndarray, v: np.ndarray) -> np.ndarray:
         """|v|_g at each point; inf, and no warning, where the square overflows."""
-        if self.metric_is_identity and self.dim == 1:   # |v|, which cannot overflow
-            return np.abs(v[..., 0])
         with np.errstate(over="ignore"):
-            return np.sqrt(self.norm_sq(self.metric_factor(points), v))
+            return np.sqrt(self.norm_sq(self.metric_diagonal(points), v))
 
     # -- exponential map ---------------------------------------------------
 
@@ -227,10 +216,12 @@ class FlatTorus(TransverseGeometry):
             min(periods) / 4.0 if injectivity_cap is None else float(injectivity_cap)
         )
 
-    def metric_diagonal(self, points):
-        return np.ones(np.shape(points)[:-1] + (self.dim,))
-
     # read-only broadcast views: nothing grid-sized is allocated
+    def metric_diagonal(self, points):
+        return np.broadcast_to(1.0, np.shape(points)[:-1] + (self.dim,))
+
+    metric_inv_diagonal = metric_diagonal
+
     def sqrt_det(self, points):
         return np.broadcast_to(1.0, np.shape(points)[:-1])
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UnsupportedDomainError
 from .foliation import FoliatedStructure
-from .geometry import TransverseGeometry, _sum_last, _total, lower_christoffel
+from .geometry import TransverseGeometry, _total, lower_christoffel
 
 __all__ = [
     "GridChart",
@@ -82,10 +82,9 @@ class GridChart:
         return self.geometry.metric_inv(self.points)
 
     @cached_property
-    def metric_inv_factor(self) -> np.ndarray | None:
-        """The inverse metric as contractions take it: None (identity), or g^aa (..., q)."""
-        return None if self.geometry.metric_is_identity else self.geometry.metric_inv_diagonal(
-            self.points)
+    def metric_inv_factor(self) -> np.ndarray:
+        """The inverse metric as contractions take it: g^aa (..., q)."""
+        return self.geometry.metric_inv_diagonal(self.points)
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -324,8 +323,7 @@ def kappa_on_grid(grid: GridChart, struct: FoliatedStructure | None) -> np.ndarr
 
 def kappa_sharp(grid: GridChart, struct: FoliatedStructure | None) -> np.ndarray:
     """Mean-curvature vector kappa^a = g^{ab} kappa_b at the grid nodes."""
-    kappa, h = kappa_on_grid(grid, struct), grid.metric_inv_factor
-    return kappa if h is None else h * kappa
+    return grid.metric_inv_factor * kappa_on_grid(grid, struct)
 
 
 def delta_B_scalar(grid: GridChart, f: np.ndarray,
@@ -357,11 +355,10 @@ def along(T: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def metric_trace(h: np.ndarray | None, S: np.ndarray) -> np.ndarray:
+def metric_trace(h: np.ndarray, S: np.ndarray) -> np.ndarray:
     """g^{ab} S_ab of S (..., q, q), or of each S^g of S (..., n, q, q), for a
-    grid's metric_inv_factor h (None: identity), in order of a."""
-    diagonal = S.diagonal(0, -2, -1)                # S_aa, indexed [..., a]
-    return _sum_last(diagonal, 1) if h is None else along(diagonal, h)
+    grid's metric_inv_factor h, in order of a."""
+    return along(S.diagonal(0, -2, -1), h)          # S_aa, indexed [..., a]
 
 
 def integrate(grid: GridChart, f: np.ndarray, weight: str = "base_volume",

@@ -52,16 +52,6 @@ def same_chart(a: TransverseGeometry, b: TransverseGeometry) -> bool:
     )
 
 
-class _cached_property(cached_property):
-    """``functools.cached_property`` without the lock that Python 3.11 takes
-    on each first read: a field is read by one thread."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        return instance.__dict__.setdefault(self.attrname, self.func(instance))
-
-
 def _linear(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     """coef_a x^a (...) of points x (..., q) for constant coefficients (q,): the
     terms of the nonzero coefficients, added in order; 0 where there are none."""
@@ -157,7 +147,7 @@ class FoliatedMapField:
         """Slope (q', q) of the exact linear part of the lift."""
         return self._lift.slope
 
-    @_cached_property
+    @cached_property
     def periodic_part(self) -> np.ndarray:
         """Values minus the linear part of the lift (the values themselves
         when the winding is zero), read-only like them."""
@@ -167,21 +157,22 @@ class FoliatedMapField:
         part.flags.writeable = False
         return part
 
-    @_cached_property
+    @cached_property
     def partials(self) -> tuple[np.ndarray, np.ndarray]:
         """Stencil partials of the periodic part, from the one pass D and S share."""
         return derivatives(self.grid, self.periodic_part)
 
-    @_cached_property
+    @cached_property
     def target_metric(self) -> np.ndarray:
         return self.target.metric(self.values)
 
-    @_cached_property
-    def target_metric_factor(self) -> np.ndarray | None:
-        """The target metric at the values as the geometry's contractions take it."""
-        return self.target.metric_factor(self.values)
+    @cached_property
+    def target_metric_factor(self) -> np.ndarray:
+        """The target metric at the values as the geometry's contractions take
+        it: g'_ss (..., q')."""
+        return self.target.metric_diagonal(self.values)
 
-    @_cached_property
+    @cached_property
     def target_gamma(self) -> dict:
         """The target's nonzero Christoffel symbols at the values."""
         return self.target.christoffel_symbols(self.values)
@@ -196,24 +187,24 @@ class FoliatedMapField:
 
     # -- derivatives, each computed once per field ---------------------------
 
-    @_cached_property
+    @cached_property
     def D(self) -> np.ndarray:
         """Transversal differential d_T phi, (..., q', q)."""
         return d_T(self)
 
-    @_cached_property
+    @cached_property
     def S(self) -> np.ndarray:
         """Second fundamental form, (..., q', q, q)."""
         S = second_fund_form(self)
         self.__dict__.pop("partials", None)     # D and S are taken: the pass is spent
         return S
 
-    @_cached_property
+    @cached_property
     def tau(self) -> np.ndarray:
         """Transversal tension field, (..., q')."""
         return tension(self)
 
-    @_cached_property
+    @cached_property
     def dT_norm_sq(self) -> np.ndarray:
         """|d_T phi|^2 at every node."""
         return dT_norm_squared(self)

@@ -137,8 +137,7 @@ def check_first_variation(mapf: FoliatedMapField,
     ]
     fd = _neville_to_zero([t**2 for t in spec.fd_steps], derivs)
 
-    g = mapf.target_metric_factor
-    g_V_tau = along(V if g is None else V * g, mapf.tau)        # g'(V, tau)
+    g_V_tau = along(V * mapf.target_metric_factor, mapf.tau)    # g'(V, tau)
     rhs = -float(np.sum(g_V_tau * grid.weights))
     residual = abs(fd - rhs) / max(abs(rhs), abs(fd), 1e-6)
     return IdentityResidualReport(
@@ -165,18 +164,17 @@ def bochner_parts(mapf: FoliatedMapField) -> tuple[np.ndarray, np.ndarray]:
     """
     grid, D, qt = mapf.grid, mapf.D, mapf.target.dim
     g, h = mapf.target_metric_factor, grid.metric_inv_factor
-    gD = D if g is None else D * g[..., None]       # g'_st D^t_a, indexed [s, a]
-    # Ric = (q - 1) K g: its diagonal (q - 1) K g_aa, or (q - 1) K on a flat chart
+    gD = D * g[..., None]                           # g'_st D^t_a, indexed [s, a]
+    # Ric = (q - 1) K g: its diagonal (q - 1) K g_aa
     ric = (grid.dim - 1) * grid.geometry.curvature_constant
-    gs = grid.geometry.metric_factor(grid.points)
+    gs = grid.geometry.metric_diagonal(grid.points)
 
     def ric_part(a):                                # A_aa g^aa Ric_aa g^aa
         A_aa = along(gD[..., :, a], D[..., :, a])
-        ric_aa = ric if gs is None else ric * gs[..., a]
-        return A_aa * ric_aa if h is None else A_aa * h[..., a] * ric_aa * h[..., a]
+        return A_aa * h[..., a] * (ric * gs[..., a]) * h[..., a]
 
     ric_term = _total(ric_part(a) for a in range(grid.dim))
-    gDh = gD if h is None else gD * h[..., None, :]
+    gDh = gD * h[..., None, :]
     P = {(s, u): along(gDh[..., s, :], D[..., u, :]) for s in range(qt) for u in range(qt)}
     tr_P = sum(P[s, s] for s in range(qt))
     curv_term = mapf.target.curvature_constant * (
@@ -241,8 +239,11 @@ def check_lemma_volume(grid: GridChart, struct: FoliatedStructure) -> float:
 
     With a closed-form kappa, d_B vol is the spectral derivative of vol on a
     periodic axis, so that a wrong closed form shows; a fixed axis takes
-    vol times the closed-form d log vol.  Without one (the refined route)
-    d_B vol and kappa are both central differences, of vol and log vol.
+    vol times the closed-form d log vol.  Since kappa is then -d log vol
+    itself, a fixed axis compares vol * dlog with itself and cannot fail;
+    no shipped config reaches that case.  Without a closed form (the
+    refined route) d_B vol and kappa are both central differences, of vol
+    and log vol.
     """
     vol = struct.vol_at(grid.points)
     kappa = kappa_on_grid(grid, struct)

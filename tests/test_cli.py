@@ -578,6 +578,15 @@ def test_submodules_resolve_through_the_package_namespace(monkeypatch):
         assert getattr(folharm, name) is module
 
 
+def test_dir_lists_the_lazily_loaded_names():
+    """``dir(folharm)`` lists every public name, also those whose module has
+    not been loaded, in order."""
+    names = dir(folharm)
+    assert set(folharm._HOME) <= set(names)
+    assert {"__version__", "FolharmError"} <= set(names)
+    assert names == sorted(names)
+
+
 def _truncate(lines):
     return lines[:len(lines) // 2]
 

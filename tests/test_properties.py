@@ -156,7 +156,7 @@ def _matches(got, spec, *operands):
 def test_christoffel_vanishes_exactly_where_the_symbols_are_zero(label, fractions):
     """The map derivatives skip Christoffel terms where ``christoffel_symbols``
     is empty, which it is exactly when Gamma^c_{ab} is zero at points across
-    the chart; they skip metric factors where the geometry flags g as the
+    the chart; the flow's FFT step needs the geometry to flag g as the
     identity, which it does exactly when g is the identity there."""
     geom = _CATALOG[label]
     bounds = np.asarray(geom.chart_bounds, dtype=float)
@@ -329,7 +329,7 @@ def test_closed_form_singular_values_match_the_loop_oracle(src, tgt, seed):
     rank = rng.integers(0, 3, count)               # the Jacobian's rank at each node
     jac[rank == 1] = jac[rank == 1, :, :1] * rng.standard_normal((np.sum(rank == 1), 1, 2))
     jac[rank == 0] = 0.0
-    sv = _singular_values_2x2(_whitened(source.metric_factor(x), target.metric_factor(y), jac))
+    sv = _singular_values_2x2(_whitened(source.metric_diagonal(x), target.metric_diagonal(y), jac))
     g, gt = source.metric(x), target.metric(y)
     want = np.array([loop_whitened_singular_values(g[i], gt[i], jac[i]) for i in range(count)])
     assert np.all(np.abs(sv - want) <= 1e-13 * want[:, :1])
@@ -367,10 +367,11 @@ def test_closed_form_contractions_equal_the_dense_route(label, p, source_metric,
     v = data.draw(hnp.arrays(float, (count, q), elements=_ENTRY))
     D = data.draw(hnp.arrays(float, (count, q, p), elements=_ENTRY))
     S = data.draw(hnp.arrays(float, (count, q, p, p), elements=_ENTRY))
-    h = data.draw(hnp.arrays(float, (count, p), elements=_ENTRY)) if source_metric else None
-    dense_h = np.eye(p) * (1.0 if h is None else h[..., None, :])
+    h = (data.draw(hnp.arrays(float, (count, p), elements=_ENTRY)) if source_metric
+         else np.ones((count, p)))
+    dense_h = np.eye(p) * h[..., None, :]
 
-    g = geom.metric_factor(points)
+    g = geom.metric_diagonal(points)
     assert np.array_equal(geom.norm_sq(g, v), dense_norm_sq(geom, points, v))
     assert np.array_equal(geom.dT_norm_sq(g, D, h), dense_dT_norm_sq(geom, points, D, dense_h))
     assert np.array_equal(geom.form_norm_sq(g, S, h), dense_form_norm_sq(geom, points, S, dense_h))

@@ -178,6 +178,18 @@ def test_refinement_report_orders_and_pass_flag():
     assert not rep.passed
 
 
+def test_an_exactly_zero_finer_residual_has_order_inf(tmp_path):
+    """A finer residual of exactly 0 gives the order inf, which passes any
+    order tolerance and which verify.json writes as "inf"."""
+    rep = fh.refinement_report("synthetic", (32, 64), lambda n: 1e-3 if n == 32 else 0.0,
+                               order_tolerance=1.9)
+    assert rep.orders == [float("inf")]
+    assert rep.passed
+    fh.serialize.dump_json(tmp_path / "verify.json", {"reports": [rep.to_dict()]})
+    doc = json.loads((tmp_path / "verify.json").read_text())
+    assert doc["reports"][0]["orders"] == ["inf"]
+
+
 def test_report_dict_shape():
     rep = fh.refinement_report("synthetic", (32, 64),
                                lambda n: (32 / n) ** 2, 1.7, 1.0)

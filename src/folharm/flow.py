@@ -3,7 +3,7 @@
 The flow updates phi_new(b) = exp_{phi(b)}(v(b)) with the target
 exponential map along a step v built from the tension tau = tau_b(phi);
 critical points are exactly the transversally harmonic maps.  The source
-grid selects the step, and the rule of the default dt:
+geometry selects the step, and the rule of the default dt:
 
 * on a flat, fully periodic source (a flat torus) the step is
   semi-implicit, v = (I - dt Delta_h)^{-1} (dt tau), with Delta_h the
@@ -44,6 +44,7 @@ from .errors import (
     StepTooLargeError,
 )
 from .foliation import FoliatedStructure
+from .geometry import FlatTorus
 from .grid import GridChart, integrate
 from .maps import FoliatedMapField, energy_density, second_form_norm_squared, tension_sup_norm
 
@@ -70,8 +71,8 @@ def cfl_step(grid: GridChart) -> float:
 
 def _preconditioned(grid: GridChart) -> bool:
     """Whether the flow takes the FFT-preconditioned step on this source grid:
-    a flat, fully periodic one."""
-    return grid.fully_periodic and grid.geometry.metric_is_identity
+    a flat torus, the catalog's one flat, fully periodic geometry."""
+    return isinstance(grid.geometry, FlatTorus)
 
 
 @dataclass
@@ -160,7 +161,7 @@ def flow_step(mapf: FoliatedMapField, dt: float) -> FoliatedMapField:
     v = dt * mapf.tau
     if _preconditioned(grid):
         v = _resolvent(grid, v, dt)
-    elif grid.boundary_mask is not None:
+    else:
         v = np.where(grid.boundary_mask[..., None], 0.0, v)
     return mapf.replace_values(mapf.target.exp(mapf.values, v))
 

@@ -23,7 +23,7 @@ evaluate concurrently; geometry objects are immutable after construction.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -58,8 +58,6 @@ class TransverseGeometry:
     chart_bounds: np.ndarray      # (q, 2)
     periodic: tuple[bool, ...]    # per-axis boundary tag
     injectivity_cap: float
-    # True when ``metric`` and ``metric_inv`` are the identity everywhere
-    metric_is_identity: bool = False
     # strict bounds of a coordinate within the chart box: axis -> (lo, hi)
     open_bounds: dict = {}
 
@@ -73,21 +71,10 @@ class TransverseGeometry:
         """g_ab at ``points``, from its diagonal."""
         return self.metric_diagonal(points)[..., None] * np.eye(self.dim)
 
-    def metric_inv(self, points: np.ndarray) -> np.ndarray:
-        """g^ab at ``points``, from its diagonal."""
-        return self.metric_inv_diagonal(points)[..., None] * np.eye(self.dim)
-
     def christoffel_symbols(self, points: np.ndarray) -> dict:
         """The symbols Gamma^c_{ab} that are not identically zero, as
         {(c, a, b): values}, in index order; none where they vanish."""
         return {}
-
-    def christoffel(self, points: np.ndarray) -> np.ndarray:
-        """Gamma^c_{ab}, indexed [..., c, a, b], zeros included."""
-        out = np.zeros(np.shape(points)[:-1] + (self.dim,) * 3)
-        for index, value in self.christoffel_symbols(points).items():
-            out[(..., *index)] = value
-        return out
 
     def riemann(self, points: np.ndarray) -> np.ndarray:
         """Fully covariant R_{abcd}, indexed [..., a, b, c, d]."""
@@ -108,12 +95,12 @@ class TransverseGeometry:
 
     # -- contractions: g is ``metric_diagonal`` g_aa (..., q) of this geometry and
     # h a grid's ``metric_inv_factor`` g^aa (..., p); each adds its terms in the
-    # index order of the dense sum over every entry of ``metric`` and
-    # ``christoffel``, leaving out only the products with the entries that are zero.
+    # index order of the dense sum over every entry of the full metric and
+    # Christoffel arrays, leaving out only the products with the entries that are zero.
 
     def norm_sq(self, g: np.ndarray, v: np.ndarray) -> np.ndarray:
         """|v|_g^2 = g_st v^s v^t of vectors v (..., q)."""
-        return _sum_last(v * g * v, 1)
+        return _total(v[..., s] * g[..., s] * v[..., s] for s in range(v.shape[-1]))
 
     def pairing(self, g: np.ndarray, E: np.ndarray, D: np.ndarray, h: np.ndarray) -> np.ndarray:
         """<E, D> = g_ts E^s_a h^ab D^t_b of E, D (..., q, p), one term at a time."""
@@ -129,13 +116,8 @@ class TransverseGeometry:
     def form_norm_sq(self, g: np.ndarray, S: np.ndarray, h: np.ndarray) -> np.ndarray:
         """|S|^2 = g_gd (S^g h)_ac (S^d h)_ca of second forms S (..., q, p, p)."""
         S = S * h[..., None, None, :]
-        X = _sum_last(S * S.swapaxes(-1, -2), 2)          # the diagonal entries X_gg
-        return _sum_last(X * g, 1)
-
-    def christoffel_term(self, points: np.ndarray, D: np.ndarray) -> np.ndarray | None:
-        """Gamma^g_st D^s_a D^t_b (..., q, p, p) of D (..., q, p); None if the symbols vanish."""
-        symbols = self.christoffel_symbols(points)
-        return quadratic_term(symbols, D, D, self.dim) if symbols else None
+        X = _total(S[..., a, c] * S[..., c, a] for a, c in np.ndindex(S.shape[-2:]))  # X_gg
+        return _total(X[..., s] * g[..., s] for s in range(X.shape[-1]))
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -199,7 +181,6 @@ class FlatTorus(TransverseGeometry):
     """Flat torus R^q / (P_1 Z x ... x P_q Z) with the Euclidean metric."""
 
     kind = "flat_torus"
-    metric_is_identity = True
 
     def __init__(self, periods: Sequence[float], injectivity_cap: float | None = None):
         periods = tuple(float(p) for p in periods)
@@ -233,21 +214,6 @@ class FlatTorus(TransverseGeometry):
         v = np.asarray(v, dtype=float)
         self.check_cap(self.norm(points, v))
         return points + v
-
-
-@lru_cache(maxsize=None)
-def _last_indices(shape: tuple) -> tuple:
-    """Index tuples of the components over trailing axes of ``shape``, in order."""
-    return tuple((..., *i) for i in np.ndindex(shape))
-
-
-def _sum_last(x: np.ndarray, k: int) -> np.ndarray:
-    """Sum of x over its last ``k`` axes, adding the components in index order."""
-    index = _last_indices(x.shape[-k:])
-    total = x[index[0]]
-    for i in index[1:]:
-        total = total + x[i]
-    return total
 
 
 def _total(terms) -> np.ndarray:

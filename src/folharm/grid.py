@@ -78,17 +78,9 @@ class GridChart:
         return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
 
     @cached_property
-    def metric_inv(self) -> np.ndarray:
-        return self.geometry.metric_inv(self.points)
-
-    @cached_property
     def metric_inv_factor(self) -> np.ndarray:
         """The inverse metric as contractions take it: g^aa (..., q)."""
         return self.geometry.metric_inv_diagonal(self.points)
-
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        return self.geometry.christoffel(self.points)
 
     @cached_property
     def christoffel_symbols(self) -> dict:
@@ -128,15 +120,9 @@ class GridChart:
             total += _along_axis(4 / h**2 * s * s, self.dim, a)
         return total
 
-    @property
-    def fully_periodic(self) -> bool:
-        return all(self.periodic)
-
     @cached_property
-    def boundary_mask(self) -> np.ndarray | None:
-        """True on the end nodes of fixed axes; None on a fully periodic grid."""
-        if self.fully_periodic:
-            return None
+    def boundary_mask(self) -> np.ndarray:
+        """True on the end nodes of fixed axes; all False on a fully periodic grid."""
         mask = np.zeros(self.shape, dtype=bool)
         for a in range(self.dim):
             if not self.periodic[a]:
@@ -380,7 +366,7 @@ def check_divergence_theorem(grid: GridChart, X: np.ndarray,
 
     Requires a fully periodic chart (the closed-manifold hypothesis).
     """
-    if not grid.fully_periodic:
+    if not all(grid.periodic):
         raise UnsupportedDomainError(
             "divergence theorem needs a closed manifold; chart has fixed boundaries"
         )

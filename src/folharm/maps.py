@@ -300,14 +300,9 @@ class AnalyticMap:
     def second_form(self, points: np.ndarray) -> np.ndarray:
         """Closed-form second fundamental form at arbitrary source points."""
         points = np.asarray(points, dtype=float)
-        y = self.func(points)
-        J = self.jac(points)
-        H = self.hess(points)
-        symbols = self.source.christoffel_symbols(points)
-        if symbols:
-            H = H - lower_christoffel(symbols, J)
-        gamma_term = self.target.christoffel_term(y, J)
-        return H if gamma_term is None else H + gamma_term
+        return _second_form(self.hess(points), self.jac(points),
+                            self.source.christoffel_symbols(points),
+                            self.target.christoffel_symbols(self.func(points)))
 
     def realize(self, grid: GridChart) -> FoliatedMapField:
         if not same_chart(grid.geometry, self.source):
@@ -324,19 +319,27 @@ def d_T(mapf: FoliatedMapField) -> np.ndarray:
     return D + mapf.linear_slope if mapf._lift.winds else D
 
 
+def _second_form(H: np.ndarray, D: np.ndarray, source_symbols: dict,
+                 target_symbols: dict) -> np.ndarray:
+    """S^g_{ab} = H^g_{ab} - Gamma^c_{ab} D^g_c + Gamma'^g_{st} D^s_a D^t_b
+    (..., q', q, q) of the second partials H and the differential D (..., q', q),
+    from the nonzero symbols of the source and the target; a Christoffel term
+    is skipped where its symbols are none."""
+    if source_symbols:
+        H = H - lower_christoffel(source_symbols, D)
+    if target_symbols:
+        H = H + quadratic_term(target_symbols, D, D, D.shape[-2])
+    return H
+
+
 def second_fund_form(mapf: FoliatedMapField) -> np.ndarray:
     """Second fundamental form S[..., gamma, a, b] of the map.
 
     S^g_{ab} = d_a d_b phi^g - Gamma^c_{ab} d_c phi^g
              + Gamma'^g_{st}(phi) d_a phi^s d_b phi^t.
-
-    A Christoffel term is skipped where its geometry has no nonzero symbols.
     """
-    D, S = mapf.D, mapf.partials[1]
-    if mapf.grid.christoffel_symbols:
-        S = S - lower_christoffel(mapf.grid.christoffel_symbols, D)
-    gamma_term = mapf.target.christoffel_term(mapf.values, D)
-    return S if gamma_term is None else S + gamma_term
+    return _second_form(mapf.partials[1], mapf.D, mapf.grid.christoffel_symbols,
+                        mapf.target_gamma)
 
 
 def tension(mapf: FoliatedMapField) -> np.ndarray:

@@ -122,8 +122,7 @@ def check_first_variation(mapf: FoliatedMapField,
         raise PreconditionError(
             f"variation field: expected shape {mapf.values.shape}, got {V.shape}"
         )
-    mask = grid.boundary_mask
-    if mask is not None and np.any(np.abs(V[mask]) > 0):
+    if np.any(np.abs(V[grid.boundary_mask]) > 0):
         raise PreconditionError(
             "variation field must vanish on fixed chart boundaries"
         )

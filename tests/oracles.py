@@ -4,8 +4,9 @@ Everything here is deliberately written with explicit index loops and its own
 integrators so that it shares no contraction helpers with the package code
 it checks.  The dense reference is ``contract``: the left-to-right pairwise
 fold of ``np.einsum``'s sum over every entry of its operands, zeros
-included, which contracts the full ``metric`` and ``christoffel`` arrays and
-so checks the package's closed forms, which leave out the zero entries.
+included, which contracts the full ``metric``, ``dense_metric_inv`` and
+``dense_christoffel`` arrays and so checks the package's closed forms, which
+leave out the zero entries.
 """
 
 from __future__ import annotations
@@ -17,6 +18,19 @@ import numpy as np
 
 from folharm.errors import FlowDivergedError, InvalidMapError, StepTooLargeError
 from folharm.grid import grad_B, hessian_scalar, integrate
+
+
+def dense_metric_inv(geom, points):
+    """g^ab (..., q, q) at ``points``, from the geometry's inverse diagonal."""
+    return geom.metric_inv_diagonal(points)[..., None] * np.eye(geom.dim)
+
+
+def dense_christoffel(geom, points):
+    """Gamma^c_{ab} (..., q, q, q), indexed [..., c, a, b], zeros included."""
+    out = np.zeros(np.shape(points)[:-1] + (geom.dim,) * 3)
+    for index, value in geom.christoffel_symbols(points).items():
+        out[(..., *index)] = value
+    return out
 
 
 def contract(spec, *operands):
@@ -82,7 +96,7 @@ def rk4_geodesic(geom, point, v, nsteps=200):
     q = geom.dim
 
     def acc(x, u):
-        gam = geom.christoffel(x)
+        gam = dense_christoffel(geom, x)
         a = np.zeros(q)
         for c in range(q):
             for i in range(q):
@@ -106,8 +120,8 @@ def rk4_geodesic(geom, point, v, nsteps=200):
 def loop_second_form(source, target, point, jac, hess, value):
     """Second fundamental form at one point by explicit index loops."""
     q, qp = source.dim, target.dim
-    gam_src = source.christoffel(point)
-    gam_tgt = target.christoffel(value)
+    gam_src = dense_christoffel(source, point)
+    gam_tgt = dense_christoffel(target, value)
     S = np.zeros((qp, q, q))
     for g in range(qp):
         for a in range(q):
@@ -245,20 +259,20 @@ def dense_norm_sq(geom, points, v):
     return contract("...s,...st,...t->...", v, geom.metric(points), v)
 
 
-def dense_dT_norm_sq(geom, points, D, h):
-    """|D|^2 = g_ts D^s_a h^ab D^t_b for a source metric_inv h."""
-    return contract("...ts,...sa,...ab,...tb->...", geom.metric(points), D, h, D)
+def dense_pairing(geom, points, E, D, h):
+    """<E, D> = g_ts E^s_a h^ab D^t_b for a source inverse metric h; |D|^2 for E = D."""
+    return contract("...ts,...sa,...ab,...tb->...", geom.metric(points), E, h, D)
 
 
 def dense_form_norm_sq(geom, points, S, h):
-    """|S|^2 = g_gd (S^g h)_ac (S^d h)_ca for a source metric_inv h."""
+    """|S|^2 = g_gd (S^g h)_ac (S^d h)_ca for a source inverse metric h."""
     Sh = contract("...gab,...bc->...gac", S, h)
     return contract("...gac,...dca,...gd->...", Sh, Sh, geom.metric(points))
 
 
 def dense_christoffel_term(geom, points, D):
     """Gamma^g_st D^s_a D^t_b."""
-    return contract("...gst,...tb,...sa->...gab", geom.christoffel(points), D, D)
+    return contract("...gst,...tb,...sa->...gab", dense_christoffel(geom, points), D, D)
 
 
 def stencil_symbol(grid):
@@ -284,16 +298,18 @@ def dense_flow(mapf, struct, config, preconditioned=False):
     vector dt tau is divided, mode by mode of one FFT over the source axes,
     by 1 + dt ``stencil_symbol``.  Returns the final map values and the
     trace rows (step, E, max|tau|, max|S|, max|d_T phi|^2)."""
-    grid, target, h = mapf.grid, mapf.target, mapf.grid.metric_inv
+    grid, target = mapf.grid, mapf.target
+    h = dense_metric_inv(grid.geometry, grid.points)
+    gamma = dense_christoffel(grid.geometry, grid.points)
     axes = tuple(range(grid.dim))
     symbol = stencil_symbol(grid) if preconditioned else None
 
     def evaluate(field):
         values, f = field.values, field.periodic_part
         D = grad_B(grid, f) + field.linear_slope
-        S = (hessian_scalar(grid, f) - contract("...gc,...cab->...gab", D, grid.gamma)
+        S = (hessian_scalar(grid, f) - contract("...gc,...cab->...gab", D, gamma)
              + dense_christoffel_term(target, values, D))
-        d2 = dense_dT_norm_sq(target, values, D, h)
+        d2 = dense_pairing(target, values, D, D, h)
         return {"tau": contract("...ab,...gab->...g", h, S), "S": S, "d2": d2,
                 "E": integrate(grid, 0.5 * d2, "base_volume")}
 
@@ -313,7 +329,7 @@ def dense_flow(mapf, struct, config, preconditioned=False):
         if preconditioned:
             v = np.fft.ifftn(np.fft.fftn(v, axes=axes) / (1 + dt * symbol)[..., None],
                              axes=axes).real
-        elif grid.boundary_mask is not None:
+        else:
             v = np.where(grid.boundary_mask[..., None], 0.0, v)
         try:
             candidate = field.replace_values(target.exp(field.values, v))

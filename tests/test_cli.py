@@ -587,6 +587,15 @@ def test_dir_lists_the_lazily_loaded_names():
     assert names == sorted(names)
 
 
+@pytest.mark.parametrize("module", sorted(folharm._EXPORTS))
+def test_every_export_resolves_and_is_in_its_module_all(module):
+    """Each ``__all__`` entry of a submodule names one of its attributes, and
+    each name ``folharm`` exports from it is in that ``__all__``."""
+    loaded = importlib.import_module(f"folharm.{module}")
+    assert [name for name in loaded.__all__ if not hasattr(loaded, name)] == []
+    assert set(folharm._EXPORTS[module]) <= set(loaded.__all__)
+
+
 def _truncate(lines):
     return lines[:len(lines) // 2]
 

@@ -5,7 +5,7 @@ import pytest
 
 import folharm as fh
 from conftest import interior_points
-from oracles import rk4_geodesic
+from oracles import dense_christoffel, rk4_geodesic
 
 RNG = np.random.default_rng(20240817)
 
@@ -24,7 +24,7 @@ def test_metrics_are_symmetric_positive_definite(all_geometries):
 def test_christoffel_symmetric_in_lower_indices(all_geometries):
     for geom in all_geometries:
         pts = interior_points(geom, RNG, 50)
-        gam = geom.christoffel(pts)
+        gam = dense_christoffel(geom, pts)
         assert np.allclose(gam, np.swapaxes(gam, -1, -2), atol=1e-14)
 
 
@@ -48,7 +48,7 @@ def test_christoffel_matches_metric_derivatives(all_geometries):
                             expected[c, a, b] += 0.5 * gi[c, d] * (
                                 dg[a, d, b] + dg[b, d, a] - dg[d, a, b]
                             )
-            assert np.allclose(geom.christoffel(p), expected, atol=1e-8)
+            assert np.allclose(dense_christoffel(geom, p), expected, atol=1e-8)
 
 
 # -- curvature -------------------------------------------------------------
@@ -163,14 +163,11 @@ def test_exp_rejects_steps_beyond_injectivity_cap(sphere):
 
 def test_flat_torus_constants_are_read_only(torus2):
     """The metric diagonals, ``sqrt_det`` and ``riemann`` are read-only
-    broadcast views; the dense metric, inverse and Christoffel fields come
-    from the base class."""
+    broadcast views; the dense metric comes from the base class."""
     points = np.zeros((5, 3, 2))
     for field, want, view in [(torus2.metric_diagonal(points), np.ones(2), True),
                               (torus2.metric_inv_diagonal(points), np.ones(2), True),
                               (torus2.metric(points), np.eye(2), False),
-                              (torus2.metric_inv(points), np.eye(2), False),
-                              (torus2.christoffel(points), np.zeros((2, 2, 2)), False),
                               (torus2.sqrt_det(points), 1.0, True),
                               (torus2.riemann(points), np.zeros((2,) * 4), True)]:
         assert field.shape == (5, 3) + np.shape(want)

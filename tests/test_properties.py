@@ -9,12 +9,15 @@ import folharm as fh
 from conftest import interior_points
 from folharm.flow import _singular_values_2x2, _whitened
 from folharm.serialize import fmt
+from folharm.geometry import quadratic_term
 from oracles import (
     contract,
+    dense_christoffel,
     dense_christoffel_term,
-    dense_dT_norm_sq,
     dense_form_norm_sq,
+    dense_metric_inv,
     dense_norm_sq,
+    dense_pairing,
     loop_whitened_singular_values,
 )
 from folharm.verify import _neville_to_zero
@@ -156,16 +159,17 @@ def _matches(got, spec, *operands):
 def test_christoffel_vanishes_exactly_where_the_symbols_are_zero(label, fractions):
     """The map derivatives skip Christoffel terms where ``christoffel_symbols``
     is empty, which it is exactly when Gamma^c_{ab} is zero at points across
-    the chart; the flow's FFT step needs the geometry to flag g as the
-    identity, which it does exactly when g is the identity there."""
+    the chart; the flow takes its FFT step on a ``FlatTorus`` source, which
+    is the catalog's one geometry whose g is the identity there."""
     geom = _CATALOG[label]
     bounds = np.asarray(geom.chart_bounds, dtype=float)
     frac = np.asarray(fractions)[:, :geom.dim]
     points = bounds[:, 0] + frac * (bounds[:, 1] - bounds[:, 0])
-    assert (geom.christoffel_symbols(points) == {}) == (not geom.christoffel(points).any())
+    assert (geom.christoffel_symbols(points) == {}) == (not dense_christoffel(geom, points).any())
     identity = np.eye(geom.dim)
-    assert geom.metric_is_identity == bool((geom.metric(points) == identity).all()
-                                           and (geom.metric_inv(points) == identity).all())
+    assert isinstance(geom, fh.FlatTorus) == bool(
+        (geom.metric(points) == identity).all()
+        and (dense_metric_inv(geom, points) == identity).all())
 
 
 def _every_catalog_pair(test):
@@ -195,7 +199,8 @@ def test_small_matrix_contractions_match_einsum_definitions(src, tgt, seed):
     mapf = fh.FoliatedMapField(
         grid, target, rng.uniform(lo, hi, grid.shape + (target.dim,)))
     D, S, tau = mapf.D, mapf.S, mapf.tau
-    gi, gt, gam_t = grid.metric_inv, mapf.target_metric, target.christoffel(mapf.values)
+    gi, gt = dense_metric_inv(source, grid.points), mapf.target_metric
+    gam_s, gam_t = dense_christoffel(source, grid.points), dense_christoffel(target, mapf.values)
     X = rng.standard_normal(D.shape)
     s = rng.standard_normal(mapf.values.shape)
     kappa = rng.standard_normal(grid.shape + (grid.dim,))
@@ -223,9 +228,9 @@ def test_small_matrix_contractions_match_einsum_definitions(src, tgt, seed):
     r = mapf.periodic_part
     H = np.stack([fh.grid.hessian_scalar(grid, r[..., g])
                   for g in range(target.dim)], axis=-3)
-    want = (H - np.einsum("...gc,...cab->...gab", D, grid.gamma)
+    want = (H - np.einsum("...gc,...cab->...gab", D, gam_s)
             + np.einsum("...gst,...sa,...tb->...gab", gam_t, D, D))
-    scale = (np.abs(H) + np.einsum("...gc,...cab->...gab", abs(D), abs(grid.gamma))
+    scale = (np.abs(H) + np.einsum("...gc,...cab->...gab", abs(D), abs(gam_s))
              + np.einsum("...gst,...sa,...tb->...gab", abs(gam_t), abs(D), abs(D)))
     assert np.max(np.abs(S - want)) <= 1e-13 * np.max(scale)
 
@@ -235,7 +240,7 @@ def test_small_matrix_contractions_match_einsum_definitions(src, tgt, seed):
 
     kappa_up = contract("...ab,...b->...a", gi, kappa)
     grad, hess = fh.grid.derivatives(grid, f)
-    cov_hess = hess - contract("...c,...cab->...ab", grad, grid.gamma)
+    cov_hess = hess - contract("...c,...cab->...ab", grad, gam_s)
     lap = -contract("...ab,...ab->...", gi, cov_hess) + contract("...a,...a->...", kappa_up, grad)
     A = contract("...sa,...st,...tb->...ab", D, gt, D)
     P = contract("...st,...ta,...ab,...ub->...su", gt, D, gi, D)
@@ -246,12 +251,12 @@ def test_small_matrix_contractions_match_einsum_definitions(src, tgt, seed):
     terms = fh.weitzenbock_terms(mapf, struct, "general")
     B = rng.standard_normal(grid.shape + (2, target.dim, target.dim))
     div = sum(fh.grid.diff1(grid, X[..., 0, a], a) for a in range(grid.dim)) \
-        + contract("...b,...b->...", contract("...aab->...b", grid.gamma), X[..., 0, :])
+        + contract("...b,...b->...", contract("...aab->...b", gam_s), X[..., 0, :])
     psi = fh.AnalyticMap(source, target, np.mean(bounds, axis=1), 0.1 * X[(0,) * grid.dim],
                          (fh.maps.Mode(0, np.ones(grid.dim), 0.1),))
     y, J = psi.func(grid.points), psi.jac(grid.points)
-    psi_S = (psi.hess(grid.points) - contract("...gc,...cab->...gab", J, grid.gamma)
-             + contract("...gst,...tb,...sa->...gab", target.christoffel(y), J, J))
+    psi_S = (psi.hess(grid.points) - contract("...gc,...cab->...gab", J, gam_s)
+             + contract("...gst,...tb,...sa->...gab", dense_christoffel(target, y), J, J))
     for got, want in [
             (tau, contract("...ab,...gab->...g", gi, S)),
             (fh.grid.kappa_sharp(grid, struct), kappa_up),
@@ -348,11 +353,12 @@ _ENTRY = st.floats(min_value=-1e50, max_value=1e50)
        st.booleans(), st.data())
 def test_closed_form_contractions_equal_the_dense_route(label, p, source_metric, data):
     """At points anywhere in the sphere band, the hyperbolic patch and the
-    flat torus, the geometry's closed forms of |v|^2, |d_T phi|^2, |S|^2 and
-    the Christoffel term equal, bit for bit, the dense ``contract`` of its
-    full ``metric`` and ``christoffel`` arrays, for random finite v, D and S
-    and an identity or a random diagonal source metric_inv h, whose dense
-    side is the full matrix.
+    flat torus, the geometry's closed forms of |v|^2, |d_T phi|^2, the
+    pairing <E, D> of independent E and D, |S|^2 and the Christoffel term
+    ``quadratic_term`` equal, bit for bit, the dense ``contract`` of its full
+    ``metric`` and ``dense_christoffel`` arrays, for random finite v, E, D
+    and S and an identity or a random diagonal source inverse metric h,
+    whose dense side is the full matrix.
 
     ``np.array_equal`` counts -0.0 equal to 0.0: the closed forms leave out
     the products with zero entries, which the dense route adds, so a result
@@ -365,6 +371,7 @@ def test_closed_form_contractions_equal_the_dense_route(label, p, source_metric,
     frac = data.draw(hnp.arrays(float, (count, q), elements=st.floats(0.0, 1.0)))
     points = bounds[:, 0] + frac * (bounds[:, 1] - bounds[:, 0])
     v = data.draw(hnp.arrays(float, (count, q), elements=_ENTRY))
+    E = data.draw(hnp.arrays(float, (count, q, p), elements=_ENTRY))
     D = data.draw(hnp.arrays(float, (count, q, p), elements=_ENTRY))
     S = data.draw(hnp.arrays(float, (count, q, p, p), elements=_ENTRY))
     h = (data.draw(hnp.arrays(float, (count, p), elements=_ENTRY)) if source_metric
@@ -373,8 +380,8 @@ def test_closed_form_contractions_equal_the_dense_route(label, p, source_metric,
 
     g = geom.metric_diagonal(points)
     assert np.array_equal(geom.norm_sq(g, v), dense_norm_sq(geom, points, v))
-    assert np.array_equal(geom.dT_norm_sq(g, D, h), dense_dT_norm_sq(geom, points, D, dense_h))
+    assert np.array_equal(geom.dT_norm_sq(g, D, h), dense_pairing(geom, points, D, D, dense_h))
+    assert np.array_equal(geom.pairing(g, E, D, h), dense_pairing(geom, points, E, D, dense_h))
     assert np.array_equal(geom.form_norm_sq(g, S, h), dense_form_norm_sq(geom, points, S, dense_h))
-    term = geom.christoffel_term(points, D)
-    dense = dense_christoffel_term(geom, points, D)
-    assert np.array_equal(np.zeros_like(dense) if term is None else term, dense)
+    term = quadratic_term(geom.christoffel_symbols(points), D, D, q)
+    assert np.array_equal(term, dense_christoffel_term(geom, points, D))

@@ -38,9 +38,9 @@ def test_tracer_wraps_the_flow_layers():
     """Every ``LAYER_SPANS`` name resolves, cached properties included
     (``target_metric`` must stay a ``functools.cached_property``), and the
     traced flows record the spans of the layers they call.  The flow takes
-    its partials from ``grid.derivatives`` and its target contractions from
-    the geometry's closed forms, so it records no ``grid.stencil`` and no
-    ``geometry.connection`` span."""
+    its partials from ``grid.derivatives``, so it records no ``grid.stencil``
+    span; the second form of the flow into the hyperbolic patch reads the
+    field's cached ``target_gamma``, a ``geometry.connection`` span."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
     done = subprocess.run([sys.executable, "-c", _TRACED_FLOWS], env=env, cwd=ROOT,
@@ -50,7 +50,8 @@ def test_tracer_wraps_the_flow_layers():
     assert counts["flow.run"] == 2
     assert counts["flow.update"] >= 40
     for span in ("geometry.exp.flat_torus", "geometry.exp.hyperbolic_patch",
-                 "maps.d_T", "maps.second_form", "maps.tension", "flow.energy"):
+                 "geometry.connection", "maps.d_T", "maps.second_form", "maps.tension",
+                 "flow.energy"):
         assert counts.get(span, 0) > 0, span
 
 

@@ -228,20 +228,20 @@ def _total(terms) -> np.ndarray:
 def quadratic_term(G: dict, D: np.ndarray, E: np.ndarray, q: int) -> np.ndarray:
     """G^g_st D^s_a E^t_b (..., q, p, r) of D (..., n, p) and E (..., n, r), from the
     entries {(g, s, t): values} of G that are not identically zero, in index order,
-    as the dense sum adds them: X_gs = sum_t G^g_st E^t_b, then sum_s X_gs D^s_a."""
-    Dt, Et = np.moveaxis(D, (-2, -1), (0, 1)), np.moveaxis(E, (-2, -1), (0, 1))
-    X = {}                                          # (g, s) -> X_gs, indexed [b, ...]
+    as the dense sum adds them: X_gs = sum_t G^g_st E^t_b, then sum_s X_gs D^s_a,
+    each (g, a, b) plane of the node-major result written once."""
+    p, r = D.shape[-1], E.shape[-1]
+    X = {}                                          # (g, b) -> {s: X_gs^b}
     for (g, s, t), value in G.items():
-        X[g, s] = value * Et[t] if (g, s) not in X else X[g, s] + value * Et[t]
-    out = np.zeros(Dt.shape[1:2] + Et.shape[1:] + (q,))
-    started = set()                                 # the components written to
-    for (g, s), x in X.items():
-        if g in started:
-            out[..., g] += x[None] * Dt[s][:, None]
-        else:
-            np.multiply(x[None], Dt[s][:, None], out=out[..., g])
-            started.add(g)
-    return out.transpose((*range(2, out.ndim), 0, 1))
+        for b in range(r):
+            terms = X.setdefault((g, b), {})
+            term = value * E[..., t, b]
+            terms[s] = term if s not in terms else terms[s] + term
+    out = np.zeros(np.broadcast_shapes(D.shape[:-2], E.shape[:-2]) + (q, p, r))
+    for (g, b), terms in X.items():
+        for a in range(p):
+            out[..., g, a, b] = _total(x * D[..., s, a] for s, x in terms.items())
+    return out
 
 
 def lower_christoffel(G: dict, V: np.ndarray) -> np.ndarray:

@@ -18,10 +18,15 @@ w(i) = sqrt(det g(b_i)) * prod_a h_a, with composite-trapezoid end weights on
 fixed axes.  The measure factorization mu_M = vol_L * mu_B is the concrete
 meaning of integrals over the foliated manifold: ``manifold_volume`` weights
 by vol_L * w, and ``base_volume`` by w alone is the mu_M / vol_L measure.
+
+Pointwise algebra after the stencils may run in cache-sized row blocks of
+axis 0 (``row_blocks``); a block's elementwise operations see the operands
+they see on the whole grid, so blocked results are bit-identical.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -47,11 +52,15 @@ __all__ = [
     "kappa_sharp",
     "along",
     "metric_trace",
+    "row_blocks",
     "integrate",
     "check_divergence_theorem",
 ]
 
 WEIGHT_MODES = ("base_volume", "manifold_volume")
+
+# most nodes in one row block: (q', q, q) temporaries of 512 KiB at q = q' = 2
+ROW_BLOCK_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -164,6 +173,13 @@ def build_grid(geometry: TransverseGeometry, resolution: int | Sequence[int]
         spacing=tuple(spacing),
         periodic=tuple(geometry.periodic),
     )
+
+
+def row_blocks(grid: GridChart) -> list[slice]:
+    """Slices of axis 0 into blocks of at least one row and at most
+    ``ROW_BLOCK_NODES`` nodes unless one row holds more."""
+    rows = max(1, ROW_BLOCK_NODES // math.prod(grid.shape[1:]))
+    return [slice(i, i + rows) for i in range(0, grid.shape[0], rows)]
 
 
 def _sl(ndim: int, axis: int, s) -> tuple:

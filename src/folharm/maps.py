@@ -21,9 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CompositionError, ConfigurationError, InvalidMapError
-from .foliation import FoliatedStructure
 from .geometry import TransverseGeometry, _total, lower_christoffel, quadratic_term
-from .grid import GridChart, along, derivatives, grad_B, kappa_sharp, metric_trace
+from .grid import GridChart, along, derivatives, grad_B, metric_trace
 
 __all__ = [
     "FoliatedMapField",
@@ -297,13 +296,6 @@ class AnalyticMap:
             H[..., m.comp, :, :] += m.term(x, 2)[..., None, None] * np.outer(m.k, m.k)
         return H
 
-    def second_form(self, points: np.ndarray) -> np.ndarray:
-        """Closed-form second fundamental form at arbitrary source points."""
-        points = np.asarray(points, dtype=float)
-        return _second_form(self.hess(points), self.jac(points),
-                            self.source.christoffel_symbols(points),
-                            self.target.christoffel_symbols(self.func(points)))
-
     def realize(self, grid: GridChart) -> FoliatedMapField:
         if not same_chart(grid.geometry, self.source):
             raise CompositionError("grid chart does not match the map's source chart")
@@ -384,18 +376,19 @@ def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray) -> np.ndarray:
     return ds
 
 
-def pullback_form(mapf: FoliatedMapField, B: np.ndarray) -> np.ndarray:
+def pullback_form(D: np.ndarray, B: np.ndarray) -> np.ndarray:
     """phi* B (..., g, a, b) = B^g_st d_a phi^s d_b phi^t of a vector-valued
-    bilinear form B (..., g, s, t) on the target, sampled at the values."""
+    bilinear form B (..., g, s, t) on the target, sampled at the values, through
+    the map's differential D (..., s, a) there."""
     entries = {i: B[(..., *i)] for i in np.ndindex(B.shape[-3:])}
-    return quadratic_term(entries, mapf.D, mapf.D, B.shape[-3])
+    return quadratic_term(entries, D, D, B.shape[-3])
 
 
-def delta_nabla_dT(mapf: FoliatedMapField,
-                   struct: FoliatedStructure | None = None) -> np.ndarray:
-    """Codifferential of d_T phi as a pull-back section: -tau + i(kappa#) d_T phi."""
-    kappa_up = kappa_sharp(mapf.grid, struct)
-    return -mapf.tau + along(mapf.D, kappa_up)
+def delta_nabla_dT(mapf: FoliatedMapField, tau: np.ndarray,
+                   kappa_up: np.ndarray) -> np.ndarray:
+    """Codifferential of d_T phi as a pull-back section, -tau + i(kappa#) d_T phi,
+    of the map's tension tau and the mean-curvature vector kappa#."""
+    return -tau + along(mapf.D, kappa_up)
 
 
 # -- composition ----------------------------------------------------------

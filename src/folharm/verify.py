@@ -16,6 +16,10 @@ with u_a = d_T phi(E_a).  The minus sign on the target-curvature contraction
 makes the term nonnegative under Ric >= 0 and K' <= 0; it is cross-checked
 numerically by the sphere-identity cancellation and the general-mode
 residual decay (see tests).
+
+The Weitzenboeck and composition checks build only the stencils' inputs and
+outputs over the whole grid; second forms and the pointwise contractions run
+one row block at a time (``grid.row_blocks``), with bit-identical results.
 """
 
 from __future__ import annotations
@@ -37,16 +41,17 @@ from .grid import (
     kappa_on_grid,
     kappa_sharp,
     metric_trace,
+    row_blocks,
     spectral_diff1,
 )
 from .maps import (
     AnalyticMap,
     FoliatedMapField,
+    _second_form,
     compose,
     delta_nabla_dT,
     pullback_derivative,
     pullback_form,
-    second_form_norm_squared,
 )
 
 __all__ = [
@@ -148,8 +153,22 @@ def check_first_variation(mapf: FoliatedMapField,
     )
 
 
-def bochner_parts(mapf: FoliatedMapField) -> tuple[np.ndarray, np.ndarray]:
-    """Source-Ricci and target-curvature contractions, separately.
+def _at(symbols: dict, rows: slice) -> dict:
+    """The Christoffel symbols {key: values} at the rows ``rows`` of the grid."""
+    return {key: value[rows] for key, value in symbols.items()}
+
+
+def _second_form_at(mapf: FoliatedMapField, rows: slice, target_symbols: dict) -> np.ndarray:
+    """The map's second form at ``rows``, from its whole-grid partials and the
+    target's symbols at its values there."""
+    return _second_form(mapf.partials[1][rows], mapf.D[rows],
+                        _at(mapf.grid.christoffel_symbols, rows), target_symbols)
+
+
+def bochner_parts(mapf: FoliatedMapField, rows: slice = slice(None)
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Source-Ricci and target-curvature contractions, separately, at the
+    rows ``rows`` of the grid (all of them by default).
 
     Both are evaluated pointwise from the catalog closed forms; their
     difference (Ricci minus curvature) is the Bochner term.  With the
@@ -161,12 +180,12 @@ def bochner_parts(mapf: FoliatedMapField) -> tuple[np.ndarray, np.ndarray]:
     with M = D g^{-1} D^T, the last form because the target has constant
     curvature K'.
     """
-    grid, D, qt = mapf.grid, mapf.D, mapf.target.dim
-    g, h = mapf.target_metric_factor, grid.metric_inv_factor
+    grid, D, qt = mapf.grid, mapf.D[rows], mapf.target.dim
+    g, h = mapf.target_metric_factor[rows], grid.metric_inv_factor[rows]
     gD = D * g[..., None]                           # g'_st D^t_a, indexed [s, a]
     # Ric = (q - 1) K g: its diagonal (q - 1) K g_aa
     ric = (grid.dim - 1) * grid.geometry.curvature_constant
-    gs = grid.geometry.metric_diagonal(grid.points)
+    gs = grid.geometry.metric_diagonal(grid.points[rows])
 
     def ric_part(a):                                # A_aa g^aa Ric_aa g^aa
         A_aa = along(gD[..., :, a], D[..., :, a])
@@ -181,8 +200,8 @@ def bochner_parts(mapf: FoliatedMapField) -> tuple[np.ndarray, np.ndarray]:
     return ric_term, curv_term
 
 
-def bochner_term(mapf: FoliatedMapField) -> np.ndarray:
-    ric_term, curv_term = bochner_parts(mapf)
+def bochner_term(mapf: FoliatedMapField, rows: slice = slice(None)) -> np.ndarray:
+    ric_term, curv_term = bochner_parts(mapf, rows)
     return ric_term - curv_term
 
 
@@ -198,28 +217,40 @@ def weitzenbock_terms(mapf: FoliatedMapField,
     A_X d = -S(X, .) + d_nabla i(X) d.  ``harmonic`` mode evaluates the
     harmonic-map corollary
         1/2 Delta_B |d|^2 = -|S|^2 - <F d, d> + 1/2 kappa#(|d|^2).
+
+    Whole-grid are D, |d|^2, tau, the codifferential and i(kappa#) d, and
+    their derivatives; the rest fills the outputs row block by row block.
     """
+    if mode not in ("general", "harmonic"):
+        raise PreconditionError(f"mode: expected 'general' or 'harmonic', got {mode!r}")
     grid, D, target = mapf.grid, mapf.D, mapf.target
     g, h = mapf.target_metric_factor, grid.metric_inv_factor
     e2 = mapf.dT_norm_sq
     lhs = 0.5 * delta_B_scalar(grid, e2, struct)
-    S_sq = second_form_norm_squared(mapf)
-    F = bochner_term(mapf)
     kappa_up = kappa_sharp(grid, struct)
+    general = mode == "general"
+    S_sq, F = np.empty(grid.shape), np.empty(grid.shape)
+    if general:
+        tau, S_kappa = np.empty(mapf.values.shape), np.empty(D.shape)
+    for r in row_blocks(grid):
+        S = _second_form_at(mapf, r, _at(mapf.target_gamma, r))
+        S_sq[r] = target.form_norm_sq(g[r], S, h[r])
+        F[r] = bochner_term(mapf, r)
+        if general:
+            tau[r] = metric_trace(h[r], S)
+            S_kappa[r] = along(S.swapaxes(-1, -2), kappa_up[r])       # S(kappa#, .)
     terms = {"lhs": lhs, "second_form_sq": S_sq, "bochner": F}
-    if mode == "harmonic":
+    if not general:
         kappa_drift = 0.5 * along(kappa_up, grad_B(grid, e2))
         terms["kappa_drift"] = kappa_drift
         terms["rhs"] = -S_sq - F + kappa_drift
         return terms
-    if mode != "general":
-        raise PreconditionError(f"mode: expected 'general' or 'harmonic', got {mode!r}")
-    codiff = delta_nabla_dT(mapf, struct)           # -tau + i(kappa#) d
-    laplacian_d = pullback_derivative(mapf, codiff)      # (..., g, a)
-    inner_lap = target.pairing(g, laplacian_d, D, h)
-    ikd = along(D, kappa_up)                             # i(kappa#) d
-    a_form = -along(mapf.S.swapaxes(-1, -2), kappa_up) + pullback_derivative(mapf, ikd)
-    inner_a = target.pairing(g, a_form, D, h)
+    laplacian_d = pullback_derivative(mapf, delta_nabla_dT(mapf, tau, kappa_up))   # (..., g, a)
+    d_ikd = pullback_derivative(mapf, along(D, kappa_up))         # d_nabla i(kappa#) d
+    inner_lap, inner_a = np.empty(grid.shape), np.empty(grid.shape)
+    for r in row_blocks(grid):
+        inner_lap[r] = target.pairing(g[r], laplacian_d[r], D[r], h[r])
+        inner_a[r] = target.pairing(g[r], -S_kappa[r] + d_ikd[r], D[r], h[r])   # A_kappa d
     terms["laplacian_pairing"] = inner_lap
     terms["kappa_operator_pairing"] = inner_a
     terms["rhs"] = inner_lap - S_sq - inner_a - F
@@ -261,18 +292,28 @@ def composition_residuals(phi: FoliatedMapField, psi: AnalyticMap
 
     Full tensor:  S(psi o phi) = d_T psi(S(phi)) + phi* S(psi)
     Trace:        tau(psi o phi) = d_T psi(tau(phi)) + tr_Q phi* S(psi)
+
+    Only the partials are whole-grid; each row block takes psi and the target
+    symbols at psi o phi once.
     """
     comp = compose(phi, psi)
-    J_psi = psi.jac(phi.values)
-    pulled = pullback_form(phi, psi.second_form(phi.values))        # phi* S(psi)
-    rhs_full = np.empty(pulled.shape)                # d_T psi(S(phi)) + phi* S(psi)
-    for g in range(psi.target.dim):
-        rhs_full[..., g, :, :] = along(np.moveaxis(phi.S, -3, -1), J_psi[..., g, :])
-    rhs_full += pulled
-    full = float(np.max(np.abs(comp.S - rhs_full)))
-    rhs_trace = along(J_psi, phi.tau) + metric_trace(phi.grid.metric_inv_factor, pulled)
-    trace = float(np.max(np.abs(comp.tau - rhs_trace)))
-    return {"second_form": full, "tension": trace}
+    h = phi.grid.metric_inv_factor
+    full, trace = [], []                             # the maxima of the blocks
+    for r in row_blocks(phi.grid):
+        v = phi.values[r]
+        J, G = psi.jac(v), psi.target.christoffel_symbols(comp.values[r])
+        S_phi = _second_form_at(phi, r, _at(phi.target_gamma, r))
+        S_comp = _second_form_at(comp, r, G)
+        pulled = pullback_form(phi.D[r], _second_form(
+            psi.hess(v), J, psi.source.christoffel_symbols(v), G))     # phi* S(psi)
+        rhs_full = np.empty(pulled.shape)            # d_T psi(S(phi)) + phi* S(psi)
+        for g in range(psi.target.dim):
+            rhs_full[..., g, :, :] = along(np.moveaxis(S_phi, -3, -1), J[..., g, :])
+        rhs_full += pulled
+        full.append(np.max(np.abs(S_comp - rhs_full)))
+        rhs_trace = along(J, metric_trace(h[r], S_phi)) + metric_trace(h[r], pulled)
+        trace.append(np.max(np.abs(metric_trace(h[r], S_comp) - rhs_trace)))
+    return {"second_form": float(np.max(full)), "tension": float(np.max(trace))}
 
 
 def refinement_report(identity: str,

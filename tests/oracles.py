@@ -18,6 +18,7 @@ import numpy as np
 
 from folharm.errors import FlowDivergedError, InvalidMapError, StepTooLargeError
 from folharm.grid import grad_B, hessian_scalar, integrate
+from folharm.maps import _second_form
 
 
 def dense_metric_inv(geom, points):
@@ -115,6 +116,13 @@ def rk4_geodesic(geom, point, v, nsteps=200):
         x = x + (h / 6) * (k1x + 2 * k2x + 2 * k3x + k4x)
         u = u + (h / 6) * (k1u + 2 * k2u + 2 * k3u + k4u)
     return x
+
+
+def analytic_second_form(psi, points):
+    """The closed-form second fundamental form of an ``AnalyticMap`` at source
+    points, through the package's one second-form formula."""
+    return _second_form(psi.hess(points), psi.jac(points), psi.source.christoffel_symbols(points),
+                        psi.target.christoffel_symbols(psi.func(points)))
 
 
 def loop_second_form(source, target, point, jac, hess, value):

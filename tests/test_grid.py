@@ -220,3 +220,13 @@ def test_build_grid_rejects_tiny_resolutions(torus1):
 def test_build_grid_rejects_spacings_without_a_finite_nonzero_square(period):
     with pytest.raises(fh.ConfigurationError, match="square"):
         fh.build_grid(fh.FlatTorus([period]), 16)
+
+
+def test_a_grid_at_the_row_block_budget_is_one_block(torus1, torus2):
+    """8,192 nodes are one block, one more row makes two, and a row above the
+    budget is a block of its own."""
+    assert fh.grid.ROW_BLOCK_NODES == 8192
+    assert fh.grid.row_blocks(fh.build_grid(torus2, (64, 128))) == [slice(0, 64)]
+    assert fh.grid.row_blocks(fh.build_grid(torus1, 8192)) == [slice(0, 8192)]
+    assert len(fh.grid.row_blocks(fh.build_grid(torus2, (65, 128)))) == 2
+    assert len(fh.grid.row_blocks(fh.build_grid(torus2, (8, 8193)))) == 8

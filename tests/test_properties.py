@@ -11,6 +11,7 @@ from folharm.flow import _singular_values_2x2, _whitened
 from folharm.serialize import fmt
 from folharm.geometry import quadratic_term
 from oracles import (
+    analytic_second_form,
     contract,
     dense_christoffel,
     dense_christoffel_term,
@@ -268,9 +269,9 @@ def test_small_matrix_contractions_match_einsum_definitions(src, tgt, seed):
              contract("...ts,...sa,...ab,...tb->...", gt, pullback(codiff), gi, D)),
             (terms["kappa_operator_pairing"],
              contract("...ts,...sa,...ab,...tb->...", gt, a_form, gi, D)),
-            (fh.maps.pullback_form(mapf, B), contract("...gst,...tb,...sa->...gab", B, D, D)),
+            (fh.maps.pullback_form(D, B), contract("...gst,...tb,...sa->...gab", B, D, D)),
             (fh.div_nabla(grid, X[..., 0, :]), div),
-            (psi.second_form(grid.points), psi_S)]:
+            (analytic_second_form(psi, grid.points), psi_S)]:
         assert np.array_equal(got, want)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import folharm as fh
-from folharm import cli, foliation, maps
+from folharm import cli, foliation, maps, verify
 from folharm.verify import _neville_to_zero
 from oracles import loop_bochner
 
@@ -164,6 +164,76 @@ def test_point_foliation_reduction_is_bit_identical():
             assert np.array_equal(t_none[key], t_triv[key]), key
 
 
+# -- row blocks ----------------------------------------------------------------
+
+
+def _sphere_band_map(sphere, n=16):
+    """The sphere band's identity plus a bump that vanishes on the fixed band
+    edges, and the identity as a closed-form map."""
+    grid = fh.build_grid(sphere, n)
+    identity = fh.make_family("identity", sphere, sphere)
+    theta, ph = grid.points[..., 0], grid.points[..., 1]
+    lo, hi = sphere.chart_bounds[0]
+    bump = 0.05 * np.sin(np.pi * (theta - lo) / (hi - lo)) * np.cos(ph)
+    values = identity.func(grid.points) + bump[..., None]
+    return fh.FoliatedMapField(grid, sphere, values, identity.winding), identity
+
+
+def _block_case(case, sphere, patch):
+    """Fresh maps of ``case``: one for the Weitzenboeck terms, and phi and psi
+    to compose."""
+    if case == "sphere band":
+        mapf, identity = _sphere_band_map(sphere)
+        return mapf, _sphere_band_map(sphere)[0], identity
+    torus = fh.FlatTorus([TWO_PI, TWO_PI])
+    if case == "flat torus":
+        return _torus2_sine(16), _torus2_sine(16), fh.make_family("band_wave", torus, sphere)
+    psi = fh.make_family("sine_into_patch", torus, patch)
+    return psi.realize(fh.build_grid(torus, 16)), _torus2_sine(16), psi
+
+
+@pytest.mark.parametrize("case", ["flat torus", "sphere band", "hyperbolic target"])
+def test_row_blocks_change_no_bit_of_the_checks(monkeypatch, sphere, patch, case):
+    """Row blocks of 5 rows (5, 5, 5 and 1 rows on a 16^2 grid) give the same
+    bits as one block: the Weitzenboeck terms in both modes, with and without
+    a foliation, and the composition residuals."""
+    struct = fh.named_profile("cosine_offset", 1, {"offset": 2.0})
+
+    def run():
+        out = {}
+        for mode in ("general", "harmonic"):
+            for st in (None, struct):
+                terms = fh.weitzenbock_terms(_block_case(case, sphere, patch)[0], st, mode)
+                out.update({(mode, st is None, k): v.tobytes() for k, v in terms.items()})
+        out["composition"] = fh.composition_residuals(*_block_case(case, sphere, patch)[1:])
+        return out
+
+    monkeypatch.setattr(fh.grid, "ROW_BLOCK_NODES", 5 * 16)
+    assert [len(range(16)[r]) for r in fh.grid.row_blocks(_torus2_sine(16).grid)] == [5, 5, 5, 1]
+    blocked = run()
+    monkeypatch.setattr(fh.grid, "ROW_BLOCK_NODES", 16 * 16)
+    assert blocked == run()
+
+
+def test_composition_at_256_stays_under_its_memory_bound(sphere):
+    """The traced peak of the composition check on a 256^2 grid, the stencils
+    of phi and psi o phi included, stays under 28 MB; it was 41.3 MB when the
+    check built whole-grid second forms."""
+    import tracemalloc
+
+    grid = fh.build_grid(fh.FlatTorus([TWO_PI, TWO_PI]), 256)
+    psi = fh.make_family("band_wave", grid.geometry, sphere)
+    phi = fh.make_family("sine_perturbation", grid.geometry, grid.geometry,
+                         {"modes": [[0, [1, 0], 0.15, 0.0], [1, [0, 1], 0.1, 0.7]]}).realize(grid)
+    tracemalloc.start()
+    try:
+        fh.composition_residuals(phi, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28e6
+
+
 # -- refinement machinery ----------------------------------------------------
 
 
@@ -213,10 +283,10 @@ def _scaled_cache(name, factor):
     return maps.FoliatedMapField, name, property(read)
 
 
-def _scaled_second_form(factor):
-    """Plant: every closed-form map's second form, times ``factor``."""
-    second_form = maps.AnalyticMap.second_form
-    return maps.AnalyticMap, "second_form", lambda psi, points: factor * second_form(psi, points)
+def _scaled(owner, name, factor):
+    """Plant: the function ``name`` of ``owner`` (a module or a class), times ``factor``."""
+    original = getattr(owner, name)
+    return owner, name, lambda *args: factor * original(*args)
 
 
 def _scaled_profile_derivative(factor):
@@ -230,14 +300,16 @@ def _scaled_profile_derivative(factor):
 
 
 # check [mode] -> (shipped config, one wrong input); the composed map itself
-# takes only psi's values, so a wrong second form of psi shows on one side
-# alone.  Harmonic-mode Weitzenboeck on the totally geodesic identity of the
-# sphere has S = 0 and a constant |d_T phi|^2, so it shows a wrong D only.
+# takes only psi's values, so a wrong Hessian of psi, which only psi's second
+# form reads, shows on one side alone.  The Weitzenboeck check takes the map's
+# second form from ``verify._second_form``.  Harmonic-mode Weitzenboeck on the
+# totally geodesic identity of the sphere has S = 0 and a constant
+# |d_T phi|^2, so it shows a wrong D only.
 _PLANTS = {
     "first_variation": ("verify_core_identities", _scaled_cache("tau", 1.1)),
-    "weitzenbock": ("verify_weitzenbock_refinement", _scaled_cache("S", 1.01)),
+    "weitzenbock": ("verify_weitzenbock_refinement", _scaled(verify, "_second_form", 1.01)),
     "weitzenbock harmonic": ("report_sphere_identity", _scaled_cache("D", 1.01)),
-    "composition": ("verify_composition_chain", _scaled_second_form(1.01)),
+    "composition": ("verify_composition_chain", _scaled(maps.AnalyticMap, "hess", 1.01)),
     "lemma_volume": ("verify_core_identities", _scaled_profile_derivative(-3.0)),
 }
 

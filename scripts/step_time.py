@@ -8,9 +8,11 @@ and its initial map, then times ``run_flow`` with the config's flow
 settings, its own ``tension_tol`` included, and ``max_steps=K``: the
 initial map's energy and tension, then the steps up to the tension
 tolerance or K, with their energies, rejections and trace statistics.
-Each of five runs starts from a freshly built initial map.  Prints one JSON
-line with the median and quartiles over the runs of the milliseconds per
-accepted step, and the step route the source grid selects: ``fft`` (the
+Each of five timed runs starts from a freshly built initial map, and so
+does one run before them under ``tracemalloc``, which gives the peak of the
+memory the flow allocates.  Prints one JSON line with that peak, the median
+and quartiles over the timed runs of the milliseconds per accepted step,
+and the step route the source grid selects: ``fft`` (the
 preconditioned step of a flat torus) or ``explicit``; per-step figures of
 the two routes are not comparable.  A run that ends in ``dt_underflow``
 spent its last attempts on rejections, so its figures are null instead of
@@ -25,6 +27,7 @@ import argparse
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 here = Path(__file__).resolve().parent
@@ -48,6 +51,11 @@ def time_steps(path: Path, resolution: int | None, max_steps: int) -> dict:
     exp = Experiment(config)
     settings = {**config.get("flow", {}), "max_steps": max_steps}
     flow_config = flow.FlowConfig(**settings)
+    mapf = exp.initial_map()
+    tracemalloc.start()
+    flow.run_flow(mapf, exp.struct, flow_config)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     per_step = []
     for _ in range(RUNS):
         mapf = exp.initial_map()
@@ -67,6 +75,7 @@ def time_steps(path: Path, resolution: int | None, max_steps: int) -> dict:
         "steps": steps, "termination": trace.termination,
         "runs": RUNS, "dt": flow_config.resolve_dt(mapf.grid),
         "median_ms": med, "q1_ms": q1, "q3_ms": q3,
+        "tracemalloc_peak_mb": round(peak / 1e6, 2),
     }
 
 

@@ -25,7 +25,9 @@ the initial one included, must be finite.
 
 Each attempt takes the candidate's partials in one stencil pass and its
 energy from the target geometry's closed-form |d_T phi|^2; an accepted
-map's trace row (E, max|tau|, max|S|, max|d_T phi|^2) is recorded at once.
+map's trace row (E, max|tau|, max|S|, max|d_T phi|^2) is recorded at once,
+from tau and |S|^2 of the field's one second-order pass over the grid's row
+blocks, which the rigidity diagnostics read again.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import (
 )
 from .foliation import FoliatedStructure
 from .geometry import FlatTorus
-from .grid import GridChart, integrate
+from .grid import GridChart, integrate, row_blocks
 from .maps import FoliatedMapField, energy_density, second_form_norm_squared, tension_sup_norm
 
 __all__ = [
@@ -283,13 +285,16 @@ def _singular_values_2x2(A: np.ndarray) -> np.ndarray:
 def _whitened_singular_values(mapf: FoliatedMapField) -> np.ndarray:
     """Singular values of d_T phi with respect to g and g' at each node,
     stacked on the last axis: one closed form per shape, and LAPACK only
-    for a source or target of dimension 3 or more."""
-    q, qt = mapf.grid.dim, mapf.target.dim
+    for a source or target of dimension 3 or more; row block by row block."""
+    grid, q, qt = mapf.grid, mapf.grid.dim, mapf.target.dim
     if q == 1 or qt == 1:   # one singular value, |d_T phi|
         return np.sqrt(np.maximum(mapf.dT_norm_sq, 0.0))[..., None]
-    A = _whitened(mapf.grid.geometry.metric_diagonal(mapf.grid.points),
-                  mapf.target_metric_factor, mapf.D)
-    return _singular_values_2x2(A) if q == qt == 2 else np.linalg.svd(A, compute_uv=False)
+    sv = np.empty(grid.shape + (min(q, qt),))
+    for r in row_blocks(grid):
+        A = _whitened(grid.geometry.metric_diagonal(grid.points[r]),
+                      mapf.target_metric_factor[r], mapf.D[r])
+        sv[r] = _singular_values_2x2(A) if q == qt == 2 else np.linalg.svd(A, compute_uv=False)
+    return sv
 
 
 def rigidity_diagnostics(mapf: FoliatedMapField, struct: FoliatedStructure | None,

@@ -19,9 +19,10 @@ fixed axes.  The measure factorization mu_M = vol_L * mu_B is the concrete
 meaning of integrals over the foliated manifold: ``manifold_volume`` weights
 by vol_L * w, and ``base_volume`` by w alone is the mu_M / vol_L measure.
 
-Pointwise algebra after the stencils may run in cache-sized row blocks of
-axis 0 (``row_blocks``); a block's elementwise operations see the operands
-they see on the whole grid, so blocked results are bit-identical.
+Pointwise algebra after the stencils (the second forms of the flow and the
+tension, the rigidity diagnostics, the identity checks) runs in cache-sized
+row blocks of axis 0 (``row_blocks``); blocked results are bit-identical, as
+a block's elementwise operations see the operands they see on the whole grid.
 """
 
 from __future__ import annotations

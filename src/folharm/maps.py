@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CompositionError, ConfigurationError, InvalidMapError
 from .geometry import TransverseGeometry, _total, lower_christoffel, quadratic_term
-from .grid import GridChart, along, derivatives, grad_B, metric_trace
+from .grid import GridChart, along, derivatives, grad_B, metric_trace, row_blocks
 
 __all__ = [
     "FoliatedMapField",
@@ -108,7 +108,7 @@ class FoliatedMapField:
 
     The field is immutable: ``values`` is read-only (a copy of the caller's
     array), so the periodic part and the derivatives cached on first use
-    (``D``, ``S``, ``tau``, ``dT_norm_sq``) cannot go stale.
+    (``D``, ``dT_norm_sq``, and ``second_order``'s tau and |S|^2) cannot go stale.
     ``replace_values`` builds a new field on the same lift, whose winding was
     checked when the lift was built, and adopts the new values instead of
     copying them, so it only checks them.
@@ -158,8 +158,12 @@ class FoliatedMapField:
 
     @cached_property
     def partials(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stencil partials of the periodic part, from the one pass D and S share."""
-        return derivatives(self.grid, self.periodic_part)
+        """First and second partials of the lift from one stencil pass over the periodic
+        part, the linear part's slope added in place into the first: d_T phi itself."""
+        first, second = derivatives(self.grid, self.periodic_part)
+        if self._lift.winds:
+            first += self.linear_slope
+        return first, second
 
     @cached_property
     def target_metric(self) -> np.ndarray:
@@ -192,11 +196,17 @@ class FoliatedMapField:
         return d_T(self)
 
     @cached_property
-    def S(self) -> np.ndarray:
-        """Second fundamental form, (..., q', q, q)."""
-        S = second_fund_form(self)
-        self.__dict__.pop("partials", None)     # D and S are taken: the pass is spent
-        return S
+    def second_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """tau (..., q') and |S|^2 (...) from one pass over the grid's row blocks, each
+        taking its block of S; the pass spends the second partials."""
+        g, h = self.target_metric_factor, self.grid.metric_inv_factor
+        tau, S_sq = np.empty(self.values.shape), np.empty(self.grid.shape)
+        for r in row_blocks(self.grid):
+            S = second_fund_form(self, r)
+            tau[r] = metric_trace(h[r], S)
+            S_sq[r] = self.target.form_norm_sq(g[r], S, h[r])
+        self.__dict__.pop("partials")           # D keeps the first partials
+        return tau, S_sq
 
     @cached_property
     def tau(self) -> np.ndarray:
@@ -306,9 +316,13 @@ class AnalyticMap:
 
 
 def d_T(mapf: FoliatedMapField) -> np.ndarray:
-    """Transversal differential, components D[..., alpha, a] = d_a phi^alpha."""
-    D = mapf.partials[0]
-    return D + mapf.linear_slope if mapf._lift.winds else D
+    """Transversal differential D[..., alpha, a] = d_a phi^alpha: the field's first partials."""
+    return mapf.partials[0]
+
+
+def _at(symbols: dict, rows: slice) -> dict:
+    """The Christoffel symbols {key: values} at the rows ``rows`` of the grid."""
+    return {key: value[rows] for key, value in symbols.items()}
 
 
 def _second_form(H: np.ndarray, D: np.ndarray, source_symbols: dict,
@@ -324,19 +338,19 @@ def _second_form(H: np.ndarray, D: np.ndarray, source_symbols: dict,
     return H
 
 
-def second_fund_form(mapf: FoliatedMapField) -> np.ndarray:
-    """Second fundamental form S[..., gamma, a, b] of the map.
+def second_fund_form(mapf: FoliatedMapField, rows: slice = slice(None)) -> np.ndarray:
+    """Second fundamental form S[..., gamma, a, b] of the map at the grid rows ``rows``.
 
     S^g_{ab} = d_a d_b phi^g - Gamma^c_{ab} d_c phi^g
              + Gamma'^g_{st}(phi) d_a phi^s d_b phi^t.
     """
-    return _second_form(mapf.partials[1], mapf.D, mapf.grid.christoffel_symbols,
-                        mapf.target_gamma)
+    return _second_form(mapf.partials[1][rows], mapf.D[rows],
+                        _at(mapf.grid.christoffel_symbols, rows), _at(mapf.target_gamma, rows))
 
 
 def tension(mapf: FoliatedMapField) -> np.ndarray:
-    """Transversal tension field, tau^g = g^{ab} S^g_{ab}."""
-    return metric_trace(mapf.grid.metric_inv_factor, mapf.S)
+    """Transversal tension field, tau^g = g^{ab} S^g_{ab}, from the field's second-order pass."""
+    return mapf.second_order[0]
 
 
 def tension_sup_norm(mapf: FoliatedMapField) -> float:
@@ -358,8 +372,8 @@ def dT_norm_squared(mapf: FoliatedMapField) -> np.ndarray:
 
 def second_form_norm_squared(mapf: FoliatedMapField) -> np.ndarray:
     """|nabla_tr d_T phi|^2 = g^{aa'} g^{bb'} g'_{gd} S^g_{ab} S^d_{a'b'}
-    = g'_{gd} tr(S^g g^{-1} S^d g^{-1})."""
-    return mapf.target.form_norm_sq(mapf.target_metric_factor, mapf.S, mapf.grid.metric_inv_factor)
+    = g'_{gd} tr(S^g g^{-1} S^d g^{-1}), from the field's second-order pass."""
+    return mapf.second_order[1]
 
 
 def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray) -> np.ndarray:

@@ -44,15 +44,8 @@ from .grid import (
     row_blocks,
     spectral_diff1,
 )
-from .maps import (
-    AnalyticMap,
-    FoliatedMapField,
-    _second_form,
-    compose,
-    delta_nabla_dT,
-    pullback_derivative,
-    pullback_form,
-)
+from .maps import (AnalyticMap, FoliatedMapField, _at, _second_form, compose, delta_nabla_dT,
+                   pullback_derivative, pullback_form, second_fund_form)
 
 __all__ = [
     "VariationSpec",
@@ -153,18 +146,6 @@ def check_first_variation(mapf: FoliatedMapField,
     )
 
 
-def _at(symbols: dict, rows: slice) -> dict:
-    """The Christoffel symbols {key: values} at the rows ``rows`` of the grid."""
-    return {key: value[rows] for key, value in symbols.items()}
-
-
-def _second_form_at(mapf: FoliatedMapField, rows: slice, target_symbols: dict) -> np.ndarray:
-    """The map's second form at ``rows``, from its whole-grid partials and the
-    target's symbols at its values there."""
-    return _second_form(mapf.partials[1][rows], mapf.D[rows],
-                        _at(mapf.grid.christoffel_symbols, rows), target_symbols)
-
-
 def bochner_parts(mapf: FoliatedMapField, rows: slice = slice(None)
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Source-Ricci and target-curvature contractions, separately, at the
@@ -233,7 +214,7 @@ def weitzenbock_terms(mapf: FoliatedMapField,
     if general:
         tau, S_kappa = np.empty(mapf.values.shape), np.empty(D.shape)
     for r in row_blocks(grid):
-        S = _second_form_at(mapf, r, _at(mapf.target_gamma, r))
+        S = second_fund_form(mapf, r)
         S_sq[r] = target.form_norm_sq(g[r], S, h[r])
         F[r] = bochner_term(mapf, r)
         if general:
@@ -293,17 +274,16 @@ def composition_residuals(phi: FoliatedMapField, psi: AnalyticMap
     Full tensor:  S(psi o phi) = d_T psi(S(phi)) + phi* S(psi)
     Trace:        tau(psi o phi) = d_T psi(tau(phi)) + tr_Q phi* S(psi)
 
-    Only the partials are whole-grid; each row block takes psi and the target
-    symbols at psi o phi once.
+    Only the partials and the target symbols at psi o phi are whole-grid; each
+    row block takes psi once.
     """
     comp = compose(phi, psi)
     h = phi.grid.metric_inv_factor
     full, trace = [], []                             # the maxima of the blocks
     for r in row_blocks(phi.grid):
         v = phi.values[r]
-        J, G = psi.jac(v), psi.target.christoffel_symbols(comp.values[r])
-        S_phi = _second_form_at(phi, r, _at(phi.target_gamma, r))
-        S_comp = _second_form_at(comp, r, G)
+        J, G = psi.jac(v), _at(comp.target_gamma, r)
+        S_phi, S_comp = second_fund_form(phi, r), second_fund_form(comp, r)
         pulled = pullback_form(phi.D[r], _second_form(
             psi.hess(v), J, psi.source.christoffel_symbols(v), G))     # phi* S(psi)
         rhs_full = np.empty(pulled.shape)            # d_T psi(S(phi)) + phi* S(psi)

@@ -398,8 +398,12 @@ def test_one_derivative_pass_per_flow_attempt(explicit_route, monkeypatch):
 
 
 def test_flow_outputs_and_diagnostics_share_derivatives(sphere, monkeypatch):
+    """One d_T and one second-order pass per field: a second form for each
+    row block (4 blocks of 5, 5, 5 and 1 rows here), whose tau and |S|^2 the
+    trace, the tension norm and the diagnostics all read."""
     import folharm.maps as maps
 
+    monkeypatch.setattr(fh.grid, "ROW_BLOCK_NODES", 5 * 16)
     grid = fh.build_grid(sphere, 16)
     mapf = fh.make_family("identity", sphere, sphere).realize(grid)
     d_T_calls = _count_calls(monkeypatch, maps, "d_T")
@@ -407,7 +411,26 @@ def test_flow_outputs_and_diagnostics_share_derivatives(sphere, monkeypatch):
     final, _ = fh.run_flow(mapf, None, fh.FlowConfig(tension_tol=1e-10))
     fh.tension_sup_norm(final)
     fh.rigidity_diagnostics(final, None, rank_cap=2)
-    assert (len(d_T_calls), len(S_calls)) == (1, 1)
+    assert (len(d_T_calls), len(S_calls)) == (1, len(fh.grid.row_blocks(grid))) == (1, 4)
+
+
+def test_sphere_band_flow_at_256_stays_under_its_memory_bound(sphere):
+    """The traced peak of the 256^2 sphere-band identity's flow and rigidity
+    diagnostics stays under 24 MB; it was 28.9 MB when the field cached a
+    whole-grid second form."""
+    import tracemalloc
+
+    grid = fh.build_grid(sphere, 256)
+    mapf = fh.make_family("identity", sphere, sphere).realize(grid)
+    tracemalloc.start()
+    try:
+        final, _ = fh.run_flow(mapf, None, fh.FlowConfig(tension_tol=1e-8))
+        diag = fh.rigidity_diagnostics(final, None, 2, fh.RigidityTolerances(tension_tol=1e-6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag.verdict == fh.Verdict.totally_geodesic
+    assert peak < 24e6
 
 
 # -- rigidity diagnostics --------------------------------------------------

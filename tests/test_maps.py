@@ -47,6 +47,22 @@ def test_periodic_part_is_computed_once_per_field():
     assert np.allclose(part, mapf.values - linear, rtol=0, atol=1e-12)
 
 
+def test_d_T_adds_the_slope_of_a_winding_map_once():
+    """D is the first-partials block with the lift's slope added in place:
+    d_T taken twice, and again after the second-order pass has spent the
+    partials, gives the same bits."""
+    grid = _torus_grid(16)
+    fam = fh.make_family("linear", grid.geometry, grid.geometry,
+                         {"matrix": [[2, 1], [0, 1]]})
+    mapf = fam.realize(grid)
+    D = fh.d_T(mapf)
+    assert D is mapf.partials[0]
+    assert fh.d_T(mapf).tobytes() == D.tobytes()
+    mapf.tau
+    assert fh.d_T(mapf).tobytes() == D.tobytes() == mapf.D.tobytes()
+    assert np.max(np.abs(D - np.array([[2.0, 1.0], [0.0, 1.0]]))) <= 1e-12
+
+
 def test_dT_second_order_accurate():
     errs = []
     for n in (32, 64, 128):

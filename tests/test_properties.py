@@ -199,7 +199,7 @@ def test_small_matrix_contractions_match_einsum_definitions(src, tgt, seed):
     hi = bounds[:, 1] - 0.1 * (bounds[:, 1] - bounds[:, 0])
     mapf = fh.FoliatedMapField(
         grid, target, rng.uniform(lo, hi, grid.shape + (target.dim,)))
-    D, S, tau = mapf.D, mapf.S, mapf.tau
+    D, S, tau = mapf.D, fh.second_fund_form(mapf), mapf.tau
     gi, gt = dense_metric_inv(source, grid.points), mapf.target_metric
     gam_s, gam_t = dense_christoffel(source, grid.points), dense_christoffel(target, mapf.values)
     X = rng.standard_normal(D.shape)

@@ -58,5 +58,5 @@ def test_tracer_wraps_the_flow_layers():
 def test_cached_field_properties_stay_functools_cached_properties():
     """The tracer recognises the cached properties it wraps by their class,
     and wraps their ``func``."""
-    for name in ("periodic_part", "target_metric", "target_gamma", "D", "S", "tau"):
+    for name in ("periodic_part", "target_metric", "target_gamma", "D", "tau"):
         assert isinstance(getattr(fh.FoliatedMapField, name), cached_property), name

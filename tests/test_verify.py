@@ -196,7 +196,8 @@ def _block_case(case, sphere, patch):
 def test_row_blocks_change_no_bit_of_the_checks(monkeypatch, sphere, patch, case):
     """Row blocks of 5 rows (5, 5, 5 and 1 rows on a 16^2 grid) give the same
     bits as one block: the Weitzenboeck terms in both modes, with and without
-    a foliation, and the composition residuals."""
+    a foliation, the composition residuals, and the flow path's tau and
+    |S|^2, five flow steps (trace and final map) and rigidity diagnostics."""
     struct = fh.named_profile("cosine_offset", 1, {"offset": 2.0})
 
     def run():
@@ -206,11 +207,20 @@ def test_row_blocks_change_no_bit_of_the_checks(monkeypatch, sphere, patch, case
                 terms = fh.weitzenbock_terms(_block_case(case, sphere, patch)[0], st, mode)
                 out.update({(mode, st is None, k): v.tobytes() for k, v in terms.items()})
         out["composition"] = fh.composition_residuals(*_block_case(case, sphere, patch)[1:])
+        mapf = _block_case(case, sphere, patch)[0]
+        out["tau"] = mapf.tau.tobytes()
+        out["S_sq"] = fh.second_form_norm_squared(mapf).tobytes()
+        final, trace = fh.run_flow(mapf, None, fh.FlowConfig(tension_tol=0.0, max_steps=5))
+        out["trace"] = [np.asarray(column, dtype=float).tobytes() for column in trace.columns()[1]]
+        out["final"] = final.values.tobytes()
+        out["diagnostics"] = fh.rigidity_diagnostics(
+            final, None, 2, fh.RigidityTolerances(tension_tol=np.inf)).to_dict()
         return out
 
     monkeypatch.setattr(fh.grid, "ROW_BLOCK_NODES", 5 * 16)
     assert [len(range(16)[r]) for r in fh.grid.row_blocks(_torus2_sine(16).grid)] == [5, 5, 5, 1]
     blocked = run()
+    assert blocked["trace"][0] == np.arange(6, dtype=float).tobytes()   # five steps taken
     monkeypatch.setattr(fh.grid, "ROW_BLOCK_NODES", 16 * 16)
     assert blocked == run()
 
@@ -302,12 +312,12 @@ def _scaled_profile_derivative(factor):
 # check [mode] -> (shipped config, one wrong input); the composed map itself
 # takes only psi's values, so a wrong Hessian of psi, which only psi's second
 # form reads, shows on one side alone.  The Weitzenboeck check takes the map's
-# second form from ``verify._second_form``.  Harmonic-mode Weitzenboeck on the
+# second form from ``verify.second_fund_form``.  Harmonic-mode Weitzenboeck on the
 # totally geodesic identity of the sphere has S = 0 and a constant
 # |d_T phi|^2, so it shows a wrong D only.
 _PLANTS = {
     "first_variation": ("verify_core_identities", _scaled_cache("tau", 1.1)),
-    "weitzenbock": ("verify_weitzenbock_refinement", _scaled(verify, "_second_form", 1.01)),
+    "weitzenbock": ("verify_weitzenbock_refinement", _scaled(verify, "second_fund_form", 1.01)),
     "weitzenbock harmonic": ("report_sphere_identity", _scaled_cache("D", 1.01)),
     "composition": ("verify_composition_chain", _scaled(maps.AnalyticMap, "hess", 1.01)),
     "lemma_volume": ("verify_core_identities", _scaled_profile_derivative(-3.0)),

@@ -398,11 +398,10 @@ def pullback_form(D: np.ndarray, B: np.ndarray) -> np.ndarray:
     return quadratic_term(entries, D, D, B.shape[-3])
 
 
-def delta_nabla_dT(mapf: FoliatedMapField, tau: np.ndarray,
-                   kappa_up: np.ndarray) -> np.ndarray:
+def delta_nabla_dT(mapf: FoliatedMapField, kappa_up: np.ndarray) -> np.ndarray:
     """Codifferential of d_T phi as a pull-back section, -tau + i(kappa#) d_T phi,
     of the map's tension tau and the mean-curvature vector kappa#."""
-    return -tau + along(mapf.D, kappa_up)
+    return -mapf.tau + along(mapf.D, kappa_up)
 
 
 # -- composition ----------------------------------------------------------

@@ -115,15 +115,20 @@ def map_from_csv(path, grid: GridChart, target: TransverseGeometry
                  ) -> FoliatedMapField:
     """Load a map written by ``map_to_csv`` onto ``grid``.
 
-    Raises InvalidMapError unless '# winding' rows, the i*, b* and phi*
-    header of this grid and target, and the node rows come in that order
-    and every node appears exactly once, at its chart coordinates.
+    Raises InvalidMapError if the file cannot be opened, or unless '# winding'
+    rows, the i*, b* and phi* header of this grid and target, and the node rows
+    come in that order and every node appears exactly once, at its chart
+    coordinates.
     """
     q, qp = grid.dim, target.dim
     columns = _node_columns(q, {_MAP_FIELD: qp})
     n_nodes = int(np.prod(grid.shape))
     winding_rows, header = [], None
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise InvalidMapError(f"{path}: cannot read the map: {exc.strerror}") from exc
+    with fh:
         reader = csv.reader(fh)
         for row in filter(None, reader):
             if row[0] != "# winding":

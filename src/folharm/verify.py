@@ -20,6 +20,7 @@ residual decay (see tests).
 The Weitzenboeck and composition checks build only the stencils' inputs and
 outputs over the whole grid; second forms and the pointwise contractions run
 one row block at a time (``grid.row_blocks``), with bit-identical results.
+The Weitzenboeck check reads tau and |S|^2 from the field's second-order pass.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import ConfigurationError, PreconditionError
 from .flow import transversal_energy
 from .foliation import FoliatedStructure
 from .geometry import _total
@@ -45,7 +46,7 @@ from .grid import (
     spectral_diff1,
 )
 from .maps import (AnalyticMap, FoliatedMapField, _at, _second_form, compose, delta_nabla_dT,
-                   pullback_derivative, pullback_form, second_fund_form)
+                   pullback_derivative, pullback_form, second_form_norm_squared, second_fund_form)
 
 __all__ = [
     "VariationSpec",
@@ -67,6 +68,14 @@ class VariationSpec:
 
     V: np.ndarray                                  # grid.shape + (q',)
     fd_steps: tuple[float, ...] = (1e-2, 5e-3, 2.5e-3)
+
+    def __post_init__(self):
+        # the extrapolation to t = 0 divides by differences of the squared steps
+        squares = [t * t for t in self.fd_steps]
+        if not (squares and all(t > 0 for t in self.fd_steps) and len(set(squares)) == len(squares)
+                and all(0 < t2 < np.inf for t2 in squares)):
+            raise ConfigurationError("fd_steps: expected positive steps with distinct, finite, "
+                                     f"nonzero squares, got {list(self.fd_steps)}")
 
 
 @dataclass
@@ -199,8 +208,8 @@ def weitzenbock_terms(mapf: FoliatedMapField,
     harmonic-map corollary
         1/2 Delta_B |d|^2 = -|S|^2 - <F d, d> + 1/2 kappa#(|d|^2).
 
-    Whole-grid are D, |d|^2, tau, the codifferential and i(kappa#) d, and
-    their derivatives; the rest fills the outputs row block by row block.
+    Whole-grid are D, |d|^2, the codifferential and i(kappa#) d, and their derivatives;
+    tau and |S|^2 come from the field's pass; the rest fills the outputs block by block.
     """
     if mode not in ("general", "harmonic"):
         raise PreconditionError(f"mode: expected 'general' or 'harmonic', got {mode!r}")
@@ -210,28 +219,27 @@ def weitzenbock_terms(mapf: FoliatedMapField,
     lhs = 0.5 * delta_B_scalar(grid, e2, struct)
     kappa_up = kappa_sharp(grid, struct)
     general = mode == "general"
-    S_sq, F = np.empty(grid.shape), np.empty(grid.shape)
+    F = np.empty(grid.shape)
     if general:
-        tau, S_kappa = np.empty(mapf.values.shape), np.empty(D.shape)
+        d_ikd = pullback_derivative(mapf, along(D, kappa_up))         # d_nabla i(kappa#) d
+        inner_a = np.empty(grid.shape)
+    # S(kappa#, .) before mapf.tau: its pass frees the partials; S after it reruns the stencils
     for r in row_blocks(grid):
-        S = second_fund_form(mapf, r)
-        S_sq[r] = target.form_norm_sq(g[r], S, h[r])
         F[r] = bochner_term(mapf, r)
         if general:
-            tau[r] = metric_trace(h[r], S)
-            S_kappa[r] = along(S.swapaxes(-1, -2), kappa_up[r])       # S(kappa#, .)
+            S_kappa = along(second_fund_form(mapf, r).swapaxes(-1, -2), kappa_up[r])
+            inner_a[r] = target.pairing(g[r], -S_kappa + d_ikd[r], D[r], h[r])   # A_kappa d
+    S_sq = second_form_norm_squared(mapf)
     terms = {"lhs": lhs, "second_form_sq": S_sq, "bochner": F}
     if not general:
         kappa_drift = 0.5 * along(kappa_up, grad_B(grid, e2))
         terms["kappa_drift"] = kappa_drift
         terms["rhs"] = -S_sq - F + kappa_drift
         return terms
-    laplacian_d = pullback_derivative(mapf, delta_nabla_dT(mapf, tau, kappa_up))   # (..., g, a)
-    d_ikd = pullback_derivative(mapf, along(D, kappa_up))         # d_nabla i(kappa#) d
-    inner_lap, inner_a = np.empty(grid.shape), np.empty(grid.shape)
+    laplacian_d = pullback_derivative(mapf, delta_nabla_dT(mapf, kappa_up))   # (..., g, a)
+    inner_lap = np.empty(grid.shape)
     for r in row_blocks(grid):
         inner_lap[r] = target.pairing(g[r], laplacian_d[r], D[r], h[r])
-        inner_a[r] = target.pairing(g[r], -S_kappa[r] + d_ikd[r], D[r], h[r])   # A_kappa d
     terms["laplacian_pairing"] = inner_lap
     terms["kappa_operator_pairing"] = inner_a
     terms["rhs"] = inner_lap - S_sq - inner_a - F

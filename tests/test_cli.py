@@ -203,7 +203,7 @@ def test_nan_tension_tol_flow_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_runtime_error_exits_three(tmp_path):
+def test_runtime_error_exits_three(tmp_path, capsys):
     # a missing map CSV at run time is a runtime failure
     cfg = _write_config(tmp_path, {
         "source": {"kind": "flat_torus", "periods": [TWO_PI]},
@@ -212,6 +212,17 @@ def test_runtime_error_exits_three(tmp_path):
     })
     assert cli.main(["energy", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 3
+    assert "no_such_map.csv: cannot read the map" in capsys.readouterr().err
+
+
+def test_an_unexpected_exception_exits_three_with_its_type(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("unforeseen")
+
+    monkeypatch.setattr(cli, "Experiment", fail)
+    cfg = _write_config(tmp_path, _base_config())
+    assert cli.main(["energy", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "runtime error: RuntimeError: unforeseen\n"
 
 
 def test_non_finite_energy_exits_three(tmp_path):
@@ -379,6 +390,19 @@ def test_non_finite_verify_residual_exits_three(tmp_path, capsys):
     assert code == 3
     assert "PASS" not in capsys.readouterr().out
     assert not (out / "verify.json").exists()
+
+
+@pytest.mark.parametrize("fd_steps", [[0.01, 0.01], [1e-200, 2e-200]])
+def test_finite_difference_steps_of_equal_squares_exit_two(tmp_path, capsys, fd_steps):
+    """The extrapolation over the steps divides by the differences of their
+    squares: two equal steps, or two whose squares both underflow to 0."""
+    config = json.loads((Path(__file__).parents[1] / "scripts" / "configs"
+                         / "verify_core_identities.json").read_text())
+    config["variation"]["fd_steps"] = fd_steps
+    config["verify"]["checks"] = ["first_variation"]
+    cfg = _write_config(tmp_path, config)
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "fd_steps: expected positive steps with distinct" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("subcommand, extra", [

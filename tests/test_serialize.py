@@ -205,6 +205,15 @@ def test_map_csv_faults_name_their_line_in_the_file(tmp_path, torus2, fault, eve
     assert str(err.value).startswith(f"{path}:{edited[0] + 1}: {words}")
 
 
+@pytest.mark.parametrize("name", ["missing.csv", "a_directory"])
+def test_an_unreadable_map_csv_is_an_invalid_map(tmp_path, torus2, name):
+    (tmp_path / "a_directory").mkdir()
+    path = tmp_path / name
+    with pytest.raises(fh.InvalidMapError) as err:
+        serialize.map_from_csv(path, fh.build_grid(torus2, 8), torus2)
+    assert str(err.value).startswith(f"{path}: cannot read the map")
+
+
 def test_trace_csv(tmp_path, torus1):
     trace = fh.FlowTrace()
     trace.record(0, 1.0, 0.5, 0.25, 2.0)

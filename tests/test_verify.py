@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import folharm as fh
-from folharm import cli, foliation, maps, verify
+from folharm import cli, foliation, maps
 from folharm.verify import _neville_to_zero
 from oracles import loop_bochner
 
@@ -225,6 +225,26 @@ def test_row_blocks_change_no_bit_of_the_checks(monkeypatch, sphere, patch, case
     assert blocked == run()
 
 
+@pytest.mark.parametrize("mode", ["general", "harmonic"])
+@pytest.mark.parametrize("case", ["flat torus", "sphere band"])
+def test_weitzenbock_terms_run_the_stencils_once_per_field(monkeypatch, sphere, patch,
+                                                           case, mode):
+    """The check forms its blocks of S(kappa#, .) before it reads tau, whose
+    pass spends the second partials; formed after it, each block would run the
+    map's stencils again."""
+    calls = []
+    derivatives = maps.derivatives
+
+    def counted(*args):
+        calls.append(args)
+        return derivatives(*args)
+
+    monkeypatch.setattr(maps, "derivatives", counted)
+    struct = fh.named_profile("cosine_offset", 1, {"offset": 2.0}) if case == "flat torus" else None
+    fh.weitzenbock_terms(_block_case(case, sphere, patch)[0], struct, mode)
+    assert len(calls) == 1
+
+
 def test_composition_at_256_stays_under_its_memory_bound(sphere):
     """The traced peak of the composition check on a 256^2 grid, the stencils
     of phi and psi o phi included, stays under 28 MB; it was 41.3 MB when the
@@ -311,13 +331,14 @@ def _scaled_profile_derivative(factor):
 
 # check [mode] -> (shipped config, one wrong input); the composed map itself
 # takes only psi's values, so a wrong Hessian of psi, which only psi's second
-# form reads, shows on one side alone.  The Weitzenboeck check takes the map's
-# second form from ``verify.second_fund_form``.  Harmonic-mode Weitzenboeck on the
+# form reads, shows on one side alone.  The Weitzenboeck check takes tau and
+# |S|^2 from the field's second-order pass and S(kappa#, .) from its own blocks
+# of S, all through ``maps._second_form``.  Harmonic-mode Weitzenboeck on the
 # totally geodesic identity of the sphere has S = 0 and a constant
 # |d_T phi|^2, so it shows a wrong D only.
 _PLANTS = {
     "first_variation": ("verify_core_identities", _scaled_cache("tau", 1.1)),
-    "weitzenbock": ("verify_weitzenbock_refinement", _scaled(verify, "second_fund_form", 1.01)),
+    "weitzenbock": ("verify_weitzenbock_refinement", _scaled(maps, "_second_form", 1.01)),
     "weitzenbock harmonic": ("report_sphere_identity", _scaled_cache("D", 1.01)),
     "composition": ("verify_composition_chain", _scaled(maps.AnalyticMap, "hess", 1.01)),
     "lemma_volume": ("verify_core_identities", _scaled_profile_derivative(-3.0)),

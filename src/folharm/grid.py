@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UnsupportedDomainError
 from .foliation import FoliatedStructure
-from .geometry import TransverseGeometry, _total, lower_christoffel
+from .geometry import TransverseGeometry, _total, lower_christoffel, quadratic_term
 
 __all__ = [
     "GridChart",
@@ -46,6 +46,7 @@ __all__ = [
     "spectral_diff1",
     "mixed_diff",
     "grad_B",
+    "covariant_derivative",
     "derivatives",
     "div_nabla",
     "delta_B_scalar",
@@ -271,6 +272,16 @@ def grad_B(grid: GridChart, f: np.ndarray) -> np.ndarray:
     for a in range(grid.dim):
         _partials_into(grid, f, a, out[a])
     return out.transpose((*range(1, out.ndim), 0))
+
+
+def covariant_derivative(grid: GridChart, s: np.ndarray, symbols: dict,
+                         D: np.ndarray) -> np.ndarray:
+    """nabla_a s^g = d_a s^g + G^g_st D^s_a s^t (..., g, a) of s (..., g) through D (..., s, a),
+    from the nonzero symbols G, if any: the pull-back connection, or nabla X via the identity."""
+    ds = grad_B(grid, s)
+    if symbols:
+        ds += quadratic_term(symbols, D, s[..., None], s.shape[-1])[..., 0]
+    return ds
 
 
 def derivatives(grid: GridChart, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CompositionError, ConfigurationError, InvalidMapError
 from .geometry import TransverseGeometry, _total, lower_christoffel, quadratic_term
-from .grid import GridChart, along, derivatives, grad_B, metric_trace, row_blocks
+from .grid import GridChart, along, covariant_derivative, derivatives, metric_trace, row_blocks
 
 __all__ = [
     "FoliatedMapField",
@@ -377,17 +377,9 @@ def second_form_norm_squared(mapf: FoliatedMapField) -> np.ndarray:
 
 
 def pullback_derivative(mapf: FoliatedMapField, s: np.ndarray) -> np.ndarray:
-    """Covariant derivative of a section of the pull-back bundle.
-
-    For s with components s^g on the grid, returns
-    (nabla^phi_a s)^g = d_a s^g + Gamma'^g_{st}(phi) d_a phi^s s^t,
-    indexed (..., g, a).  The Gamma' term is skipped where the target's
-    Christoffel symbols vanish.
-    """
-    ds = grad_B(mapf.grid, s)
-    if mapf.target_gamma:
-        ds += quadratic_term(mapf.target_gamma, mapf.D, s[..., None], mapf.target.dim)[..., 0]
-    return ds
+    """Covariant derivative (nabla^phi_a s)^g = d_a s^g + Gamma'^g_{st}(phi) d_a phi^s s^t
+    (..., g, a) of a section s (..., g) of the pull-back bundle."""
+    return covariant_derivative(mapf.grid, s, mapf.target_gamma, mapf.D)
 
 
 def pullback_form(D: np.ndarray, B: np.ndarray) -> np.ndarray:

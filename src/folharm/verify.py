@@ -20,7 +20,7 @@ residual decay (see tests).
 The Weitzenboeck and composition checks build only the stencils' inputs and
 outputs over the whole grid; second forms and the pointwise contractions run
 one row block at a time (``grid.row_blocks``), with bit-identical results.
-The Weitzenboeck check reads tau and |S|^2 from the field's second-order pass.
+The Weitzenboeck check reads tau and |S|^2 from the field's pass and takes no other S.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .geometry import _total
 from .grid import (
     GridChart,
     along,
+    covariant_derivative,
     delta_B_scalar,
     grad_B,
     kappa_on_grid,
@@ -203,13 +204,14 @@ def weitzenbock_terms(mapf: FoliatedMapField,
     ``general`` mode evaluates
         1/2 Delta_B |d|^2 = <Delta d, d> - |S|^2 - <A_kappa d, d> - <F d, d>,
     reconstructing Delta d_T phi = d_nabla(-tau + i(kappa#) d_T phi) from the
-    closedness of d_T phi, and the kappa operator from
-    A_X d = -S(X, .) + d_nabla i(X) d.  ``harmonic`` mode evaluates the
-    harmonic-map corollary
+    closedness of d_T phi.  A_kappa d = -S(kappa#, .) + d_nabla i(kappa#) d is
+    d_T phi o nabla kappa#, since nabla_a(d(X)) = S(E_a, X) + d(nabla_a X) for a
+    symmetric S and a torsion-free connection: no second form enters it.
+    ``harmonic`` mode evaluates the harmonic-map corollary
         1/2 Delta_B |d|^2 = -|S|^2 - <F d, d> + 1/2 kappa#(|d|^2).
 
-    Whole-grid are D, |d|^2, the codifferential and i(kappa#) d, and their derivatives;
-    tau and |S|^2 come from the field's pass; the rest fills the outputs block by block.
+    Whole-grid are D, |d|^2, kappa#, nabla kappa#, the codifferential and its derivative;
+    tau and |S|^2 come first, from the field's pass; one row-block loop fills the rest.
     """
     if mode not in ("general", "harmonic"):
         raise PreconditionError(f"mode: expected 'general' or 'harmonic', got {mode!r}")
@@ -218,32 +220,25 @@ def weitzenbock_terms(mapf: FoliatedMapField,
     e2 = mapf.dT_norm_sq
     lhs = 0.5 * delta_B_scalar(grid, e2, struct)
     kappa_up = kappa_sharp(grid, struct)
+    S_sq = second_form_norm_squared(mapf)
     general = mode == "general"
     F = np.empty(grid.shape)
     if general:
-        d_ikd = pullback_derivative(mapf, along(D, kappa_up))         # d_nabla i(kappa#) d
-        inner_a = np.empty(grid.shape)
-    # S(kappa#, .) before mapf.tau: its pass frees the partials; S after it reruns the stencils
+        laplacian_d = pullback_derivative(mapf, delta_nabla_dT(mapf, kappa_up))   # (..., g, a)
+        nabla_k = covariant_derivative(grid, kappa_up, grid.christoffel_symbols, np.eye(grid.dim))
+        inner_lap, inner_a = np.empty(grid.shape), np.empty(grid.shape)
     for r in row_blocks(grid):
         F[r] = bochner_term(mapf, r)
         if general:
-            S_kappa = along(second_fund_form(mapf, r).swapaxes(-1, -2), kappa_up[r])
-            inner_a[r] = target.pairing(g[r], -S_kappa + d_ikd[r], D[r], h[r])   # A_kappa d
-    S_sq = second_form_norm_squared(mapf)
+            inner_lap[r] = target.pairing(g[r], laplacian_d[r], D[r], h[r])
+            a_kappa = np.stack([along(D[r], nabla_k[r][..., a]) for a in range(grid.dim)], -1)
+            inner_a[r] = target.pairing(g[r], a_kappa, D[r], h[r])       # <d o nabla kappa#, d>
     terms = {"lhs": lhs, "second_form_sq": S_sq, "bochner": F}
-    if not general:
-        kappa_drift = 0.5 * along(kappa_up, grad_B(grid, e2))
-        terms["kappa_drift"] = kappa_drift
-        terms["rhs"] = -S_sq - F + kappa_drift
-        return terms
-    laplacian_d = pullback_derivative(mapf, delta_nabla_dT(mapf, kappa_up))   # (..., g, a)
-    inner_lap = np.empty(grid.shape)
-    for r in row_blocks(grid):
-        inner_lap[r] = target.pairing(g[r], laplacian_d[r], D[r], h[r])
-    terms["laplacian_pairing"] = inner_lap
-    terms["kappa_operator_pairing"] = inner_a
-    terms["rhs"] = inner_lap - S_sq - inner_a - F
-    return terms
+    if general:
+        return terms | dict(laplacian_pairing=inner_lap, kappa_operator_pairing=inner_a,
+                            rhs=inner_lap - S_sq - inner_a - F)
+    kappa_drift = 0.5 * along(kappa_up, grad_B(grid, e2))
+    return terms | dict(kappa_drift=kappa_drift, rhs=-S_sq - F + kappa_drift)
 
 
 def weitzenbock_residual(mapf: FoliatedMapField,

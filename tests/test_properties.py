@@ -247,8 +247,8 @@ def test_small_matrix_contractions_match_einsum_definitions(src, tgt, seed):
     P = contract("...st,...ta,...ab,...ub->...su", gt, D, gi, D)
     tr_P = contract("...ss->...", P)
     codiff = -tau + contract("...ga,...a->...g", D, kappa_up)
-    a_form = (-contract("...a,...gab->...gb", kappa_up, S)
-              + pullback(contract("...ga,...a->...g", D, kappa_up)))
+    a_form = contract("...gc,...ca->...ga", D, fh.grad_B(grid, kappa_up)
+                      + contract("...cab,...b->...ca", gam_s, kappa_up))    # d o nabla kappa#
     terms = fh.weitzenbock_terms(mapf, struct, "general")
     B = rng.standard_normal(grid.shape + (2, target.dim, target.dim))
     div = sum(fh.grid.diff1(grid, X[..., 0, a], a) for a in range(grid.dim)) \

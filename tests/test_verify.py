@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import folharm as fh
-from folharm import cli, foliation, maps
+from folharm import cli, foliation, maps, verify
 from folharm.verify import _neville_to_zero
 from oracles import loop_bochner
 
@@ -229,20 +229,49 @@ def test_row_blocks_change_no_bit_of_the_checks(monkeypatch, sphere, patch, case
 @pytest.mark.parametrize("case", ["flat torus", "sphere band"])
 def test_weitzenbock_terms_run_the_stencils_once_per_field(monkeypatch, sphere, patch,
                                                            case, mode):
-    """The check forms its blocks of S(kappa#, .) before it reads tau, whose
-    pass spends the second partials; formed after it, each block would run the
-    map's stencils again."""
-    calls = []
-    derivatives = maps.derivatives
+    """The check runs the map's stencils once and forms each row block of S
+    once, in the field's second-order pass: its kappa operator, d_T phi o
+    nabla kappa#, takes no S.  On a 16^2 grid in blocks of 4 rows."""
+    calls = {"derivatives": 0, "second_fund_form": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return derivatives(*args)
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
 
-    monkeypatch.setattr(maps, "derivatives", counted)
+    monkeypatch.setattr(maps, "derivatives", counted("derivatives", maps.derivatives))
+    second_form = counted("second_fund_form", maps.second_fund_form)
+    monkeypatch.setattr(maps, "second_fund_form", second_form)
+    monkeypatch.setattr(verify, "second_fund_form", second_form)
+    monkeypatch.setattr(fh.grid, "ROW_BLOCK_NODES", 4 * 16)
     struct = fh.named_profile("cosine_offset", 1, {"offset": 2.0}) if case == "flat torus" else None
-    fh.weitzenbock_terms(_block_case(case, sphere, patch)[0], struct, mode)
-    assert len(calls) == 1
+    mapf = _block_case(case, sphere, patch)[0]
+    assert len(fh.grid.row_blocks(mapf.grid)) == 4
+    fh.weitzenbock_terms(mapf, struct, mode)
+    assert calls == {"derivatives": 1, "second_fund_form": 4}
+
+
+@pytest.mark.parametrize("case, axis", [("sphere", 0), ("sphere", 1), ("patch", 0), ("patch", 1)])
+def test_kappa_operator_takes_the_source_connection(monkeypatch, request, case, axis):
+    """On a curved source, which no shipped config reaches, nabla kappa# needs
+    its Christoffel term.  The totally geodesic identity of the sphere band or
+    of the hyperbolic patch, with a leaf volume along either axis, satisfies
+    the general-mode identity to rounding; without that term it fails by O(1)
+    where Gamma^a_ab kappa^b != 0 (axis 0 of the sphere, axis 1 of the patch)."""
+    source = request.getfixturevalue(case)
+    struct = fh.named_profile("cosine_offset", 1, {"axis": axis})
+
+    def residual(n):
+        return fh.weitzenbock_residual(
+            fh.make_family("identity", source, source).realize(fh.build_grid(source, n)), struct)
+
+    assert max(residual(32), residual(64)) <= 2e-9
+    full = verify.covariant_derivative
+    monkeypatch.setattr(verify, "covariant_derivative",
+                        lambda grid, s, symbols, D: full(grid, s, {}, D))
+    dropped = residual(32)
+    assert dropped >= 0.5 if (case, axis) in [("sphere", 0), ("patch", 1)] else dropped <= 2e-9
 
 
 def test_composition_at_256_stays_under_its_memory_bound(sphere):
@@ -332,13 +361,16 @@ def _scaled_profile_derivative(factor):
 # check [mode] -> (shipped config, one wrong input); the composed map itself
 # takes only psi's values, so a wrong Hessian of psi, which only psi's second
 # form reads, shows on one side alone.  The Weitzenboeck check takes tau and
-# |S|^2 from the field's second-order pass and S(kappa#, .) from its own blocks
-# of S, all through ``maps._second_form``.  Harmonic-mode Weitzenboeck on the
-# totally geodesic identity of the sphere has S = 0 and a constant
-# |d_T phi|^2, so it shows a wrong D only.
+# |S|^2 from the field's second-order pass, through ``maps._second_form``, and
+# the nabla kappa# of its kappa operator from its own binding of
+# ``covariant_derivative``, which ``pullback_derivative`` does not use.
+# Harmonic-mode Weitzenboeck on the totally geodesic identity of the sphere
+# has S = 0 and a constant |d_T phi|^2, so it shows a wrong D only.
 _PLANTS = {
     "first_variation": ("verify_core_identities", _scaled_cache("tau", 1.1)),
     "weitzenbock": ("verify_weitzenbock_refinement", _scaled(maps, "_second_form", 1.01)),
+    "weitzenbock kappa operator": ("verify_weitzenbock_refinement",
+                                   _scaled(verify, "covariant_derivative", 1.01)),
     "weitzenbock harmonic": ("report_sphere_identity", _scaled_cache("D", 1.01)),
     "composition": ("verify_composition_chain", _scaled(maps.AnalyticMap, "hess", 1.01)),
     "lemma_volume": ("verify_core_identities", _scaled_profile_derivative(-3.0)),

@@ -10,9 +10,13 @@ initial map's energy and tension, then the steps up to the tension
 tolerance or K, with their energies, rejections and trace statistics.
 Each of five timed runs starts from a freshly built initial map, and so
 does one run before them under ``tracemalloc``, which gives the peak of the
-memory the flow allocates.  Prints one JSON line with that peak, the median
-and quartiles over the timed runs of the milliseconds per accepted step,
-and the step route the source grid selects: ``fft`` (the
+memory the flow allocates, and one more run counts the stencil calls
+(``grid._partials_into``) of the maps the flow steps to, per accepted step:
+on a one-block grid with no step rejected that is the q (q + 1) / 2 calls of
+one ``derivatives`` pass, for a q-dimensional source.  Prints one JSON line
+with those figures, the median and quartiles over the timed runs of the
+milliseconds per accepted step, and the step route the source grid
+selects: ``fft`` (the
 preconditioned step of a flat torus) or ``explicit``; per-step figures of
 the two routes are not comparable.  A run that ends in ``dt_underflow``
 spent its last attempts on rejections, so its figures are null instead of
@@ -35,11 +39,31 @@ sys.path.insert(0, str(here.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from folharm import flow  # noqa: E402
+from folharm import flow, grid  # noqa: E402
 from folharm.cli import Experiment, load_config  # noqa: E402
 
 RUNS = 5
 SHIPPED_FLOWS = ("flow_circle_sine", "flow_rigidity_flat", "flow_rigidity_hyperbolic")
+
+
+def stencil_calls_per_step(exp: Experiment, flow_config: flow.FlowConfig) -> float | None:
+    """``grid._partials_into`` calls per accepted step of one run of the flow,
+    the initial map's not counted; None when no step is accepted."""
+    mapf = exp.initial_map()
+    mapf.tau                                # the initial map's stencils, uncounted
+    calls, partials_into = [], grid._partials_into
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return partials_into(*args, **kwargs)
+
+    grid._partials_into = counted
+    try:
+        _, trace = flow.run_flow(mapf, exp.struct, flow_config)
+    finally:
+        grid._partials_into = partials_into
+    steps = trace.steps[-1]
+    return round(len(calls) / steps, 3) if steps else None
 
 
 def time_steps(path: Path, resolution: int | None, max_steps: int) -> dict:
@@ -76,6 +100,7 @@ def time_steps(path: Path, resolution: int | None, max_steps: int) -> dict:
         "runs": RUNS, "dt": flow_config.resolve_dt(mapf.grid),
         "median_ms": med, "q1_ms": q1, "q3_ms": q3,
         "tracemalloc_peak_mb": round(peak / 1e6, 2),
+        "stencil_calls_per_step": stencil_calls_per_step(exp, flow_config),
     }
 
 

@@ -101,6 +101,11 @@ class Experiment:
             self.struct.vol_at(self.source.chart_bounds[:, 0])
         self.resolution = config["resolution"]
         self.grid = fh.build_grid(self.source, self.resolution)
+        # a refinement sequence refines: orders compare each grid with a finer one
+        resolutions = config.get("resolutions", [])
+        if any(coarse >= fine for coarse, fine in zip(resolutions, resolutions[1:])):
+            raise ConfigurationError(
+                f"resolutions: expected a strictly increasing sequence, got {resolutions}")
 
     def grid_at(self, n: int):
         return fh.build_grid(self.source, n)

@@ -23,10 +23,14 @@ the target chart, and it never grows, so accepted energies never rise.
 Fixed points are exactly tau = 0 on both.  Every energy the flow holds,
 the initial one included, must be finite.
 
-Each attempt takes the candidate's partials in one stencil pass and its
-energy from the target geometry's closed-form |d_T phi|^2; an accepted
-map's trace row (E, max|tau|, max|S|, max|d_T phi|^2) is recorded at once,
-from tau and |S|^2 of the field's one second-order pass over the grid's row
+Each attempt takes the candidate's first partials and its energy from the
+target geometry's closed-form |d_T phi|^2.  On a one-block grid, every
+shipped flow's, the one stencil pass that gives the first partials gives
+the second too, so each field makes one ``derivatives`` call; on a grid of
+several row blocks it takes first partials only, and an accepted map takes
+each block's second partials from a slab of its rows.  An accepted map's
+trace row (E, max|tau|, max|S|, max|d_T phi|^2) is recorded at once, from
+tau and |S|^2 of the field's one second-order pass over the grid's row
 blocks, which the rigidity diagnostics read again.
 """
 

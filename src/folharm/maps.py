@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import CompositionError, ConfigurationError, InvalidMapError
 from .geometry import TransverseGeometry, _total, lower_christoffel, quadratic_term
-from .grid import GridChart, along, covariant_derivative, derivatives, metric_trace, row_blocks
+from .grid import (GridChart, _at, along, block_partials, covariant_derivative, metric_trace,
+                   row_blocks)
 
 __all__ = [
     "FoliatedMapField",
@@ -112,6 +113,11 @@ class FoliatedMapField:
     ``replace_values`` builds a new field on the same lift, whose winding was
     checked when the lift was built, and adopts the new values instead of
     copying them, so it only checks them.
+
+    A field never holds more than one row block of second partials: the
+    grid itself on a one-block grid, where one stencil pass gives them with
+    D, and none on a grid of several blocks, where each block's come from a
+    slab of the field when its second form is taken (``grid.block_partials``).
     """
 
     grid: GridChart
@@ -157,13 +163,14 @@ class FoliatedMapField:
         return part
 
     @cached_property
-    def partials(self) -> tuple[np.ndarray, np.ndarray]:
-        """First and second partials of the lift from one stencil pass over the periodic
-        part, the linear part's slope added in place into the first: d_T phi itself."""
-        first, second = derivatives(self.grid, self.periodic_part)
+    def partials(self) -> tuple[np.ndarray, Callable[[slice], np.ndarray]]:
+        """First partials of the lift, the linear part's slope added in place into the
+        periodic part's: d_T phi itself; and the function that gives the second
+        partials at a row block, which the linear part has none of."""
+        first, second_at = block_partials(self.grid, self.periodic_part)
         if self._lift.winds:
             first += self.linear_slope
-        return first, second
+        return first, second_at
 
     @cached_property
     def target_metric(self) -> np.ndarray:
@@ -198,14 +205,13 @@ class FoliatedMapField:
     @cached_property
     def second_order(self) -> tuple[np.ndarray, np.ndarray]:
         """tau (..., q') and |S|^2 (...) from one pass over the grid's row blocks, each
-        taking its block of S; the pass spends the second partials."""
+        taking its block of S."""
         g, h = self.target_metric_factor, self.grid.metric_inv_factor
         tau, S_sq = np.empty(self.values.shape), np.empty(self.grid.shape)
         for r in row_blocks(self.grid):
             S = second_fund_form(self, r)
             tau[r] = metric_trace(h[r], S)
             S_sq[r] = self.target.form_norm_sq(g[r], S, h[r])
-        self.__dict__.pop("partials")           # D keeps the first partials
         return tau, S_sq
 
     @cached_property
@@ -320,11 +326,6 @@ def d_T(mapf: FoliatedMapField) -> np.ndarray:
     return mapf.partials[0]
 
 
-def _at(symbols: dict, rows: slice) -> dict:
-    """The Christoffel symbols {key: values} at the rows ``rows`` of the grid."""
-    return {key: value[rows] for key, value in symbols.items()}
-
-
 def _second_form(H: np.ndarray, D: np.ndarray, source_symbols: dict,
                  target_symbols: dict) -> np.ndarray:
     """S^g_{ab} = H^g_{ab} - Gamma^c_{ab} D^g_c + Gamma'^g_{st} D^s_a D^t_b
@@ -342,9 +343,11 @@ def second_fund_form(mapf: FoliatedMapField, rows: slice = slice(None)) -> np.nd
     """Second fundamental form S[..., gamma, a, b] of the map at the grid rows ``rows``.
 
     S^g_{ab} = d_a d_b phi^g - Gamma^c_{ab} d_c phi^g
-             + Gamma'^g_{st}(phi) d_a phi^s d_b phi^t.
+             + Gamma'^g_{st}(phi) d_a phi^s d_b phi^t,
+
+    with the second partials of the rows' block, or its slab.
     """
-    return _second_form(mapf.partials[1][rows], mapf.D[rows],
+    return _second_form(mapf.partials[1](rows), mapf.D[rows],
                         _at(mapf.grid.christoffel_symbols, rows), _at(mapf.target_gamma, rows))
 
 

@@ -18,9 +18,10 @@ numerically by the sphere-identity cancellation and the general-mode
 residual decay (see tests).
 
 The Weitzenboeck and composition checks build only the stencils' inputs and
-outputs over the whole grid; second forms and the pointwise contractions run
-one row block at a time (``grid.row_blocks``), with bit-identical results.
-The Weitzenboeck check reads tau and |S|^2 from the field's pass and takes no other S.
+first partials over the whole grid; second partials, second forms and the
+pointwise contractions run one row block at a time (``grid.row_blocks``),
+with bit-identical results.  The Weitzenboeck check reads tau and |S|^2 from
+the field's pass and takes no other S.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .foliation import FoliatedStructure
 from .geometry import _total
 from .grid import (
     GridChart,
+    _at,
     along,
     covariant_derivative,
     delta_B_scalar,
@@ -46,7 +48,7 @@ from .grid import (
     row_blocks,
     spectral_diff1,
 )
-from .maps import (AnalyticMap, FoliatedMapField, _at, _second_form, compose, delta_nabla_dT,
+from .maps import (AnalyticMap, FoliatedMapField, _second_form, compose, delta_nabla_dT,
                    pullback_derivative, pullback_form, second_form_norm_squared, second_fund_form)
 
 __all__ = [
@@ -210,8 +212,10 @@ def weitzenbock_terms(mapf: FoliatedMapField,
     ``harmonic`` mode evaluates the harmonic-map corollary
         1/2 Delta_B |d|^2 = -|S|^2 - <F d, d> + 1/2 kappa#(|d|^2).
 
-    Whole-grid are D, |d|^2, kappa#, nabla kappa#, the codifferential and its derivative;
-    tau and |S|^2 come first, from the field's pass; one row-block loop fills the rest.
+    Whole-grid are D, |d|^2, kappa#, nabla kappa#, the codifferential and its derivative:
+    first partials and what is built from them.  tau and |S|^2 come from the field's
+    pass, and the lhs Delta_B |d|^2 from ``delta_B_scalar``, each taking its second
+    partials one row block at a time; one row-block loop fills the rest.
     """
     if mode not in ("general", "harmonic"):
         raise PreconditionError(f"mode: expected 'general' or 'harmonic', got {mode!r}")
@@ -277,8 +281,9 @@ def composition_residuals(phi: FoliatedMapField, psi: AnalyticMap
     Full tensor:  S(psi o phi) = d_T psi(S(phi)) + phi* S(psi)
     Trace:        tau(psi o phi) = d_T psi(tau(phi)) + tr_Q phi* S(psi)
 
-    Only the partials and the target symbols at psi o phi are whole-grid; each
-    row block takes psi once.
+    Only the first partials and the target symbols at psi o phi are whole-grid;
+    each row block takes psi once, and the second partials of phi and psi o phi
+    at its rows.
     """
     comp = compose(phi, psi)
     h = phi.grid.metric_inv_factor

@@ -405,6 +405,19 @@ def test_finite_difference_steps_of_equal_squares_exit_two(tmp_path, capsys, fd_
     assert "fd_steps: expected positive steps with distinct" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("resolutions", [[64, 32], [32, 32], [32, 64, 64]])
+def test_resolutions_that_do_not_strictly_increase_exit_two(tmp_path, capsys, resolutions):
+    """A refinement sequence that coarsens or repeats a grid is a config error,
+    raised before any check runs, not a run whose orders FAIL."""
+    config = json.loads((Path(__file__).parents[1] / "scripts" / "configs"
+                         / "verify_weitzenbock_refinement.json").read_text())
+    config["resolutions"] = resolutions
+    cfg, out = _write_config(tmp_path, config), tmp_path / "out"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert "resolutions: expected a strictly increasing sequence" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
 @pytest.mark.parametrize("subcommand, extra", [
     ("flow", {"flow": {}}),              # the CFL step squares h
     ("flow", {"flow": {"dt": 0.1}}),     # diff2 divides by h^2

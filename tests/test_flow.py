@@ -414,10 +414,31 @@ def test_flow_outputs_and_diagnostics_share_derivatives(sphere, monkeypatch):
     assert (len(d_T_calls), len(S_calls)) == (1, len(fh.grid.row_blocks(grid))) == (1, 4)
 
 
+@pytest.mark.parametrize("name", SHIPPED_FLOWS)
+def test_one_block_flow_takes_one_stencil_pass_per_accepted_step(monkeypatch, name):
+    """On a one-block grid, every shipped flow's, a field's first and second
+    partials come from one ``derivatives`` call: one for the initial map and
+    one per accepted step, as no step of these ten is rejected.  No slab is
+    taken."""
+    import folharm.flow as flow
+
+    settings, exp = _shipped(name)
+    assert len(fh.grid.row_blocks(exp.grid)) == 1
+    mapf = exp.initial_map()
+    passes = _count_calls(monkeypatch, fh.grid, "derivatives")
+    slabs = _count_calls(monkeypatch, fh.grid, "second_partials")
+    attempts = _count_calls(monkeypatch, flow, "flow_step")
+    _, trace = fh.run_flow(mapf, exp.struct, fh.FlowConfig(**{**settings, "max_steps": 10}))
+    steps = trace.steps[-1]
+    assert steps >= 1 and len(attempts) == steps
+    assert (len(passes), len(slabs)) == (steps + 1, 0)
+
+
 def test_sphere_band_flow_at_256_stays_under_its_memory_bound(sphere):
     """The traced peak of the 256^2 sphere-band identity's flow and rigidity
-    diagnostics stays under 24 MB; it was 28.9 MB when the field cached a
-    whole-grid second form."""
+    diagnostics stays under 16 MB; it was 28.9 MB when the field cached a
+    whole-grid second form, and 17.8 MB when it cached whole-grid second
+    partials."""
     import tracemalloc
 
     grid = fh.build_grid(sphere, 256)
@@ -430,7 +451,7 @@ def test_sphere_band_flow_at_256_stays_under_its_memory_bound(sphere):
     finally:
         tracemalloc.stop()
     assert diag.verdict == fh.Verdict.totally_geodesic
-    assert peak < 24e6
+    assert peak < 16e6
 
 
 # -- rigidity diagnostics --------------------------------------------------

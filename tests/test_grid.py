@@ -98,6 +98,27 @@ def test_one_pass_partials_equal_the_single_stencils(sphere):
     assert np.array_equal(first, fh.grad_B(grid, f))
 
 
+@pytest.mark.parametrize("components", [(), (2,)], ids=["scalar", "vector"])
+@pytest.mark.parametrize("case", ["flat torus", "sphere band", "hyperbolic patch", "circle"])
+def test_block_second_partials_are_the_rows_of_the_whole_grid(request, case, components):
+    """``second_partials`` at each block of a partition into 1-row blocks, and
+    of one into blocks of 3 rows whose last is ragged, are bit for bit the
+    rows of the whole-grid ``derivatives``: on a periodic axis 0 (flat torus,
+    circle) and a fixed one (the sphere band's theta, the hyperbolic patch),
+    of random scalar and vector fields."""
+    geometry = {"flat torus": fh.FlatTorus([TWO_PI, 3.0]), "circle": fh.FlatTorus([TWO_PI]),
+                "sphere band": request.getfixturevalue("sphere"),
+                "hyperbolic patch": request.getfixturevalue("patch")}[case]
+    grid = fh.build_grid(geometry, [13, 9][:geometry.dim])
+    f = np.random.default_rng(17).standard_normal(grid.shape + components)
+    whole = fh.grid.derivatives(grid, f)[1]
+    for rows in (1, 3):
+        for start in range(0, 13, rows):
+            block = slice(start, start + rows)
+            assert np.array_equal(fh.grid.second_partials(grid, f, block), whole[block]), block
+    assert np.array_equal(fh.grid.second_partials(grid, f, slice(None)), whole)
+
+
 # -- differential operators ------------------------------------------------
 
 

@@ -49,8 +49,8 @@ def test_periodic_part_is_computed_once_per_field():
 
 def test_d_T_adds_the_slope_of_a_winding_map_once():
     """D is the first-partials block with the lift's slope added in place:
-    d_T taken twice, and again after the second-order pass has spent the
-    partials, gives the same bits."""
+    d_T taken twice, and again after the second-order pass, gives the same
+    bits."""
     grid = _torus_grid(16)
     fam = fh.make_family("linear", grid.geometry, grid.geometry,
                          {"matrix": [[2, 1], [0, 1]]})

@@ -32,11 +32,15 @@ def _finite(timing):
 
 
 def test_step_time_gives_one_line_per_shipped_flow(capsys):
+    """With its stencil calls per accepted step: on these one-block grids
+    with no step rejected, one ``derivatives`` pass's q (q + 1) / 2 calls,
+    for the circle's q = 1 and the 2-D sources' q = 2."""
     script, lines = _run(capsys, "step_time", ["--resolution", "16", "--max-steps", "5"])
     assert [line["config"] for line in lines] == [f"{c}.json" for c in script.SHIPPED_FLOWS]
     for line in lines:
         assert line["resolution"][0] == 16 and 1 <= line["steps"] <= 5
         assert _finite(line) and math.isfinite(line["tracemalloc_peak_mb"])
+    assert [line["stencil_calls_per_step"] for line in lines] == [1, 3, 3]
 
 
 def test_io_time_gives_one_line_of_three_timings(capsys):

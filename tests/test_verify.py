@@ -225,31 +225,67 @@ def test_row_blocks_change_no_bit_of_the_checks(monkeypatch, sphere, patch, case
     assert blocked == run()
 
 
+def _stencil_calls(monkeypatch, sphere, patch, case, mode, block_rows):
+    """The slab and whole-grid stencil calls of the Weitzenboeck terms of the
+    16^2 ``case`` in blocks of ``block_rows`` rows, each as the field it took
+    and its further arguments, for the map's periodic part and |d_T phi|^2;
+    the total counts; and the rows of each block of S formed, against the
+    row blocks."""
+    slabs, passes, forms = [], [], []
+
+    def counted(calls, function):
+        def call(*args):
+            calls.append(args)
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(fh.grid, "second_partials", counted(slabs, fh.grid.second_partials))
+    monkeypatch.setattr(fh.grid, "derivatives", counted(passes, fh.grid.derivatives))
+    second_form = counted(forms, maps.second_fund_form)
+    monkeypatch.setattr(maps, "second_fund_form", second_form)
+    monkeypatch.setattr(verify, "second_fund_form", second_form)
+    monkeypatch.setattr(fh.grid, "ROW_BLOCK_NODES", block_rows * 16)
+    struct = fh.named_profile("cosine_offset", 1, {"offset": 2.0}) if case == "flat torus" else None
+    mapf = _block_case(case, sphere, patch)[0]
+    blocks = fh.grid.row_blocks(mapf.grid)
+    assert len(blocks) == 16 // block_rows
+    fh.weitzenbock_terms(mapf, struct, mode)
+
+    def taken(calls):
+        return [[args[2:] for args in calls if args[1] is f]
+                for f in (mapf.periodic_part, mapf.dT_norm_sq)]
+
+    return (taken(slabs), taken(passes), (len(slabs), len(passes)),
+            [args[1:] for args in forms], [(r,) for r in blocks])
+
+
 @pytest.mark.parametrize("mode", ["general", "harmonic"])
 @pytest.mark.parametrize("case", ["flat torus", "sphere band"])
 def test_weitzenbock_terms_run_the_stencils_once_per_field(monkeypatch, sphere, patch,
                                                            case, mode):
-    """The check runs the map's stencils once and forms each row block of S
-    once, in the field's second-order pass: its kappa operator, d_T phi o
-    nabla kappa#, takes no S.  On a 16^2 grid in blocks of 4 rows."""
-    calls = {"derivatives": 0, "second_fund_form": 0}
+    """On a 16^2 grid in blocks of 4 rows, the second partials of the map and
+    of |d_T phi|^2 (the lhs) are taken once per row block, each from its slab,
+    and never over the whole grid; each block of S is formed once, in the
+    field's second-order pass: the kappa operator, d_T phi o nabla kappa#,
+    takes no S."""
+    slabs, passes, counts, forms, blocks = _stencil_calls(monkeypatch, sphere, patch,
+                                                          case, mode, 4)
+    assert len(blocks) == 4
+    assert slabs == [blocks, blocks] and passes == [[], []] and counts == (8, 0)
+    assert forms == blocks
 
-    def counted(name, function):
-        def call(*args):
-            calls[name] += 1
-            return function(*args)
-        return call
 
-    monkeypatch.setattr(maps, "derivatives", counted("derivatives", maps.derivatives))
-    second_form = counted("second_fund_form", maps.second_fund_form)
-    monkeypatch.setattr(maps, "second_fund_form", second_form)
-    monkeypatch.setattr(verify, "second_fund_form", second_form)
-    monkeypatch.setattr(fh.grid, "ROW_BLOCK_NODES", 4 * 16)
-    struct = fh.named_profile("cosine_offset", 1, {"offset": 2.0}) if case == "flat torus" else None
-    mapf = _block_case(case, sphere, patch)[0]
-    assert len(fh.grid.row_blocks(mapf.grid)) == 4
-    fh.weitzenbock_terms(mapf, struct, mode)
-    assert calls == {"derivatives": 1, "second_fund_form": 4}
+@pytest.mark.parametrize("mode", ["general", "harmonic"])
+@pytest.mark.parametrize("case", ["flat torus", "sphere band"])
+def test_weitzenbock_terms_take_one_stencil_pass_per_field_in_one_block(
+        monkeypatch, sphere, patch, case, mode):
+    """In one block of 16 rows, one stencil call per field, ``derivatives``,
+    gives its first and second partials; no slab is taken, and the one block
+    of S is formed once."""
+    slabs, passes, counts, forms, blocks = _stencil_calls(monkeypatch, sphere, patch,
+                                                          case, mode, 16)
+    assert slabs == [[], []] and passes == [[()], [()]] and counts == (0, 2)
+    assert forms == blocks == [(slice(0, 16),)]
 
 
 @pytest.mark.parametrize("case, axis", [("sphere", 0), ("sphere", 1), ("patch", 0), ("patch", 1)])
@@ -276,8 +312,9 @@ def test_kappa_operator_takes_the_source_connection(monkeypatch, request, case, 
 
 def test_composition_at_256_stays_under_its_memory_bound(sphere):
     """The traced peak of the composition check on a 256^2 grid, the stencils
-    of phi and psi o phi included, stays under 28 MB; it was 41.3 MB when the
-    check built whole-grid second forms."""
+    of phi and psi o phi included, stays under 19 MB; it was 41.3 MB when the
+    check built whole-grid second forms, and 22.8 MB when each field held
+    whole-grid second partials."""
     import tracemalloc
 
     grid = fh.build_grid(fh.FlatTorus([TWO_PI, TWO_PI]), 256)
@@ -290,7 +327,7 @@ def test_composition_at_256_stays_under_its_memory_bound(sphere):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 28e6
+    assert peak < 19e6
 
 
 # -- refinement machinery ----------------------------------------------------

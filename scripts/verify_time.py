@@ -7,9 +7,11 @@ For each check that the config's ``verify.checks`` selects, runs the check's
 residual at resolution N (default: the config's finest, the last of
 ``resolutions`` or else ``resolution``) as ``folharm verify`` does for one
 grid: build the grid and the initial map, then evaluate the residual.  One
-untimed run loads what the first call loads; one run under ``tracemalloc``
-gives the peak of the memory the check allocates; five more runs give the
-median and quartiles of the milliseconds per call.  Prints one JSON line per
+untimed run loads what the first call loads and counts the stencil calls
+(``grid._partials_into``) of one residual, the unit of
+``scripts/step_time.py``; one run under ``tracemalloc`` gives the peak of
+the memory the check allocates; five more runs give the median and
+quartiles of the milliseconds per call.  Prints one JSON line per
 check.  With no ``--config`` it does so for each shipped config with a
 ``verify`` section.  Set OPENBLAS_NUM_THREADS=1 for figures comparable with
 the benchmark.
@@ -29,7 +31,7 @@ sys.path.insert(0, str(here.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from folharm import cli  # noqa: E402
+from folharm import cli, grid  # noqa: E402
 
 RUNS = 5
 SHIPPED = ("verify_core_identities", "verify_weitzenbock_refinement",
@@ -37,9 +39,20 @@ SHIPPED = ("verify_core_identities", "verify_weitzenbock_refinement",
 
 
 def time_check(exp: cli.Experiment, check: str, n: int) -> dict:
-    """Milliseconds per call and traced peak of the residual of ``check`` at ``n``."""
+    """Milliseconds per call, stencil calls and traced peak of the residual of
+    ``check`` at ``n``."""
     residual = cli._CHECKS[check][0]
-    value = residual(exp, n)
+    calls, partials_into = [], grid._partials_into
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return partials_into(*args, **kwargs)
+
+    grid._partials_into = counted
+    try:
+        value = residual(exp, n)
+    finally:
+        grid._partials_into = partials_into
     tracemalloc.start()
     residual(exp, n)
     peak = tracemalloc.get_traced_memory()[1]
@@ -50,7 +63,7 @@ def time_check(exp: cli.Experiment, check: str, n: int) -> dict:
         residual(exp, n)
         ms.append(1e3 * (time.perf_counter() - t0))
     q1, med, q3 = np.percentile(ms, [25, 50, 75])
-    return {"check": check, "residual": value, "runs": RUNS,
+    return {"check": check, "residual": value, "stencil_calls": len(calls), "runs": RUNS,
             "median_ms": round(float(med), 3), "q1_ms": round(float(q1), 3),
             "q3_ms": round(float(q3), 3), "tracemalloc_peak_mb": round(peak / 1e6, 2)}
 

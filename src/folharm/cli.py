@@ -127,7 +127,10 @@ class Experiment:
 
 def _resolve_out(args, config: dict) -> Path:
     path = Path(args.out or os.environ.get("FOLHARM_OUT") or config.get("out", "folharm_out"))
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot make output directory {path}: {exc}") from exc
     return path
 
 

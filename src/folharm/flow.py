@@ -26,9 +26,10 @@ the initial one included, must be finite.
 Each attempt takes the candidate's first partials and its energy from the
 target geometry's closed-form |d_T phi|^2.  On a one-block grid, every
 shipped flow's, the one stencil pass that gives the first partials gives
-the second too, so each field makes one ``derivatives`` call; on a grid of
-several row blocks it takes first partials only, and an accepted map takes
-each block's second partials from a slab of its rows.  An accepted map's
+the second too, so each field makes one whole-grid ``derivatives`` call; on
+a grid of several row blocks it takes first partials only, and an accepted
+map takes each block's second partials from ``derivatives`` at its rows,
+one slab each.  An accepted map's
 trace row (E, max|tau|, max|S|, max|d_T phi|^2) is recorded at once, from
 tau and |S|^2 of the field's one second-order pass over the grid's row
 blocks, which the rigidity diagnostics read again.

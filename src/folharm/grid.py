@@ -24,12 +24,12 @@ Pointwise algebra after the stencils (the second forms of the flow and the
 tension, the rigidity diagnostics, the identity checks) runs in cache-sized
 row blocks of axis 0 (``row_blocks``); blocked results are bit-identical, as
 a block's elementwise operations see the operands they see on the whole grid.
-Second partials are taken one row block at a time too (``block_partials``):
-only on a one-block grid do they come whole from ``derivatives``.  Elsewhere
-a block's come from a slab of the field, its rows and halo rows
-(``second_partials``), whose axis 0 is taken as fixed: the interior central
-stencil adds the same terms in the same order on both kinds of axis, so the
-block's rows are bit for bit those of the whole grid.
+``derivatives`` takes the partials at a row block too, from a slab of the
+field: the block's rows and one halo row on each side, wrapped on a periodic
+axis 0, and at least 4 rows on a fixed one.  The slab is an ordinary field
+on the grid's own axes, so the block's rows are bit for bit the whole
+grid's: its own stencils differ from the grid's only on its end rows, which
+are halo rows and dropped, or the grid's end rows with the 4 rows they read.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,8 +55,6 @@ __all__ = [
     "grad_B",
     "covariant_derivative",
     "derivatives",
-    "second_partials",
-    "block_partials",
     "div_nabla",
     "delta_B_scalar",
     "kappa_on_grid",
@@ -177,13 +175,7 @@ def build_grid(geometry: TransverseGeometry, resolution: int | Sequence[int]
                 f"chart axis {a}: grid spacing {h:g} has no finite nonzero square"
             )
         spacing.append(h)
-    return GridChart(
-        geometry=geometry,
-        shape=resolution,
-        axes=tuple(axes),
-        spacing=tuple(spacing),
-        periodic=tuple(geometry.periodic),
-    )
+    return GridChart(geometry, resolution, tuple(axes), tuple(spacing), tuple(geometry.periodic))
 
 
 def row_blocks(grid: GridChart) -> list[slice]:
@@ -212,13 +204,11 @@ def _axis_slices(ndim: int, axis: int) -> tuple:
 
 
 def _partials_into(grid: GridChart, f: np.ndarray, axis: int,
-                   d1: np.ndarray | None, d2: np.ndarray | None = None,
-                   periodic: tuple[bool, ...] | None = None) -> None:
-    """First and second partials of f along ``axis`` into d1 and d2 (None: not taken);
-    the axis wraps where ``periodic`` (by default the grid's flags) says so."""
+                   d1: np.ndarray | None, d2: np.ndarray | None = None) -> None:
+    """First and second partials of f along ``axis`` into d1 and d2 (None: not taken)."""
     nd = f.ndim
     last, head, hi, mid, lo = _axis_slices(nd, axis)
-    if (grid.periodic if periodic is None else periodic)[axis]:
+    if grid.periodic[axis]:
         # fp[i + 1] = f[i mod n] for i = -1 .. n
         fp = np.concatenate((f[last], f, f[head]), axis=axis, dtype=float)
         if d1 is not None:
@@ -296,61 +286,35 @@ def covariant_derivative(grid: GridChart, s: np.ndarray, symbols: dict,
     return ds
 
 
-def derivatives(grid: GridChart, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second partials of a scalar or vector field, stacked last, in one pass:
-    each axis is wrapped once for both, and d_a d_b (a < b) differences d_b."""
-    return _derivatives(grid, f, grid.periodic)
+def derivatives(grid: GridChart, f: np.ndarray, rows: slice = slice(None)
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """First and second partials of a scalar or vector field at the rows ``rows`` of
+    axis 0, stacked last, in one pass over a slab of f: each axis is wrapped once
+    for both, and d_a d_b (a < b) differences d_b.
 
-
-def _derivatives(grid: GridChart, f: np.ndarray, periodic: tuple[bool, ...]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """``derivatives`` of f, its axes wrapped where ``periodic`` says so."""
-    q = grid.dim
-    first, second = np.empty((q,) + f.shape), np.empty((q, q) + f.shape)
-    for b in range(q):
-        _partials_into(grid, f, b, first[b], second[b, b], periodic=periodic)
-        for a in range(b):
-            _partials_into(grid, first[b], a, second[a, b], periodic=periodic)
-            second[b, a] = second[a, b]
-    return (first.transpose((*range(1, first.ndim), 0)),
-            second.transpose((*range(2, second.ndim), 0, 1)))
-
-
-def second_partials(grid: GridChart, f: np.ndarray, rows: slice) -> np.ndarray:
-    """Second partials f[rows].shape + (q, q) of a scalar or vector field at the rows
-    ``rows`` of axis 0, bit for bit those of ``derivatives``, from a slab of f: the
-    rows and two halo rows on each side, wrapped on a periodic axis 0, and cut at
-    the ends of a fixed one, where the slab reaches 3 rows inward past an end row.
-
-    The slab's axis 0 is taken as fixed.  Its one-sided stencils then fall on
-    halo rows, or on end rows, as the grid's do, and the slab has the 4 rows
-    they read; every other row takes the central stencil, which adds the same
-    terms in the same order on both kinds of axis."""
+    The slab is f itself when ``rows`` spans axis 0, and otherwise the rows and
+    one halo row on each side, wrapped on a periodic axis 0 and at least the 4
+    rows a one-sided stencil reads on a fixed one."""
     n = grid.shape[0]
     start, stop, _ = rows.indices(n)
-    if grid.periodic[0]:
-        lo = start - 2
-        slab = np.take(f, range(lo, stop + 2), axis=0, mode="wrap")
+    if stop - start == n:
+        lo, slab = 0, f
+    elif grid.periodic[0]:
+        lo = start - 1
+        slab = np.take(f, range(lo, stop + 1), axis=0, mode="wrap")
     else:
-        lo = max(0, min(start - 2, n - 4))
-        slab = f[lo:min(n, max(stop + 2, 4))]
-    second = _derivatives(grid, slab, (False,) + grid.periodic[1:])[1]
-    return second[start - lo:stop - lo]
-
-
-def block_partials(grid: GridChart, f: np.ndarray
-                   ) -> tuple[np.ndarray, Callable[[slice], np.ndarray]]:
-    """First partials of a scalar or vector field over the grid, stacked last, and the
-    function that gives its second partials at a row block of ``row_blocks``.
-
-    On a one-block grid the block is the grid, and both come from one
-    ``derivatives`` pass.  On a grid of several blocks the first partials come
-    from ``grad_B`` and each block's second partials from its slab
-    (``second_partials``): no whole-grid second partials are held."""
-    if len(row_blocks(grid)) == 1:
-        first, second = derivatives(grid, f)
-        return first, lambda rows: second[rows]
-    return grad_B(grid, f), lambda rows: second_partials(grid, f, rows)
+        lo = max(0, min(start - 1, n - 4))
+        slab = f[lo:min(n, max(stop + 1, lo + 4))]
+    q = grid.dim
+    first, second = np.empty((q,) + slab.shape), np.empty((q, q) + slab.shape)
+    for b in range(q):
+        _partials_into(grid, slab, b, first[b], second[b, b])
+        for a in range(b):
+            _partials_into(grid, first[b], a, second[a, b])
+            second[b, a] = second[a, b]
+    rows = slice(start - lo, stop - lo)
+    return (first.transpose((*range(1, first.ndim), 0))[rows],
+            second.transpose((*range(2, second.ndim), 0, 1))[rows])
 
 
 def hessian_scalar(grid: GridChart, f: np.ndarray) -> np.ndarray:
@@ -401,17 +365,17 @@ def delta_B_scalar(grid: GridChart, f: np.ndarray,
 
     Delta_B f = -g^{ab} (d_a d_b f - Gamma^c_{ab} d_c f) + kappa^a d_a f.
     With a minimal foliation this reduces to -f'' on the flat circle, so
-    Delta_B cos = cos.  The Hessian is taken one row block at a time.
+    Delta_B cos = cos.  Each row block takes its gradient and Hessian
+    from one ``derivatives`` call.
     """
-    grad, second_at = block_partials(grid, f)
     kappa_up, h = kappa_sharp(grid, struct), grid.metric_inv_factor
     out = np.empty(f.shape)
     for r in row_blocks(grid):
-        hess = second_at(r)
+        grad, hess = derivatives(grid, f, r)
         if grid.christoffel_symbols:
-            hess = hess - lower_christoffel(_at(grid.christoffel_symbols, r), grad[r])
+            hess = hess - lower_christoffel(_at(grid.christoffel_symbols, r), grad)
         out[r] = -metric_trace(h[r], hess)
-        out[r] += along(kappa_up[r], grad[r])
+        out[r] += along(kappa_up[r], grad)
     return out
 
 

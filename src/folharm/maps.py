@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import CompositionError, ConfigurationError, InvalidMapError
 from .geometry import TransverseGeometry, _total, lower_christoffel, quadratic_term
-from .grid import (GridChart, _at, along, block_partials, covariant_derivative, metric_trace,
-                   row_blocks)
+from .grid import (GridChart, _at, along, covariant_derivative, derivatives, grad_B,
+                   metric_trace, row_blocks)
 
 __all__ = [
     "FoliatedMapField",
@@ -115,9 +115,10 @@ class FoliatedMapField:
     copying them, so it only checks them.
 
     A field never holds more than one row block of second partials: the
-    grid itself on a one-block grid, where one stencil pass gives them with
-    D, and none on a grid of several blocks, where each block's come from a
-    slab of the field when its second form is taken (``grid.block_partials``).
+    grid itself on a one-block grid, where one ``derivatives`` pass gives them
+    with D, and none on a grid of several blocks, where D comes from
+    ``grad_B`` and each block's come from ``derivatives`` at its rows when
+    its second form is taken.
     """
 
     grid: GridChart
@@ -166,8 +167,15 @@ class FoliatedMapField:
     def partials(self) -> tuple[np.ndarray, Callable[[slice], np.ndarray]]:
         """First partials of the lift, the linear part's slope added in place into the
         periodic part's: d_T phi itself; and the function that gives the second
-        partials at a row block, which the linear part has none of."""
-        first, second_at = block_partials(self.grid, self.periodic_part)
+        partials at a row block, which the linear part has none of.  A block's slab
+        takes its first partials again: the mixed partial differences them, and
+        D, with the slope added, would differ from them in the last bits."""
+        grid, f = self.grid, self.periodic_part
+        if len(row_blocks(grid)) == 1:
+            first, second = derivatives(grid, f)
+            second_at = lambda rows: second[rows]
+        else:
+            first, second_at = grad_B(grid, f), lambda rows: derivatives(grid, f, rows)[1]
         if self._lift.winds:
             first += self.linear_slope
         return first, second_at
@@ -345,7 +353,7 @@ def second_fund_form(mapf: FoliatedMapField, rows: slice = slice(None)) -> np.nd
     S^g_{ab} = d_a d_b phi^g - Gamma^c_{ab} d_c phi^g
              + Gamma'^g_{st}(phi) d_a phi^s d_b phi^t,
 
-    with the second partials of the rows' block, or its slab.
+    with the second partials of the field at those rows (``partials``).
     """
     return _second_form(mapf.partials[1](rows), mapf.D[rows],
                         _at(mapf.grid.christoffel_symbols, rows), _at(mapf.target_gamma, rows))

@@ -214,8 +214,9 @@ def weitzenbock_terms(mapf: FoliatedMapField,
 
     Whole-grid are D, |d|^2, kappa#, nabla kappa#, the codifferential and its derivative:
     first partials and what is built from them.  tau and |S|^2 come from the field's
-    pass, and the lhs Delta_B |d|^2 from ``delta_B_scalar``, each taking its second
-    partials one row block at a time; one row-block loop fills the rest.
+    pass, and the lhs Delta_B |d|^2 from ``delta_B_scalar``, each block of which takes
+    its first and second partials from one ``derivatives`` call at the block's rows;
+    one row-block loop fills the rest.
     """
     if mode not in ("general", "harmonic"):
         raise PreconditionError(f"mode: expected 'general' or 'harmonic', got {mode!r}")

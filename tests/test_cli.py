@@ -136,6 +136,16 @@ def test_missing_config_file_exits_two(tmp_path):
                      "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"], ids=["a file", "under a file"])
+def test_unusable_output_directory_exits_two_naming_it(tmp_path, capsys, out):
+    (tmp_path / "file").write_text("")
+    cfg = _write_config(tmp_path, _base_config())
+    assert cli.main(["energy", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot make output directory {tmp_path / out}: ")
+    assert (tmp_path / "file").read_text() == ""
+
+
 def test_schema_rejects_bad_geometry(tmp_path):
     cfg = _write_config(tmp_path, {
         "source": {"kind": "flat_torus"},   # periods missing

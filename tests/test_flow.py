@@ -417,21 +417,28 @@ def test_flow_outputs_and_diagnostics_share_derivatives(sphere, monkeypatch):
 @pytest.mark.parametrize("name", SHIPPED_FLOWS)
 def test_one_block_flow_takes_one_stencil_pass_per_accepted_step(monkeypatch, name):
     """On a one-block grid, every shipped flow's, a field's first and second
-    partials come from one ``derivatives`` call: one for the initial map and
-    one per accepted step, as no step of these ten is rejected.  No slab is
-    taken."""
+    partials come from one whole-grid ``derivatives`` call: one for the
+    initial map and one per accepted step, as no step of these ten is
+    rejected.  No call takes a row block."""
     import folharm.flow as flow
+    import folharm.maps as maps
 
     settings, exp = _shipped(name)
     assert len(fh.grid.row_blocks(exp.grid)) == 1
     mapf = exp.initial_map()
-    passes = _count_calls(monkeypatch, fh.grid, "derivatives")
-    slabs = _count_calls(monkeypatch, fh.grid, "second_partials")
+    passes, derivatives = [], fh.grid.derivatives
+
+    def counted(*args):
+        passes.append(args[2:])
+        return derivatives(*args)
+
+    for module in (fh.grid, maps):                  # each binding the package calls
+        monkeypatch.setattr(module, "derivatives", counted)
     attempts = _count_calls(monkeypatch, flow, "flow_step")
     _, trace = fh.run_flow(mapf, exp.struct, fh.FlowConfig(**{**settings, "max_steps": 10}))
     steps = trace.steps[-1]
     assert steps >= 1 and len(attempts) == steps
-    assert (len(passes), len(slabs)) == (steps + 1, 0)
+    assert passes == [()] * (steps + 1)
 
 
 def test_sphere_band_flow_at_256_stays_under_its_memory_bound(sphere):

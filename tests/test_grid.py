@@ -100,23 +100,43 @@ def test_one_pass_partials_equal_the_single_stencils(sphere):
 
 @pytest.mark.parametrize("components", [(), (2,)], ids=["scalar", "vector"])
 @pytest.mark.parametrize("case", ["flat torus", "sphere band", "hyperbolic patch", "circle"])
-def test_block_second_partials_are_the_rows_of_the_whole_grid(request, case, components):
-    """``second_partials`` at each block of a partition into 1-row blocks, and
-    of one into blocks of 3 rows whose last is ragged, are bit for bit the
-    rows of the whole-grid ``derivatives``: on a periodic axis 0 (flat torus,
-    circle) and a fixed one (the sphere band's theta, the hyperbolic patch),
-    of random scalar and vector fields."""
+def test_block_second_partials_are_the_rows_of_the_whole_grid(monkeypatch, request, case,
+                                                              components):
+    """``derivatives`` at each block of a partition of 13 rows into blocks of
+    1, 2, 3 and 12 rows (the last of 1 row, ragged but for the first) gives first
+    and second partials bit for bit the rows of the whole grid's, whose first
+    partials are ``grad_B``'s: on a periodic axis 0 (flat torus, circle) and
+    a fixed one (the sphere band's theta, the hyperbolic patch), of random
+    scalar and vector fields.  A middle block's slab is its rows and a halo
+    row on each side, and at least 4 rows on a fixed axis 0."""
     geometry = {"flat torus": fh.FlatTorus([TWO_PI, 3.0]), "circle": fh.FlatTorus([TWO_PI]),
                 "sphere band": request.getfixturevalue("sphere"),
                 "hyperbolic patch": request.getfixturevalue("patch")}[case]
     grid = fh.build_grid(geometry, [13, 9][:geometry.dim])
     f = np.random.default_rng(17).standard_normal(grid.shape + components)
-    whole = fh.grid.derivatives(grid, f)[1]
-    for rows in (1, 3):
-        for start in range(0, 13, rows):
-            block = slice(start, start + rows)
-            assert np.array_equal(fh.grid.second_partials(grid, f, block), whole[block]), block
-    assert np.array_equal(fh.grid.second_partials(grid, f, slice(None)), whole)
+    first, second = fh.grid.derivatives(grid, f)
+    assert np.array_equal(first, fh.grad_B(grid, f))
+    for rows in (1, 2, 3, 12):
+        blocks = [slice(start, start + rows) for start in range(0, 13, rows)]
+        assert len(range(13)[blocks[-1]]) == 1            # ragged but for 1-row blocks
+        for block in blocks:
+            block_first, block_second = fh.grid.derivatives(grid, f, block)
+            assert np.array_equal(block_first, first[block]), block
+            assert np.array_equal(block_second, second[block]), block
+    whole = fh.grid.derivatives(grid, f, slice(None))
+    assert np.array_equal(whole[0], first) and np.array_equal(whole[1], second)
+
+    slab_rows, partials_into = [], fh.grid._partials_into
+
+    def counted(grid, f, *args):
+        slab_rows.append(f.shape[0])
+        return partials_into(grid, f, *args)
+
+    monkeypatch.setattr(fh.grid, "_partials_into", counted)
+    for rows, fixed_rows in ((2, 4), (1, 4)):
+        slab_rows.clear()
+        fh.grid.derivatives(grid, f, slice(6, 6 + rows))
+        assert set(slab_rows) == {rows + 2 if grid.periodic[0] else fixed_rows}, rows
 
 
 # -- differential operators ------------------------------------------------

@@ -50,9 +50,16 @@ def test_io_time_gives_one_line_of_three_timings(capsys):
 
 
 def test_verify_time_gives_one_line_per_shipped_check(capsys):
+    """With the stencil calls of one residual: a count on every line, positive
+    but for the volume lemma of the core identities, whose closed-form kappa
+    and spectral d_B vol take no stencil."""
     script, lines = _run(capsys, "verify_time", ["--resolution", "16"])
     assert [(line["config"], line["check"]) for line in lines] == [
         (f"{config}.json", check) for config in script.SHIPPED for check in _checks(config)]
     for line in lines:
         assert line["resolution"] == 16
         assert _finite(line) and math.isfinite(line["tracemalloc_peak_mb"])
+        spectral = (line["config"], line["check"]) == ("verify_core_identities.json",
+                                                       "lemma_volume")
+        assert type(line["stencil_calls"]) is int
+        assert line["stencil_calls"] == 0 if spectral else line["stencil_calls"] > 0

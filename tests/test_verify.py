@@ -225,37 +225,44 @@ def test_row_blocks_change_no_bit_of_the_checks(monkeypatch, sphere, patch, case
     assert blocked == run()
 
 
+def _patch_everywhere(monkeypatch, function, calls):
+    """Record each call of ``function`` in ``calls`` through every module of
+    the package that binds it."""
+    def call(*args):
+        calls.append(args)
+        return function(*args)
+
+    for module in (fh.grid, maps, verify):
+        for name, value in list(vars(module).items()):
+            if value is function:
+                monkeypatch.setattr(module, name, call)
+
+
 def _stencil_calls(monkeypatch, sphere, patch, case, mode, block_rows):
-    """The slab and whole-grid stencil calls of the Weitzenboeck terms of the
-    16^2 ``case`` in blocks of ``block_rows`` rows, each as the field it took
-    and its further arguments, for the map's periodic part and |d_T phi|^2;
-    the total counts; and the rows of each block of S formed, against the
-    row blocks."""
-    slabs, passes, forms = [], [], []
-
-    def counted(calls, function):
-        def call(*args):
-            calls.append(args)
-            return function(*args)
-        return call
-
-    monkeypatch.setattr(fh.grid, "second_partials", counted(slabs, fh.grid.second_partials))
-    monkeypatch.setattr(fh.grid, "derivatives", counted(passes, fh.grid.derivatives))
-    second_form = counted(forms, maps.second_fund_form)
-    monkeypatch.setattr(maps, "second_fund_form", second_form)
-    monkeypatch.setattr(verify, "second_fund_form", second_form)
+    """The ``derivatives`` calls of the Weitzenboeck terms of the 16^2 ``case``
+    in blocks of ``block_rows`` rows, with and without a row block, and its
+    ``grad_B`` calls, each as the further arguments it took for the map's
+    periodic part and |d_T phi|^2; the total counts of the two kinds of
+    ``derivatives`` call; and the rows of each block of S formed, against
+    the row blocks."""
+    passes, grads, forms = [], [], []
+    _patch_everywhere(monkeypatch, fh.grid.derivatives, passes)
+    _patch_everywhere(monkeypatch, fh.grid.grad_B, grads)
+    _patch_everywhere(monkeypatch, maps.second_fund_form, forms)
     monkeypatch.setattr(fh.grid, "ROW_BLOCK_NODES", block_rows * 16)
     struct = fh.named_profile("cosine_offset", 1, {"offset": 2.0}) if case == "flat torus" else None
     mapf = _block_case(case, sphere, patch)[0]
     blocks = fh.grid.row_blocks(mapf.grid)
     assert len(blocks) == 16 // block_rows
     fh.weitzenbock_terms(mapf, struct, mode)
+    in_blocks = [args for args in passes if len(args) > 2]
+    whole = [args for args in passes if len(args) == 2]
 
     def taken(calls):
         return [[args[2:] for args in calls if args[1] is f]
                 for f in (mapf.periodic_part, mapf.dT_norm_sq)]
 
-    return (taken(slabs), taken(passes), (len(slabs), len(passes)),
+    return (taken(in_blocks), taken(whole), taken(grads), (len(in_blocks), len(whole)),
             [args[1:] for args in forms], [(r,) for r in blocks])
 
 
@@ -264,14 +271,17 @@ def _stencil_calls(monkeypatch, sphere, patch, case, mode, block_rows):
 def test_weitzenbock_terms_run_the_stencils_once_per_field(monkeypatch, sphere, patch,
                                                            case, mode):
     """On a 16^2 grid in blocks of 4 rows, the second partials of the map and
-    of |d_T phi|^2 (the lhs) are taken once per row block, each from its slab,
-    and never over the whole grid; each block of S is formed once, in the
-    field's second-order pass: the kappa operator, d_T phi o nabla kappa#,
-    takes no S."""
-    slabs, passes, counts, forms, blocks = _stencil_calls(monkeypatch, sphere, patch,
-                                                          case, mode, 4)
+    of |d_T phi|^2 (the lhs) are taken once per row block, each by
+    ``derivatives`` at its rows, and never over the whole grid; each block of
+    S is formed once, in the field's second-order pass: the kappa operator,
+    d_T phi o nabla kappa#, takes no S.  D is the one ``grad_B`` of the map;
+    the lhs takes its gradient from its blocks, so only the harmonic mode's
+    kappa drift takes one of |d_T phi|^2."""
+    in_blocks, whole, grads, counts, forms, blocks = _stencil_calls(
+        monkeypatch, sphere, patch, case, mode, 4)
     assert len(blocks) == 4
-    assert slabs == [blocks, blocks] and passes == [[], []] and counts == (8, 0)
+    assert in_blocks == [blocks, blocks] and whole == [[], []] and counts == (8, 0)
+    assert grads == [[()], [] if mode == "general" else [()]]
     assert forms == blocks
 
 
@@ -279,12 +289,15 @@ def test_weitzenbock_terms_run_the_stencils_once_per_field(monkeypatch, sphere, 
 @pytest.mark.parametrize("case", ["flat torus", "sphere band"])
 def test_weitzenbock_terms_take_one_stencil_pass_per_field_in_one_block(
         monkeypatch, sphere, patch, case, mode):
-    """In one block of 16 rows, one stencil call per field, ``derivatives``,
-    gives its first and second partials; no slab is taken, and the one block
-    of S is formed once."""
-    slabs, passes, counts, forms, blocks = _stencil_calls(monkeypatch, sphere, patch,
-                                                          case, mode, 16)
-    assert slabs == [[], []] and passes == [[()], [()]] and counts == (0, 2)
+    """In one block of 16 rows, one ``derivatives`` call per field gives its
+    first and second partials: over the whole grid for the map, and at the
+    one block, which spans the grid and so takes no slab, for the lhs; no
+    ``grad_B`` takes the map's first partials, and the one block of S is
+    formed once."""
+    in_blocks, whole, grads, counts, forms, blocks = _stencil_calls(
+        monkeypatch, sphere, patch, case, mode, 16)
+    assert in_blocks == [[], blocks] and whole == [[()], []] and counts == (1, 1)
+    assert grads == [[], [] if mode == "general" else [()]]
     assert forms == blocks == [(slice(0, 16),)]
 
 
